@@ -10,19 +10,15 @@ Design points the commands share:
   digits; JSON output carries full-precision numbers and echoes the loaded
   instance so emitted files round-trip;
 * byte-identical output on reruns; the only randomness (sequence sampling)
-  demands an explicit --seed;
-* STRASSEN_LAB_THREADS caps worker threads for grid sweeps, defaulting to
-  sequential, without affecting output order or content.
+  demands an explicit --seed.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import clt as clt_layer
@@ -125,30 +121,6 @@ def instance_to_dict(inst: Instance) -> dict:
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_instance(json.load(fh))
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("STRASSEN_LAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"STRASSEN_LAB_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    _expect(v >= 1, f"STRASSEN_LAB_THREADS must be >= 1, got {v}")
-    return v
-
-
-def _map_ordered(fun, items):
-    """Apply fun over items, possibly threaded; order follows the input."""
-    workers = _thread_count()
-    items = list(items)
-    if workers == 1 or len(items) <= 1:
-        return [fun(v) for v in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fun, items))
 
 
 def _fmt(v) -> str:
@@ -317,15 +289,12 @@ def cmd_mdp_rate(args) -> int:
 
 
 def cmd_clt(args) -> int:
-    deltas = _parse_grid(args.delta_grid)
-
-    def one(d: float):
+    rows = []
+    for d in _parse_grid(args.delta_grid):
         row = [d, clt_layer.lambda_binary(args.a, args.b, d)]
         if args.oracle:
             row.append(clt_layer.lambda_dual_grid(args.a, args.b, d))
-        return row
-
-    rows = _map_ordered(one, deltas)
+        rows.append(row)
     columns = ["delta", "lambda"] + (["lambda_dual"] if args.oracle else [])
     _emit(args, columns, rows)
     return 0

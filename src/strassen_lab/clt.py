@@ -11,6 +11,7 @@ maximization of the same objective serves as its independent check.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -85,6 +86,11 @@ def crossing_points(inst: BinaryCltInstance) -> list:
     Equal variances give the single midpoint -delta/2; otherwise the log
     ratio is a genuine quadratic with two roots (its discriminant is a sum
     of two same-signed terms, so emptiness is flagged, never expected).
+    Where sigma_x^2 * delta and the root are close in size, one of
+    (-sigma_x^2 * delta -+ root) cancels, badly so for nearly equal
+    variances; there the larger-magnitude root comes from q, whose two terms
+    share a sign, and the other is c/q by Vieta.  Elsewhere nothing cancels,
+    and the two-sided form keeps the roots continuous through delta = 0.
     """
     sx2, sy2, d = inst.sigma_x2, inst.sigma_y2, inst.delta
     if sx2 == sy2:
@@ -96,9 +102,16 @@ def crossing_points(inst: BinaryCltInstance) -> list:
             "cannot happen for binary variance pairs", RuntimeWarning,
         )
         return []
-    root = math.sqrt(sx2 * sy2 * disc)
-    return sorted([(-sx2 * d + root) / (sx2 - sy2),
-                   (-sx2 * d - root) / (sx2 - sy2)])
+    prod = sx2 * sy2 * disc
+    # below the normal range the product sheds digits; take roots first
+    root = (math.sqrt(prod) if prod >= sys.float_info.min
+            else math.sqrt(sx2) * math.sqrt(sy2) * math.sqrt(disc))
+    if abs(sx2 * d) <= 0.5 * root:
+        return sorted([(-sx2 * d + root) / (sx2 - sy2),
+                       (-sx2 * d - root) / (sx2 - sy2)])
+    q = -(sx2 * d + math.copysign(root, d))
+    c = sx2 * d * d - sx2 * sy2 * math.log(sx2 / sy2)
+    return sorted([q / (sx2 - sy2), c / q])
 
 
 def normal_cdf(x: float, sigma2: float) -> float:

@@ -108,6 +108,36 @@ class MaxFlowGraph:
         return seen
 
 
+def _bipartite_flow(supply, demand, admissible: np.ndarray, cell_cap,
+                    scale=1):
+    """Max-flow from supplies to demands through the admissible cells.
+
+    Returns ``(flow_value, flow_matrix, source_side_x)``; the flow matrix is
+    divided by ``scale`` and ``source_side_x`` is the set of x indices on
+    the source side of a minimum cut.
+    """
+    m, k = admissible.shape
+    s, t = m + k, m + k + 1
+    g = MaxFlowGraph(m + k + 2)
+    for i in range(m):
+        g.add_edge(s, i, supply[i])
+    for j in range(k):
+        g.add_edge(m + j, t, demand[j])
+    cell_edges = {}
+    for i in range(m):
+        row = admissible[i]
+        for j in range(k):
+            if row[j]:
+                cell_edges[(i, j)] = g.add_edge(i, m + j, cell_cap)
+    value = g.max_flow(s, t)
+    flow = np.zeros((m, k))
+    for (i, j), e in cell_edges.items():
+        flow[i, j] = g.flow_on(e) / scale
+    cut = g.source_side_cut(s)
+    witness = {i for i in range(m) if i in cut}
+    return value, flow, witness
+
+
 def bipartite_max_flow(supply: Sequence[float], demand: Sequence[float],
                        admissible: np.ndarray):
     """Max-flow from supplies to demands along admissible cells (floats).
@@ -116,26 +146,8 @@ def bipartite_max_flow(supply: Sequence[float], demand: Sequence[float],
     ``source_side_x`` is the set of x indices on the source side of a minimum
     cut — a maximizing witness set for the Strassen dual.
     """
-    m, k = admissible.shape
-    s, t = m + k, m + k + 1
-    g = MaxFlowGraph(m + k + 2)
-    for i in range(m):
-        g.add_edge(s, i, float(supply[i]))
-    for j in range(k):
-        g.add_edge(m + j, t, float(demand[j]))
-    cell_edges = {}
-    for i in range(m):
-        row = admissible[i]
-        for j in range(k):
-            if row[j]:
-                cell_edges[(i, j)] = g.add_edge(i, m + j, math.inf)
-    value = g.max_flow(s, t)
-    flow = np.zeros((m, k))
-    for (i, j), e in cell_edges.items():
-        flow[i, j] = g.flow_on(e)
-    cut = g.source_side_cut(s)
-    witness = {i for i in range(m) if i in cut}
-    return value, flow, witness
+    return _bipartite_flow([float(v) for v in supply],
+                           [float(v) for v in demand], admissible, math.inf)
 
 
 def exact_scaled_masses(*mass_lists: Sequence[float]) -> tuple[list[list[int]], int]:
@@ -162,26 +174,8 @@ def bipartite_max_flow_exact(supply: Sequence[float], demand: Sequence[float],
     to floats.
     """
     (sup, dem), den = exact_scaled_masses(supply, demand)
-    m, k = admissible.shape
-    s, t = m + k, m + k + 1
-    g = MaxFlowGraph(m + k + 2)
-    big = sum(sup) + 1
-    for i in range(m):
-        g.add_edge(s, i, sup[i])
-    for j in range(k):
-        g.add_edge(m + j, t, dem[j])
-    cell_edges = {}
-    for i in range(m):
-        row = admissible[i]
-        for j in range(k):
-            if row[j]:
-                cell_edges[(i, j)] = g.add_edge(i, m + j, big)
-    value = g.max_flow(s, t)
-    flow = np.zeros((m, k))
-    for (i, j), e in cell_edges.items():
-        flow[i, j] = g.flow_on(e) / den
-    cut = g.source_side_cut(s)
-    witness = {i for i in range(m) if i in cut}
+    value, flow, witness = _bipartite_flow(sup, dem, admissible,
+                                           sum(sup) + 1, den)
     return Fraction(value, den), flow, witness
 
 

@@ -4,8 +4,16 @@ The n-letter problem G_alpha(P_X^n, P_Y^n) with per-symbol average cost
 collapses to an outer Strassen problem between the laws of the empirical
 types, whose inner cost is the plain OT value between the induced
 distributions.  This module builds those lattices, solves the outer problem
-(a banded cut DP for binary alphabets, dense max-flow otherwise), and
-provides the coupling constructions used to realize the optimum.
+through Strassen's dual G = max_E mu(E) - nu(Gamma(E)), and provides the
+coupling constructions used to realize the optimum.
+
+When every row's admissible set is an interval and the intervals move
+monotonically (as for Bernoulli laws under Hamming cost), witness sets E
+are chains of rows, and one chain DP finds them.  It runs with two
+scores: the gain mu(E) - nu(Gamma(E)), maximised, and the loss
+nu(Gamma(E)) + mu(E^c), minimised, so both G and 1 - G get a witness on
+their own scale.  Signed scores are ranked exactly in log space, by
+(sign, sign * log|value|).  Other lattices go to a dense max-flow.
 
 Numerical posture: type masses are kept in log space end to end; every
 reported probability is assembled from sums of same-sign terms selected
@@ -29,7 +37,7 @@ from . import flow
 from .curves import RateCurve
 from .errors import SizeGuardError, ValidationError
 from .measures import Dist, JointDist
-from .transport import ADMISS_EPS, CostMatrix, ecp, ot_value
+from .transport import ADMISS_EPS, CostMatrix, _ot_value_2x2, ecp, ot_value
 
 ENUM_GUARD = 10_000_000
 DENSE_GUARD = 300_000
@@ -174,23 +182,14 @@ def _inner_cost_table(c: CostMatrix, n: int) -> np.ndarray:
     kx, ky = c.shape
     fx = _counts_matrix(n, kx) / n
     fy = _counts_matrix(n, ky) / n
+    carr = c.as_array()
     if kx == 2 and ky == 2:
-        carr = c.as_array()
-        q0 = fx[:, 0][:, None]
-        r0 = fy[:, 0][None, :]
-        slope = carr[0, 0] + carr[1, 1] - carr[0, 1] - carr[1, 0]
-        if slope < 0:
-            t = np.minimum(q0, r0)
-        else:
-            t = np.maximum(0.0, q0 + r0 - 1.0)
-        table = (t * carr[0, 0] + (q0 - t) * carr[0, 1]
-                 + (r0 - t) * carr[1, 0] + (1.0 - q0 - r0 + t) * carr[1, 1])
+        table = _ot_value_2x2(fx[:, 0][:, None], fy[:, 0][None, :], carr)
     else:
         if len(fx) * len(fy) > PAIR_GUARD:
             raise SizeGuardError(
                 f"inner cost table would have {len(fx) * len(fy)} entries"
             )
-        carr = c.as_array()
         table = np.empty((len(fx), len(fy)))
         for i in range(len(fx)):
             for j in range(len(fy)):
@@ -235,100 +234,102 @@ def _banded_view(adm: np.ndarray):
     return act, first, last, np.nonzero(~any_row)[0]
 
 
-def _signed_sortkey(lpos: np.ndarray, lneg: np.ndarray) -> np.ndarray:
-    """Total order on values exp(lpos) - exp(lneg) without leaving log space.
+_LOG_HALF = math.log(0.5)
 
-    Positive values map to their log magnitude (in [-inf, 0]), zeros to
-    -1000, negatives to -2000 - log magnitude, so the usual argmax ranks by
-    true signed value while every comparison retains relative precision.
-    Plain subtraction would wipe out differences parked 200 orders of
-    magnitude below the bulk masses.
+
+def _gain(log_e, log_g, log_ec, log_gc):
+    """Score mu(E) - nu(Gamma(E)), as the logs of its plus and minus parts.
+
+    As in _witness_values, a chain with mu(E) > 1/2 is scored through the
+    equal form nu(Gamma(E)^c) - mu(E^c), which sums the smaller masses;
+    summed directly, the bulk masses carry the lattices' normalization
+    error (TypeMeasure admits 1e-9) and would outrank every deep-tail
+    witness.
     """
+    bulk = log_e > _LOG_HALF
+    return np.where(bulk, log_gc, log_e), np.where(bulk, log_ec, log_g)
+
+
+def _loss(log_e, log_g, log_ec, log_gc):
+    """Score -(nu(Gamma(E)) + mu(E^c)), the chain's bound on 1 - G."""
+    return -np.inf, np.logaddexp(log_g, log_ec)
+
+
+def _signed_argmax(lpos, lneg) -> int:
+    """First index of the largest exp(lpos) - exp(lneg), compared exactly.
+
+    Values are ranked by the pair (sign, sign * log|value|) in
+    lexicographic order, so no offset ever mixes the sign into the
+    magnitude and relative precision survives at any depth.  The caller
+    silences the warnings of -inf - -inf (a zero value) and of the terms
+    outside the winning sign class, which are masked out.
+    """
+    diff = lpos - lneg
+    pos = diff > 0.0
+    if pos.any():
+        logabs = lpos + np.log(-np.expm1(-diff))
+        return int(np.argmax(np.where(pos, logabs, -np.inf)))
+    zero = ~(diff < 0.0)
+    if zero.any():
+        return int(np.argmax(zero))
+    return int(np.argmin(lneg + np.log(-np.expm1(diff))))
+
+
+def _dp_chains(logmu: np.ndarray, lognu: np.ndarray, view, score) -> np.ndarray:
+    """Parent pointers of the best witness chain ending at each active row.
+
+    A chain is a set E of active rows, plus the always-free rows.  Every
+    chain carries the same log-sum state over the rows up to its end and
+    the columns up to its span's end: mu(E), nu(Gamma(E)), mu of the rows
+    it skipped and nu of the columns it left uncovered.  Because lo and hi
+    are nondecreasing, appending row i to the chain ending at row j adds
+    mu_i to the first, the span (max(hi_j, lo_i - 1), hi_i] to the second
+    and the gap (hi_j, lo_i - 1] to the last; every chain that does not
+    take row i adds mu_i to its skipped mass.  Slot 0 is the empty chain
+    (hi = -1), so starting fresh is one more candidate and wins ties, ahead
+    of the chains in row order.  ``score(log_e, log_g, log_ec, log_gc)``
+    sees each candidate's mu(E), nu(Gamma(E)), mu(E^c) and nu(Gamma(E)^c)
+    and returns the logs of the plus and minus parts of its value.
+    """
+    act, lo, hi, empty = view
+    logmu_a = logmu[act]
+    m = len(act)
+    # log mass of the active rows after row i, of the columns after hi_i
+    mu_after = np.append(np.logaddexp.accumulate(logmu_a[:0:-1])[::-1],
+                         -np.inf)
+    nu_after = np.append(np.logaddexp.accumulate(lognu[::-1])[::-1],
+                         -np.inf)[hi + 1]
+    log_e = np.full(m + 1, -np.inf)
+    log_e[0] = _lse(logmu[empty])
+    log_g = np.full(m + 1, -np.inf)
+    log_skip = np.full(m + 1, -np.inf)
+    log_gap = np.full(m + 1, -np.inf)
+    last_hi = np.concatenate([[-1], hi])
+    parent = np.full(m, -1, dtype=np.int64)
+    # span[t] = log nu(hi_i - t .. hi_i) and gap[t] = log nu(lo_i - 1 - t ..
+    # lo_i - 1) at step i; index -1 reads the empty sum
+    span = np.full(len(lognu) + 1, -np.inf)
+    gap = np.full(len(lognu) + 1, -np.inf)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        top = np.maximum(lpos, lneg)
-        logabs = top + np.log1p(-np.exp(-np.abs(lpos - lneg)))
-    logabs = np.where(np.isnan(logabs), -np.inf, logabs)
-    return np.where(logabs == -np.inf, -1000.0,
-                    np.where(lpos > lneg, logabs, -2000.0 - logabs))
-
-
-def _maxdp_chains(logmu_a: np.ndarray, lognu: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray) -> np.ndarray:
-    """Parent pointers of best witness chains for mu(E) - nu(Gamma(E)).
-
-    Chains are indexed by their last included row; a transition either
-    merges with a previous chain (lo_i <= hi_j + 1, paying only the new
-    nu-span hi_j+1..hi_i) or starts a disjoint interval.  Both sides of the
-    score are accumulated as log-sums, so selection stays sharp even when
-    the optimum is a difference of two tail masses near 1e-300.
-    """
-    m = len(logmu_a)
-    llog = np.empty(m)
-    glog = np.empty(m)
-    parent = np.full(m, -1, dtype=np.int64)
-    for i in range(m):
-        hi_i, lo_i = int(hi[i]), int(lo[i])
-        revacc = np.logaddexp.accumulate(lognu[hi_i::-1])
-        span_full = revacc[hi_i - lo_i]
-        fresh_l, fresh_g = logmu_a[i], span_full
-        if i:
-            idx = hi_i - hi[:i] - 1
-            incr = np.where(hi[:i] >= lo_i - 1,
-                            np.where(idx >= 0, revacc[np.maximum(idx, 0)],
-                                     -np.inf),
-                            span_full)
-            lpos = np.logaddexp(llog[:i], logmu_a[i])
-            lneg = np.logaddexp(glog[:i], incr)
-            keys = _signed_sortkey(lpos, lneg)
-            j = int(np.argmax(keys))
-            if keys[j] > _signed_sortkey(np.array([fresh_l]),
-                                         np.array([fresh_g]))[0]:
-                parent[i] = j
-                llog[i], glog[i] = lpos[j], lneg[j]
-                continue
-        llog[i], glog[i] = fresh_l, fresh_g
-    return parent
-
-
-def _mindp_chains(logmu_a: np.ndarray, lognu: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray) -> np.ndarray:
-    """Parent pointers of best chains for nu(Gamma(E)) + mu(rows left out).
-
-    The score is a sum of nonnegative masses, so it accumulates as plain
-    log-sums; the trailing skipped rows past the last included one are a
-    common additive term per endpoint and are settled by the caller's exact
-    re-evaluation.
-    """
-    m = len(logmu_a)
-    glog = np.empty(m)
-    slog = np.empty(m)
-    parent = np.full(m, -1, dtype=np.int64)
-    prefmu = np.concatenate(
-        [[-np.inf], np.logaddexp.accumulate(logmu_a)])
-    for i in range(m):
-        hi_i, lo_i = int(hi[i]), int(lo[i])
-        revacc = np.logaddexp.accumulate(lognu[hi_i::-1])
-        span_full = revacc[hi_i - lo_i]
-        fresh_g, fresh_s = span_full, prefmu[i]
-        if i:
-            idx = hi_i - hi[:i] - 1
-            incr = np.where(hi[:i] >= lo_i - 1,
-                            np.where(idx >= 0, revacc[np.maximum(idx, 0)],
-                                     -np.inf),
-                            span_full)
-            revmu = np.logaddexp.accumulate(logmu_a[i - 1::-1])
-            skip_idx = i - 2 - np.arange(i)
-            skip = np.where(skip_idx >= 0, revmu[np.maximum(skip_idx, 0)],
-                            -np.inf)
-            gcand = np.logaddexp(glog[:i], incr)
-            scand = np.logaddexp(slog[:i], skip)
-            keys = np.logaddexp(gcand, scand)
-            j = int(np.argmin(keys))
-            if keys[j] < np.logaddexp(fresh_g, fresh_s):
-                parent[i] = j
-                glog[i], slog[i] = gcand[j], scand[j]
-                continue
-        glog[i], slog[i] = fresh_g, fresh_s
+        for i in range(m):
+            lo_i, hi_i = int(lo[i]), int(hi[i])
+            np.logaddexp.accumulate(lognu[lo_i:hi_i + 1][::-1],
+                                    out=span[:hi_i - lo_i + 1])
+            np.logaddexp.accumulate(lognu[:lo_i][::-1], out=gap[:lo_i])
+            prev = last_hi[:i + 1]
+            skip = log_skip[:i + 1]
+            cand_e = np.logaddexp(log_e[:i + 1], logmu_a[i])
+            cand_g = np.logaddexp(
+                log_g[:i + 1], span[np.minimum(hi_i - 1 - prev, hi_i - lo_i)])
+            cand_gap = np.logaddexp(
+                log_gap[:i + 1], gap[np.maximum(lo_i - 2 - prev, -1)])
+            best = _signed_argmax(*score(
+                cand_e, cand_g, np.logaddexp(skip, mu_after[i]),
+                np.logaddexp(cand_gap, nu_after[i])))
+            parent[i] = best - 1
+            log_e[i + 1], log_g[i + 1] = cand_e[best], cand_g[best]
+            log_skip[i + 1], log_gap[i + 1] = skip[best], cand_gap[best]
+            log_skip[:i + 1] = np.logaddexp(skip, logmu_a[i])
     return parent
 
 
@@ -363,56 +364,47 @@ def _lse(logs: np.ndarray) -> float:
     return float(logsumexp(logs))
 
 
-def _witness_values(chain, view, logmu, lognu):
-    """Exact (direct, complement-sum) values of one witness chain.
+def _chain_masks(chain, view, size_mu: int, size_nu: int):
+    """Masks of the witness set E of one chain and of its enlargement."""
+    act, lo, hi, empty = view
+    in_e = np.zeros(size_mu, dtype=bool)
+    in_e[act[chain]] = True
+    in_e[empty] = True
+    in_g = np.zeros(size_nu, dtype=bool)
+    in_g[_span_indices(_merge_spans(chain, lo, hi))] = True
+    return in_e, in_g
+
+
+def _witness_values(logmu, lognu, in_e, in_g):
+    """Exact (direct, complement-sum) values of a witness set E.
 
     direct   = mu(E) - nu(Gamma(E)), evaluated through whichever of the two
                algebraically equal forms sums the smaller masses;
     comp_sum = mu(E^c) + nu(Gamma(E)), the matching bound on 1 - G
                (a sum of same-sign terms, so it never cancels).
     """
-    act, lo, hi, empty = view
-    rows = act[chain] if len(chain) else np.empty(0, dtype=np.int64)
-    rows_e = np.concatenate([rows, empty])
-    spans = _merge_spans(chain, lo, hi)
-    gamma = _span_indices(spans)
-    in_e = np.zeros(len(logmu), dtype=bool)
-    in_e[rows_e] = True
-    in_g = np.zeros(len(lognu), dtype=bool)
-    in_g[gamma] = True
-    l_e = _lse(logmu[in_e])
-    l_ec = _lse(logmu[~in_e])
-    l_g = _lse(lognu[in_g])
-    l_gc = _lse(lognu[~in_g])
-    mass_e = math.exp(l_e) if l_e > -math.inf else 0.0
+    l_e, l_ec = _lse(logmu[in_e]), _lse(logmu[~in_e])
+    l_g, l_gc = _lse(lognu[in_g]), _lse(lognu[~in_g])
+    mass_e = math.exp(l_e)
     if mass_e > 0.5:
         direct = math.exp(l_gc) - math.exp(l_ec)
     else:
         direct = mass_e - math.exp(l_g)
-    comp_sum = math.exp(l_ec) + math.exp(l_g)
-    return direct, comp_sum
+    return direct, math.exp(l_ec) + math.exp(l_g)
 
 
 def _side_candidates(logmu, lognu, adm):
-    """All per-chain witness evaluations for one orientation, or None."""
+    """(direct, complement-sum) of every DP chain of one orientation, or None."""
     view = _banded_view(adm)
     if view is None:
         return None
-    act, lo, hi, empty = view
-    logmu_a = logmu[act]
-    g_vals, comp_vals = [], []
-    for dp in (_maxdp_chains, _mindp_chains):
-        parent = dp(logmu_a, lognu, lo, hi)
-        for i in range(len(act)):
-            chain = _chain_members(parent, i)
-            direct, comp_sum = _witness_values(chain, view, logmu, lognu)
-            g_vals.append(direct)
-            comp_vals.append(comp_sum)
-    # The empty-active-chain witness (only always-free rows included).
-    direct, comp_sum = _witness_values([], view, logmu, lognu)
-    g_vals.append(direct)
-    comp_vals.append(comp_sum)
-    return g_vals, comp_vals
+    chains = [[]]  # the empty-active-chain witness: only always-free rows
+    for score in (_gain, _loss):
+        parent = _dp_chains(logmu, lognu, view, score)
+        chains.extend(_chain_members(parent, i) for i in range(len(parent)))
+    return [_witness_values(logmu, lognu,
+                            *_chain_masks(chain, view, len(logmu), len(lognu)))
+            for chain in chains]
 
 
 def _lattice_ecp_banded(logmu, lognu, adm):
@@ -420,8 +412,8 @@ def _lattice_ecp_banded(logmu, lognu, adm):
     b = _side_candidates(lognu, logmu, adm.T)
     if a is None or b is None:
         return None
-    g = max(0.0, max(a[0]), max(b[0]))
-    comp = min(1.0, min(a[1]), min(b[1]))
+    g = max(0.0, max(direct for direct, _ in a + b))
+    comp = min(1.0, min(comp_sum for _, comp_sum in a + b))
     return min(g, 1.0), max(comp, 0.0)
 
 
@@ -437,14 +429,7 @@ def _lattice_ecp_dense(logmu, lognu, adm):
     in_e = np.zeros(len(logmu), dtype=bool)
     in_e[rows] = True
     in_g = adm[in_e].any(axis=0) if rows.size else np.zeros(len(lognu), bool)
-    l_e, l_ec = _lse(logmu[in_e]), _lse(logmu[~in_e])
-    l_g, l_gc = _lse(lognu[in_g]), _lse(lognu[~in_g])
-    mass_e = math.exp(l_e) if l_e > -math.inf else 0.0
-    if mass_e > 0.5:
-        g = math.exp(l_gc) - math.exp(l_ec)
-    else:
-        g = mass_e - math.exp(l_g)
-    comp = math.exp(l_ec) + math.exp(l_g)
+    g, comp = _witness_values(logmu, lognu, in_e, in_g)
     return min(max(g, 0.0), 1.0), min(max(comp, 0.0), 1.0)
 
 

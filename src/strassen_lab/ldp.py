@@ -130,8 +130,6 @@ def _coupling_min(px: np.ndarray, py: np.ndarray, carr: np.ndarray,
     """
     m, k = carr.shape
     cvec = carr.reshape(-1)
-    logpx = np.log(px)
-    logpy = np.log(py)
 
     def rows(v: np.ndarray) -> np.ndarray:
         return v.reshape(m, k).sum(axis=1)
@@ -140,7 +138,9 @@ def _coupling_min(px: np.ndarray, py: np.ndarray, carr: np.ndarray,
         return v.reshape(m, k).sum(axis=0)
 
     cons = []
+    # logs only of a moving side: a pinned side may hold zero masses
     if move_x:
+        logpx = np.log(px)
         cons.append({
             "type": "ineq",
             "fun": lambda v: rx - _kl_of(rows(v), logpx),
@@ -153,6 +153,7 @@ def _coupling_min(px: np.ndarray, py: np.ndarray, carr: np.ndarray,
         cons.append({"type": "eq", "fun": lambda v: rows(v) - px,
                      "jac": lambda v: np.repeat(np.eye(m), k, axis=1)})
     if move_y:
+        logpy = np.log(py)
         cons.append({
             "type": "ineq",
             "fun": lambda v: ry - _kl_of(cols(v), logpy),

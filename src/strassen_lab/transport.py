@@ -152,22 +152,21 @@ def gamma_enlarge(a_set, c: CostMatrix, alpha: float) -> frozenset:
 def ot_value(px: np.ndarray, py: np.ndarray, cost: np.ndarray) -> float:
     """Expected-cost optimum only, for hot loops (no plan, no dataclasses)."""
     if cost.shape == (2, 2):
-        return _ot_value_2x2(px[0], py[0], cost)
+        return float(_ot_value_2x2(px[0], py[0], cost))
     _, _, _, objective = flow.transport_min_cost(px, py, cost)
     return objective
 
 
-def _ot_value_2x2(q0: float, r0: float, cost: np.ndarray) -> float:
+def _ot_value_2x2(q0, r0, cost: np.ndarray):
+    """OT value of (q0, 1-q0) against (r0, 1-r0); q0 and r0 broadcast."""
     # The coupling is one-parameter: t = P(0,0) in [max(0, q0+r0-1), min(q0, r0)],
     # and the objective is affine in t, so the optimum sits at an endpoint.
     slope = cost[0, 0] + cost[1, 1] - cost[0, 1] - cost[1, 0]
-    t = min(q0, r0) if slope < 0 else max(0.0, q0 + r0 - 1.0)
-    return float(
-        t * cost[0, 0]
-        + (q0 - t) * cost[0, 1]
-        + (r0 - t) * cost[1, 0]
-        + (1.0 - q0 - r0 + t) * cost[1, 1]
-    )
+    t = np.minimum(q0, r0) if slope < 0 else np.maximum(0.0, q0 + r0 - 1.0)
+    return (t * cost[0, 0]
+            + (q0 - t) * cost[0, 1]
+            + (r0 - t) * cost[1, 0]
+            + (1.0 - q0 - r0 + t) * cost[1, 1])
 
 
 def ot_cost(p_x: Dist, p_y: Dist, c: CostMatrix) -> TransportPlan:

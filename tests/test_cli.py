@@ -256,25 +256,6 @@ class TestCltCommand:
         for r in rows:
             assert float(r[1]) == pytest.approx(float(r[2]), abs=1e-6)
 
-    def test_thread_env_does_not_change_bytes(self, capsys, monkeypatch):
-        argv = ("clt", "--a", "0.1", "--b", "0.5", "--delta-grid", "-2:2:9")
-        monkeypatch.delenv("STRASSEN_LAB_THREADS", raising=False)
-        _, serial, _ = run(capsys, *argv)
-        monkeypatch.setenv("STRASSEN_LAB_THREADS", "4")
-        _, threaded, _ = run(capsys, *argv)
-        assert serial == threaded
-
-    def test_invalid_thread_env_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("STRASSEN_LAB_THREADS", "many")
-        code, _, err = run(capsys, "clt", "--a", "0.1", "--b", "0.5",
-                           "--delta-grid", "0:1:3")
-        assert code == 2
-        assert "STRASSEN_LAB_THREADS" in err
-        monkeypatch.setenv("STRASSEN_LAB_THREADS", "0")
-        code, _, _ = run(capsys, "clt", "--a", "0.1", "--b", "0.5",
-                         "--delta-grid", "0:1:3")
-        assert code == 2
-
 
 class TestConvergeCommand:
     def test_doubling_series(self, capsys, binary_path):

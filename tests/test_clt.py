@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strassen_lab.clt import (BinaryCltInstance, GaussParams, crossing_points,
@@ -70,6 +70,7 @@ class TestCrossingPoints:
 
     @given(st.floats(0.05, 0.45), st.floats(0.05, 0.45), st.floats(-2.0, 2.0))
     @settings(max_examples=200, deadline=None)
+    @example(0.05, 0.05000000000000001, 1.0)
     def test_densities_agree_at_roots(self, a, b, delta):
         sx2, sy2 = a * (1.0 - a), b * (1.0 - b)
         inst = BinaryCltInstance(sigma_x2=sx2, sigma_y2=sy2, delta=delta)

@@ -1,17 +1,23 @@
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strassen_lab import lattice
 from strassen_lab.curves import RateCurve
 from strassen_lab.errors import SizeGuardError, ValidationError
 from strassen_lab.lattice import (
     TypeMeasure,
     TypeVector,
+    _banded_view,
+    _chain_members,
+    _dp_chains,
+    _gain,
     _lattice_ecp_banded,
     _lattice_ecp_dense,
     direct_gn_oracle,
@@ -152,25 +158,205 @@ class TestExactGn:
         assert g_lo >= g_hi - 1e-12
 
 
+def random_banded(gen, m, k, shift=0.0):
+    """Log-masses and an admissible table whose rows are intervals with
+    nondecreasing ends, every mass multiplied by exp(shift)."""
+    lo = np.sort(gen.integers(0, k, m))
+    hi = np.maximum(np.sort(gen.integers(0, k, m)), lo)
+    cols = np.arange(k)
+    adm = (cols >= lo[:, None]) & (cols <= hi[:, None])
+    return (np.log(gen.dirichlet(np.ones(m))) + shift,
+            np.log(gen.dirichlet(np.ones(k))) + shift, adm)
+
+
+def banded_dense_instances(rng):
+    """Random lattices of up to 3 letters, which are seldom banded, then
+    random banded tables."""
+    for _ in range(12):
+        px = random_dist(rng, int(rng.integers(2, 4)), positive=True)
+        py = random_dist(rng, int(rng.integers(2, 4)), positive=True)
+        c = random_cost(rng, len(px), len(py))
+        n = int(rng.integers(2, 7))
+        inst = nested_instance(px, py, c, n)
+        alpha = float(rng.random() * inst.inner_cost.max())
+        adm = inst.inner_cost <= alpha + 1e-12
+        if adm.any():
+            yield inst.mu.logmass, inst.nu.logmass, adm
+    for _ in range(12):
+        yield random_banded(rng, int(rng.integers(2, 10)),
+                            int(rng.integers(2, 10)))
+
+
 class TestBandedAgainstDense:
     def test_both_routes_agree(self, rng):
-        for _ in range(12):
-            px = random_dist(rng, int(rng.integers(2, 4)), positive=True)
-            py = random_dist(rng, int(rng.integers(2, 4)), positive=True)
-            c = random_cost(rng, len(px), len(py))
-            n = int(rng.integers(2, 7))
-            inst = nested_instance(px, py, c, n)
-            alpha = float(rng.random() * inst.inner_cost.max())
-            adm = inst.inner_cost <= alpha + 1e-12
-            if not adm.any():
-                continue
-            banded = _lattice_ecp_banded(inst.mu.logmass, inst.nu.logmass,
-                                         adm)
+        compared = 0
+        for logmu, lognu, adm in banded_dense_instances(rng):
+            banded = _lattice_ecp_banded(logmu, lognu, adm)
             if banded is None:
                 continue
-            dense = _lattice_ecp_dense(inst.mu.logmass, inst.nu.logmass, adm)
+            dense = _lattice_ecp_dense(logmu, lognu, adm)
             assert banded[0] == pytest.approx(dense[0], abs=1e-9)
             assert banded[1] == pytest.approx(dense[1], abs=1e-9)
+            compared += 1
+        assert compared >= 12
+
+
+# The two chain DPs that _dp_chains replaced, kept verbatim as the
+# reference of the differential test below.
+
+def _signed_sortkey(lpos: np.ndarray, lneg: np.ndarray) -> np.ndarray:
+    """Total order on values exp(lpos) - exp(lneg) without leaving log space.
+
+    Positive values map to their log magnitude (in [-inf, 0]), zeros to
+    -1000, negatives to -2000 - log magnitude, so the usual argmax ranks by
+    true signed value while every comparison retains relative precision.
+    Plain subtraction would wipe out differences parked 200 orders of
+    magnitude below the bulk masses.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        top = np.maximum(lpos, lneg)
+        logabs = top + np.log1p(-np.exp(-np.abs(lpos - lneg)))
+    logabs = np.where(np.isnan(logabs), -np.inf, logabs)
+    return np.where(logabs == -np.inf, -1000.0,
+                    np.where(lpos > lneg, logabs, -2000.0 - logabs))
+
+
+def _maxdp_chains(logmu_a: np.ndarray, lognu: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+    """Parent pointers of best witness chains for mu(E) - nu(Gamma(E)).
+
+    Chains are indexed by their last included row; a transition either
+    merges with a previous chain (lo_i <= hi_j + 1, paying only the new
+    nu-span hi_j+1..hi_i) or starts a disjoint interval.  Both sides of the
+    score are accumulated as log-sums, so selection stays sharp even when
+    the optimum is a difference of two tail masses near 1e-300.
+    """
+    m = len(logmu_a)
+    llog = np.empty(m)
+    glog = np.empty(m)
+    parent = np.full(m, -1, dtype=np.int64)
+    for i in range(m):
+        hi_i, lo_i = int(hi[i]), int(lo[i])
+        revacc = np.logaddexp.accumulate(lognu[hi_i::-1])
+        span_full = revacc[hi_i - lo_i]
+        fresh_l, fresh_g = logmu_a[i], span_full
+        if i:
+            idx = hi_i - hi[:i] - 1
+            incr = np.where(hi[:i] >= lo_i - 1,
+                            np.where(idx >= 0, revacc[np.maximum(idx, 0)],
+                                     -np.inf),
+                            span_full)
+            lpos = np.logaddexp(llog[:i], logmu_a[i])
+            lneg = np.logaddexp(glog[:i], incr)
+            keys = _signed_sortkey(lpos, lneg)
+            j = int(np.argmax(keys))
+            if keys[j] > _signed_sortkey(np.array([fresh_l]),
+                                         np.array([fresh_g]))[0]:
+                parent[i] = j
+                llog[i], glog[i] = lpos[j], lneg[j]
+                continue
+        llog[i], glog[i] = fresh_l, fresh_g
+    return parent
+
+
+def _mindp_chains(logmu_a: np.ndarray, lognu: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+    """Parent pointers of best chains for nu(Gamma(E)) + mu(rows left out).
+
+    The score is a sum of nonnegative masses, so it accumulates as plain
+    log-sums; the trailing skipped rows past the last included one are a
+    common additive term per endpoint and are settled by the caller's exact
+    re-evaluation.
+    """
+    m = len(logmu_a)
+    glog = np.empty(m)
+    slog = np.empty(m)
+    parent = np.full(m, -1, dtype=np.int64)
+    prefmu = np.concatenate(
+        [[-np.inf], np.logaddexp.accumulate(logmu_a)])
+    for i in range(m):
+        hi_i, lo_i = int(hi[i]), int(lo[i])
+        revacc = np.logaddexp.accumulate(lognu[hi_i::-1])
+        span_full = revacc[hi_i - lo_i]
+        fresh_g, fresh_s = span_full, prefmu[i]
+        if i:
+            idx = hi_i - hi[:i] - 1
+            incr = np.where(hi[:i] >= lo_i - 1,
+                            np.where(idx >= 0, revacc[np.maximum(idx, 0)],
+                                     -np.inf),
+                            span_full)
+            revmu = np.logaddexp.accumulate(logmu_a[i - 1::-1])
+            skip_idx = i - 2 - np.arange(i)
+            skip = np.where(skip_idx >= 0, revmu[np.maximum(skip_idx, 0)],
+                            -np.inf)
+            gcand = np.logaddexp(glog[:i], incr)
+            scand = np.logaddexp(slog[:i], skip)
+            keys = np.logaddexp(gcand, scand)
+            j = int(np.argmin(keys))
+            if keys[j] < np.logaddexp(fresh_g, fresh_s):
+                parent[i] = j
+                glog[i], slog[i] = gcand[j], scand[j]
+                continue
+        glog[i], slog[i] = fresh_g, fresh_s
+    return parent
+
+
+def _reference_dp_chains(logmu, lognu, view, score):
+    act, lo, hi, _ = view
+    dp = _maxdp_chains if score is _gain else _mindp_chains
+    return dp(logmu[act], lognu, lo, hi)
+
+
+class TestChainDp:
+    def binary_tail_instances(self):
+        cases = [(n, alpha) for n in (50, 100, 200) for alpha in (0.2, 0.45)]
+        cases += [(100, 0.4 + d / 10) for d in (-1.5, -0.5, 0.0, 0.5, 1.5)]
+        for n, alpha in cases:
+            inst = nested_instance(B01, B05, HAMMING, n)
+            yield (inst.mu.logmass, inst.nu.logmass,
+                   inst.inner_cost <= alpha + 1e-12)
+
+    def test_same_results_as_the_two_replaced_dps(self, rng, monkeypatch):
+        instances = list(self.binary_tail_instances())
+        instances += list(banded_dense_instances(rng))
+        new = [_lattice_ecp_banded(*inst) for inst in instances]
+        monkeypatch.setattr(lattice, "_dp_chains", _reference_dp_chains)
+        compared = 0
+        for inst, got in zip(instances, new):
+            logmu, lognu, _ = inst
+            # the replaced DPs mis-rank scores below exp(-1000)
+            assert min(logmu.min(), lognu.min()) > -1000.0
+            assert got == _lattice_ecp_banded(*inst)
+            compared += got is not None
+        assert compared >= 23
+
+    @pytest.mark.parametrize("shift", [0.0, -1500.0])
+    def test_gain_chain_reaches_subset_maximum(self, shift):
+        # the best gain chain must match brute force over all 2^9 subsets
+        # E, summed in decimal, also where every mass is below exp(-1000)
+        gen = np.random.default_rng(7)
+        m = k = 9
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for _ in range(20):
+                logmu, lognu, adm = random_banded(gen, m, k, shift)
+                mu = [Decimal(v).exp() for v in logmu]
+                nu = [Decimal(v).exp() for v in lognu]
+
+                def value(rows):
+                    cols = adm[list(rows)].any(axis=0) if rows else []
+                    return (sum((mu[i] for i in rows), Decimal(0))
+                            - sum((nu[j] for j in np.flatnonzero(cols)),
+                                  Decimal(0)))
+
+                brute = max(value([i for i in range(m) if mask >> i & 1])
+                            for mask in range(1 << m))
+                view = _banded_view(adm)
+                parent = _dp_chains(logmu, lognu, view, _gain)
+                best = max(value(list(view[0][_chain_members(parent, i)]))
+                           for i in range(m))
+                assert brute > 0
+                assert best >= brute * (1 - Decimal("1e-9"))
 
 
 class TestCouplings:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,19 @@ class TestGeneralSolvers:
                         best = min(best, cand)
         assert got <= best + 1e-6
         assert got >= 0.0
+
+    def test_rate_g_pinned_simplex_edge_takes_no_log_of_zero(self):
+        # the 3x3 instance of the acceptance theta suites; the coarse grid
+        # puts pinned laws with zero masses on the simplex edges
+        px = Dist.from_mass([0.5, 0.3, 0.2])
+        py = Dist.from_mass([0.3, 0.4, 0.3])
+        c = CostMatrix.from_rows([[0.0, 0.7, 1.3], [0.9, 0.1, 0.6],
+                                  [1.4, 0.8, 0.2]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = rate_g(RateQuery(px, py, c, 0.28), grid=4)
+        assert got == 0.11348544429699059
+        assert not [w for w in caught if "divide by zero" in str(w.message)]
 
     def test_size_guards(self):
         p5 = Dist.from_mass([0.2] * 5)
