@@ -13,7 +13,10 @@ are chains of rows, and one chain DP finds them.  It runs with two
 scores: the gain mu(E) - nu(Gamma(E)), maximised, and the loss
 nu(Gamma(E)) + mu(E^c), minimised, so both G and 1 - G get a witness on
 their own scale.  Signed scores are ranked exactly in log space, by
-(sign, sign * log|value|).  Other lattices go to a dense max-flow.
+(sign, sign * log|value|).  The DP ends with every chain's four masses,
+so G and 1 - G are read off that end state, and only the winning
+witness sets, two for each orientation of the table, are evaluated
+exactly.  Other lattices go to a dense max-flow.
 
 Numerical posture: type masses are kept in log space end to end; every
 reported probability is assembled from sums of same-sign terms selected
@@ -275,8 +278,9 @@ def _signed_argmax(lpos, lneg) -> int:
     return int(np.argmin(lneg + np.log(-np.expm1(diff))))
 
 
-def _dp_chains(logmu: np.ndarray, lognu: np.ndarray, view, score) -> np.ndarray:
-    """Parent pointers of the best witness chain ending at each active row.
+def _dp_chains(logmu: np.ndarray, lognu: np.ndarray, view,
+               score) -> tuple[np.ndarray, tuple]:
+    """Best witness chain ending at each active row, and its end state.
 
     A chain is a set E of active rows, plus the always-free rows.  Every
     chain carries the same log-sum state over the rows up to its end and
@@ -290,15 +294,23 @@ def _dp_chains(logmu: np.ndarray, lognu: np.ndarray, view, score) -> np.ndarray:
     of the chains in row order.  ``score(log_e, log_g, log_ec, log_gc)``
     sees each candidate's mu(E), nu(Gamma(E)), mu(E^c) and nu(Gamma(E)^c)
     and returns the logs of the plus and minus parts of its value.
+
+    Returns the parent pointers (the row before row i in its chain, or
+    -1) and the end state: the four log-masses above for slot 0 and for
+    the chain ending at each active row.  At the end every
+    row after a chain's last one is skipped, and every column after its
+    span is uncovered, so the state holds E^c and Gamma(E)^c whole, each
+    summed from same-sign terms.  G and 1 - G are read off this state;
+    only the two winning witness sets are then evaluated exactly.
     """
     act, lo, hi, empty = view
     logmu_a = logmu[act]
     m = len(act)
-    # log mass of the active rows after row i, of the columns after hi_i
+    # log mass of the active rows after row i, and of the columns from j on
     mu_after = np.append(np.logaddexp.accumulate(logmu_a[:0:-1])[::-1],
                          -np.inf)
-    nu_after = np.append(np.logaddexp.accumulate(lognu[::-1])[::-1],
-                         -np.inf)[hi + 1]
+    nu_suffix = np.append(np.logaddexp.accumulate(lognu[::-1])[::-1], -np.inf)
+    nu_after = nu_suffix[hi + 1]
     log_e = np.full(m + 1, -np.inf)
     log_e[0] = _lse(logmu[empty])
     log_g = np.full(m + 1, -np.inf)
@@ -330,7 +342,8 @@ def _dp_chains(logmu: np.ndarray, lognu: np.ndarray, view, score) -> np.ndarray:
             log_e[i + 1], log_g[i + 1] = cand_e[best], cand_g[best]
             log_skip[i + 1], log_gap[i + 1] = skip[best], cand_gap[best]
             log_skip[:i + 1] = np.logaddexp(skip, logmu_a[i])
-    return parent
+    log_gc = np.logaddexp(log_gap, nu_suffix[last_hi + 1])
+    return parent, (log_e, log_g, log_skip, log_gc)
 
 
 def _chain_members(parent: np.ndarray, i: int) -> list[int]:
@@ -393,25 +406,31 @@ def _witness_values(logmu, lognu, in_e, in_g):
     return direct, math.exp(l_ec) + math.exp(l_g)
 
 
-def _side_candidates(logmu, lognu, adm):
-    """(direct, complement-sum) of every DP chain of one orientation, or None."""
-    view = _banded_view(adm)
-    if view is None:
-        return None
-    chains = [[]]  # the empty-active-chain witness: only always-free rows
+def _side_candidates(logmu, lognu, view):
+    """(direct, complement-sum) of the best G and the best 1 - G chain.
+
+    Both DP runs end with every chain's four masses, so the winners are
+    picked from that state, and only their witness sets are evaluated.
+    """
+    runs = [_dp_chains(logmu, lognu, view, score) for score in (_gain, _loss)]
+    state = np.concatenate([end for _, end in runs], axis=1)
+    slots = state.shape[1] // len(runs)
+    out = []
     for score in (_gain, _loss):
-        parent = _dp_chains(logmu, lognu, view, score)
-        chains.extend(_chain_members(parent, i) for i in range(len(parent)))
-    return [_witness_values(logmu, lognu,
-                            *_chain_masks(chain, view, len(logmu), len(lognu)))
-            for chain in chains]
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            best = _signed_argmax(*score(*state))
+        chain = _chain_members(runs[best // slots][0], best % slots - 1)
+        out.append(_witness_values(
+            logmu, lognu, *_chain_masks(chain, view, len(logmu), len(lognu))))
+    return out
 
 
 def _lattice_ecp_banded(logmu, lognu, adm):
-    a = _side_candidates(logmu, lognu, adm)
-    b = _side_candidates(lognu, logmu, adm.T)
-    if a is None or b is None:
+    view_a, view_b = _banded_view(adm), _banded_view(adm.T)
+    if view_a is None or view_b is None:
         return None
+    a = _side_candidates(logmu, lognu, view_a)
+    b = _side_candidates(lognu, logmu, view_b)
     g = max(0.0, max(direct for direct, _ in a + b))
     comp = min(1.0, min(comp_sum for _, comp_sum in a + b))
     return min(g, 1.0), max(comp, 0.0)

@@ -15,11 +15,15 @@ from strassen_lab.lattice import (
     TypeMeasure,
     TypeVector,
     _banded_view,
+    _chain_masks,
     _chain_members,
     _dp_chains,
     _gain,
     _lattice_ecp_banded,
     _lattice_ecp_dense,
+    _loss,
+    _signed_argmax,
+    _witness_values,
     direct_gn_oracle,
     enum_types,
     exact_gn,
@@ -145,9 +149,19 @@ class TestExactGn:
         # the n=800 regression anchors: bulk-side witnesses must be summed
         # on the complement scale or these drown in float noise
         _, comp = gn_tails(B01, B05, HAMMING, 0.2, 800)
-        assert comp == pytest.approx(7.754421e-12, rel=1e-5)
+        assert comp == pytest.approx(7.754421e-12, rel=1e-5, abs=0.0)
         g, _ = gn_tails(B01, B05, HAMMING, 0.45, 800)
-        assert g == pytest.approx(2.991638e-20, rel=1e-5)
+        assert g == pytest.approx(2.991638e-20, rel=1e-5, abs=0.0)
+        # n=1600, inside the 400-digit flow/witness bracket of
+        # perfbench/reference.binary_bracket at rtol 1e-9
+        _, comp = gn_tails(B01, B05, HAMMING, 0.2, 1600)
+        assert comp == pytest.approx(3.726549e-22, rel=1e-5, abs=0.0)
+        g, _ = gn_tails(B01, B05, HAMMING, 0.45, 1600)
+        assert g == pytest.approx(1.057712e-37, rel=1e-5, abs=0.0)
+        # only the loss chain reaches this complement; the best gain
+        # chain's own complement sum is 1.3e3 times larger
+        _, comp = gn_tails(B01, B05, HAMMING, 0.01, 400)
+        assert comp == pytest.approx(2.195307e-20, rel=1e-5, abs=0.0)
 
     @given(st.integers(1, 30), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=150, deadline=None)
@@ -307,6 +321,38 @@ def _reference_dp_chains(logmu, lognu, view, score):
     return dp(logmu[act], lognu, lo, hi)
 
 
+def _dp_parents(logmu, lognu, view, score):
+    return _dp_chains(logmu, lognu, view, score)[0]
+
+
+# The full evaluation of every DP chain that the readout of the DP's end
+# state replaced, kept verbatim (with the DP as an argument) as the
+# reference of the tests below.
+
+def _side_candidates(logmu, lognu, adm, dp_chains):
+    """(direct, complement-sum) of every DP chain of one orientation, or None."""
+    view = _banded_view(adm)
+    if view is None:
+        return None
+    chains = [[]]  # the empty-active-chain witness: only always-free rows
+    for score in (_gain, _loss):
+        parent = dp_chains(logmu, lognu, view, score)
+        chains.extend(_chain_members(parent, i) for i in range(len(parent)))
+    return [_witness_values(logmu, lognu,
+                            *_chain_masks(chain, view, len(logmu), len(lognu)))
+            for chain in chains]
+
+
+def _every_chain_ecp_banded(logmu, lognu, adm, dp_chains):
+    a = _side_candidates(logmu, lognu, adm, dp_chains)
+    b = _side_candidates(lognu, logmu, adm.T, dp_chains)
+    if a is None or b is None:
+        return None
+    g = max(0.0, max(direct for direct, _ in a + b))
+    comp = min(1.0, min(comp_sum for _, comp_sum in a + b))
+    return min(g, 1.0), max(comp, 0.0)
+
+
 class TestChainDp:
     def binary_tail_instances(self):
         cases = [(n, alpha) for n in (50, 100, 200) for alpha in (0.2, 0.45)]
@@ -316,26 +362,68 @@ class TestChainDp:
             yield (inst.mu.logmass, inst.nu.logmass,
                    inst.inner_cost <= alpha + 1e-12)
 
-    def test_same_results_as_the_two_replaced_dps(self, rng, monkeypatch):
-        instances = list(self.binary_tail_instances())
-        instances += list(banded_dense_instances(rng))
-        new = [_lattice_ecp_banded(*inst) for inst in instances]
-        monkeypatch.setattr(lattice, "_dp_chains", _reference_dp_chains)
+    def instances(self, rng):
+        return (list(self.binary_tail_instances())
+                + list(banded_dense_instances(rng)))
+
+    def test_same_results_as_the_two_replaced_dps(self, rng):
+        # the chains of _dp_chains, every one evaluated, give exactly the
+        # values of the chains of the two DPs it replaced
         compared = 0
-        for inst, got in zip(instances, new):
+        for inst in self.instances(rng):
             logmu, lognu, _ = inst
             # the replaced DPs mis-rank scores below exp(-1000)
             assert min(logmu.min(), lognu.min()) > -1000.0
-            assert got == _lattice_ecp_banded(*inst)
+            got = _every_chain_ecp_banded(*inst, _dp_parents)
+            assert got == _every_chain_ecp_banded(*inst, _reference_dp_chains)
             compared += got is not None
         assert compared >= 23
 
+    def test_end_state_readout_matches_every_chain_evaluated(self, rng):
+        # the winners read off the end state are chains of the same DP, so
+        # they can only lie inside the best of all chains, by rounding
+        compared = 0
+        for inst in self.instances(rng):
+            ref = _every_chain_ecp_banded(*inst, _dp_parents)
+            got = _lattice_ecp_banded(*inst)
+            assert (got is None) == (ref is None)
+            if got is None:
+                continue
+            assert got[0] <= ref[0]
+            assert got[1] >= ref[1]
+            assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0.0)
+            assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+            compared += 1
+        assert compared >= 23
+
+    def test_only_the_winning_chains_are_evaluated(self, monkeypatch):
+        # two winners per orientation: the G chain and the 1 - G chain
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(lattice, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(lattice, name, wrapper)
+
+        counted("_chain_members")
+        counted("_witness_values")
+        gn_tails(B01, B05, HAMMING, 0.2, 200)
+        assert calls == {"_chain_members": 4, "_witness_values": 4}
+
     @pytest.mark.parametrize("shift", [0.0, -1500.0])
     def test_gain_chain_reaches_subset_maximum(self, shift):
-        # the best gain chain must match brute force over all 2^9 subsets
-        # E, summed in decimal, also where every mass is below exp(-1000)
+        # the best chain of each score must match brute force over all 2^9
+        # subsets E, summed in decimal, also where every mass is below
+        # exp(-1000), and the end state must hold that optimal value: the
+        # maximal gain mu(E) - nu(Gamma(E)) and the minimal loss
+        # nu(Gamma(E)) + mu(E^c)
         gen = np.random.default_rng(7)
         m = k = 9
+        subsets = [[i for i in range(m) if mask >> i & 1]
+                   for mask in range(1 << m)]
         with localcontext() as ctx:
             ctx.prec = 60
             for _ in range(20):
@@ -343,20 +431,32 @@ class TestChainDp:
                 mu = [Decimal(v).exp() for v in logmu]
                 nu = [Decimal(v).exp() for v in lognu]
 
-                def value(rows):
+                def gain(rows):
                     cols = adm[list(rows)].any(axis=0) if rows else []
                     return (sum((mu[i] for i in rows), Decimal(0))
                             - sum((nu[j] for j in np.flatnonzero(cols)),
                                   Decimal(0)))
 
-                brute = max(value([i for i in range(m) if mask >> i & 1])
-                            for mask in range(1 << m))
+                def minus_loss(rows):
+                    return gain(rows) - sum(mu, Decimal(0))
+
                 view = _banded_view(adm)
-                parent = _dp_chains(logmu, lognu, view, _gain)
-                best = max(value(list(view[0][_chain_members(parent, i)]))
-                           for i in range(m))
-                assert brute > 0
-                assert best >= brute * (1 - Decimal("1e-9"))
+                assert max(gain(rows) for rows in subsets) > 0
+                for score, objective in ((_gain, gain), (_loss, minus_loss)):
+                    brute = max(objective(rows) for rows in subsets)
+                    tol = abs(brute) * Decimal("1e-9")
+                    parent, state = _dp_chains(logmu, lognu, view, score)
+                    best = max(
+                        objective(list(view[0][_chain_members(parent, i)]))
+                        for i in range(-1, m))
+                    assert best >= brute - tol
+                    with np.errstate(invalid="ignore", divide="ignore",
+                                     over="ignore"):
+                        lpos, lneg = np.broadcast_arrays(*score(*state))
+                        read = _signed_argmax(lpos, lneg)
+                    end_value = (Decimal(float(lpos[read])).exp()
+                                 - Decimal(float(lneg[read])).exp())
+                    assert abs(end_value - brute) <= tol
 
 
 class TestCouplings:
