@@ -463,33 +463,35 @@ def rate_g_binary(a: float, b: float, alpha: float) -> float:
             partner = min(max(other, t - alpha), t + alpha)
             return d_bern(partner, other) - d_bern(t, base)
 
+        def edge(inside: float, outside: float) -> float:
+            # last point with phi > 0 on the way from 'inside' to 'outside'
+            for _ in range(60):
+                mid = 0.5 * (inside + outside)
+                if phi(mid) > 0.0:
+                    inside = mid
+                else:
+                    outside = mid
+            return inside
+
         ts = np.linspace(0.0, 1.0, 2001)
         vals = [phi(t) for t in ts]
         best = math.inf
-        for i, t in enumerate(ts):
+        i = 0
+        while i < len(ts):
             if not vals[i] > 0.0:
+                i += 1
                 continue
-            lo_t, hi_t = t, t
-            if i > 0 and not vals[i - 1] > 0.0:
-                lo, hi = ts[i - 1], t
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if phi(mid) > 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                lo_t = hi
-            if i + 1 < len(ts) and not vals[i + 1] > 0.0:
-                lo, hi = t, ts[i + 1]
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if phi(mid) > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                hi_t = lo
-            for t_edge in (lo_t, hi_t):
-                best = min(best, d_bern(t_edge, base))
+            j = i
+            while j + 1 < len(ts) and vals[j + 1] > 0.0:
+                j += 1
+            # A run whose margin stays within rounding of zero is no region:
+            # with a == b both divergences agree up to a few ulps.
+            if max(vals[i:j + 1]) > COST_EPS:
+                lo_t = edge(ts[i], ts[i - 1]) if i > 0 else ts[i]
+                hi_t = edge(ts[j], ts[j + 1]) if j + 1 < len(ts) else ts[j]
+                best = min(best, d_bern(lo_t, base), d_bern(hi_t, base),
+                           *(d_bern(t, base) for t in ts[i:j + 1]))
+            i = j + 1
         return best
 
     return min(branch(b, a), branch(a, b))

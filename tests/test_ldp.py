@@ -119,6 +119,13 @@ class TestRateGBinary:
     def test_infinite_at_certain_exceedance(self):
         assert rate_g_binary(0.1, 0.5, 1.0) == math.inf
 
+    def test_infinite_when_marginals_agree(self):
+        # the identity coupling never exceeds any alpha >= 0; rounding in
+        # the two divergences must not open a spurious drift region
+        for alpha in (0.0, 1e-15, 1e-9, 0.3):
+            assert rate_g_binary(0.5, 0.5, alpha) == math.inf
+            assert rate_g_binary(0.3, 0.3, alpha) == math.inf
+
     @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95),
            st.floats(0.0, 0.99), st.floats(0.0, 0.99))
     @settings(max_examples=150, deadline=None)
