@@ -32,6 +32,7 @@ from .transport import (
     EcpResult,
     SupportSet,
     TransportPlan,
+    dual_vertices,
     ecp,
     ecp_dual_bruteforce,
     kantorovich_certificate,
@@ -118,6 +119,7 @@ __all__ = [
     "crossing_points",
     "d_bern",
     "direct_gn_oracle",
+    "dual_vertices",
     "ecp",
     "ecp_dual_bruteforce",
     "enum_types",

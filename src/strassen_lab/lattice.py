@@ -3,7 +3,10 @@
 The n-letter problem G_alpha(P_X^n, P_Y^n) with per-symbol average cost
 collapses to an outer Strassen problem between the laws of the empirical
 types, whose inner cost is the plain OT value between the induced
-distributions.  This module builds those lattices, solves the outer problem
+distributions.  That value is the best of the few dual vertices of c
+(``transport.dual_vertices``), so the whole inner table is one max of
+outer sums over the vertices, filled block by block with no solver per
+pair of types.  This module builds those lattices, solves the outer problem
 through Strassen's dual G = max_E mu(E) - nu(Gamma(E)), and provides the
 coupling constructions used to realize the optimum.
 
@@ -40,7 +43,7 @@ from . import flow
 from .curves import RateCurve
 from .errors import SizeGuardError, ValidationError
 from .measures import Dist, JointDist
-from .transport import ADMISS_EPS, CostMatrix, _ot_value_2x2, ecp, ot_value
+from .transport import ADMISS_EPS, CostMatrix, dual_vertices, ecp, ot_value
 
 ENUM_GUARD = 10_000_000
 DENSE_GUARD = 300_000
@@ -180,24 +183,46 @@ class NestedInstance:
     n: int
 
 
+#: Entries of one scratch block in ``_inner_cost_table`` (8 MB of floats).
+_TABLE_BLOCK = 1 << 20
+
+
 @lru_cache(maxsize=16)
 def _inner_cost_table(c: CostMatrix, n: int) -> np.ndarray:
+    """OT values between every pair of induced type laws, clipped at 0.
+
+    Each entry is the best dual vertex of c, max_v F_v . x + G_v . y, so
+    the table is filled block by block, one vertex at a time, with one
+    small scratch block and no full-size temporary.  Alphabets past the
+    vertex kernel solve each pair by min-cost flow.
+    """
     kx, ky = c.shape
     fx = _counts_matrix(n, kx) / n
     fy = _counts_matrix(n, ky) / n
-    carr = c.as_array()
-    if kx == 2 and ky == 2:
-        table = _ot_value_2x2(fx[:, 0][:, None], fy[:, 0][None, :], carr)
+    if (kx, ky) != (2, 2) and len(fx) * len(fy) > PAIR_GUARD:
+        raise SizeGuardError(
+            f"inner cost table would have {len(fx) * len(fy)} entries"
+        )
+    table = np.empty((len(fx), len(fy)))
+    verts = dual_vertices(c)
+    if verts is None:
+        carr = c.as_array()
+        for i, x in enumerate(fx):
+            for j, y in enumerate(fy):
+                table[i, j] = ot_value(x, y, carr)
     else:
-        if len(fx) * len(fy) > PAIR_GUARD:
-            raise SizeGuardError(
-                f"inner cost table would have {len(fx) * len(fy)} entries"
-            )
-        table = np.empty((len(fx), len(fy)))
-        for i in range(len(fx)):
-            for j in range(len(fy)):
-                table[i, j] = ot_value(fx[i], fy[j], carr)
-    table = np.maximum(table, 0.0)
+        f, g = verts
+        row_part, col_part = fx @ f.T, fy @ g.T
+        step = max(1, _TABLE_BLOCK // len(fy))
+        scratch = np.empty((min(step, len(fx)), len(fy)))
+        for lo in range(0, len(fx), step):
+            block = table[lo:lo + step]
+            tmp = scratch[:len(block)]
+            np.add.outer(row_part[lo:lo + step, 0], col_part[:, 0], out=block)
+            for v in range(1, len(f)):
+                np.add.outer(row_part[lo:lo + step, v], col_part[:, v], out=tmp)
+                np.maximum(block, tmp, out=block)
+    np.maximum(table, 0.0, out=table)
     table.setflags(write=False)
     return table
 

@@ -4,6 +4,11 @@ quadratic-scale rate kernels.
 theta(beta_x, beta_y) prices the cheapest signed reallocation of mass whose
 removals stay inside the optimal-support set S of the base instance; it is
 the directional derivative of the transport value at the base marginals.
+By LP duality it is also the largest <f, beta_x> + <g, beta_y> over the
+potentials with f + g <= c everywhere and f + g = c on S.  When S touches
+every symbol that face is a bounded polytope, whose vertices are the dual
+vertices of c (``transport.dual_vertices``) tight on S, so theta is a max
+of a few dot products; other supports go to a HiGHS LP.
 Both moderate-deviation rates are degree-2 homogeneous in the deviation
 delta, so each reduces to delta^2 times a kernel minimized over unit
 perturbation directions:
@@ -31,7 +36,8 @@ from scipy.optimize import linprog, minimize
 
 from .errors import DimensionMismatchError, SizeGuardError, ValidationError
 from .measures import Dist, SignedVec, chi2_half
-from .transport import CostMatrix, SupportSet, optimal_support, ot_cost
+from .transport import (CostMatrix, SupportSet, dual_vertices,
+                        optimal_support, ot_cost, vertex_tol)
 
 THETA_TOL = 1e-10
 DIR_EPS = 1e-12
@@ -75,13 +81,18 @@ class SignedMatrix:
         return np.asarray(self.values, dtype=float)
 
 
-def _theta_lp(beta_x, beta_y, s: SupportSet, c: CostMatrix):
+def _check_theta_dims(beta_x, beta_y, c: CostMatrix) -> None:
     m, k = c.shape
     if len(beta_x) != m or len(beta_y) != k:
         raise DimensionMismatchError(
             f"perturbations sized {len(beta_x)}, {len(beta_y)} against a "
             f"{m}x{k} cost"
         )
+
+
+def _theta_lp(beta_x, beta_y, s: SupportSet, c: CostMatrix):
+    _check_theta_dims(beta_x, beta_y, c)
+    m, k = c.shape
     carr = c.as_array().reshape(-1)
     s_cells = sorted(s.cells)
     # Forward arcs add mass anywhere; backward arcs remove it, only on S.
@@ -101,6 +112,32 @@ def _theta_lp(beta_x, beta_y, s: SupportSet, c: CostMatrix):
     return res, s_cells, (m, k)
 
 
+@lru_cache(maxsize=64)
+def _optimal_face(s: SupportSet, c: CostMatrix):
+    """Vertices (F, G) of the dual face {f + g <= c, f + g = c on S}, or None.
+
+    None when S misses a symbol (the face may be unbounded, and theta
+    +inf), when the alphabets are past the vertex kernel, or when no
+    vertex is tight on all of S (the face is empty, and theta -inf).
+    """
+    m, k = c.shape
+    rows, cols = (np.array(v) for v in zip(*sorted(s.cells)))
+    verts = dual_vertices(c)
+    if (verts is None or set(rows) != set(range(m))
+            or set(cols) != set(range(k))):
+        return None
+    f, g = verts
+    cost = c.as_array()
+    slack = cost[rows, cols] - f[:, rows] - g[:, cols]
+    tight = (np.abs(slack) <= vertex_tol(cost)).all(axis=1)
+    if not tight.any():
+        return None
+    face = f[tight], g[tight]
+    for part in face:
+        part.setflags(write=False)
+    return face
+
+
 def theta(beta_x: SignedVec, beta_y: SignedVec, s: SupportSet,
           c: CostMatrix) -> float:
     """Cheapest signed-coupling cost of the perturbation pair.
@@ -110,8 +147,14 @@ def theta(beta_x: SignedVec, beta_y: SignedVec, s: SupportSet,
     coming out of ``optimal_support`` never does — its cells are tight
     against the transport potentials, so every circulation inside it costs
     zero — but a hand-assembled S may, and the LP then reports the problem
-    as unbounded.
+    as unbounded.  A support touching every symbol is priced as the best
+    vertex of its dual face, with no LP.
     """
+    _check_theta_dims(beta_x, beta_y, c)
+    face = _optimal_face(s, c)
+    if face is not None:
+        f, g = face
+        return float(np.max(f @ beta_x.as_array() + g @ beta_y.as_array()))
     res, _, _ = _theta_lp(beta_x.mass, beta_y.mass, s, c)
     if res.status == 2:
         return math.inf

@@ -8,12 +8,22 @@ The two primal problems live on the same bipartite geometry:
 
 Duals come along for free: Kantorovich potentials from the terminating flow
 potentials, and a maximizing witness set E from the min cut.
+
+A third route serves values alone.  For alphabets up to ``VERTEX_MAX``
+symbols a side, ``dual_vertices`` lists the vertices of the dual polyhedron
+{f_i + g_j <= c_ij, f_0 = 0}: the potentials of the spanning trees of
+K_{m,k} that stay dual-feasible (Dantzig; Klee & Witzgall 1968).  They
+depend only on c and are cached, and by LP duality OT(p, q) is the largest
+F_v . p + G_v . q over them, so ``ot_value`` is a few dot products.  Plans
+and certificates still come from the min-cost flow.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +40,15 @@ from .measures import Dist, JointDist
 #: exactly alpha resolve toward admissibility and the strict ">alpha" event
 #: is complementary to them.
 ADMISS_EPS = 1e-12
+
+#: ``dual_vertices`` serves alphabets of at most this many symbols a side;
+#: at 4 x 4 it tries 11,440 candidate trees, a count that explodes beyond.
+VERTEX_MAX = 4
+
+#: Dual feasibility, vertex identity and tightness are decided up to this
+#: multiple of the cost scale max(1, max |c|); tree potentials are sums of a
+#: few costs, so their rounding error is orders of magnitude below it.
+VERTEX_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -149,24 +168,71 @@ def gamma_enlarge(a_set, c: CostMatrix, alpha: float) -> frozenset:
     return frozenset(out)
 
 
+def vertex_tol(cost: np.ndarray) -> float:
+    """The absolute tolerance ``VERTEX_TOL`` stands for at this cost scale."""
+    return VERTEX_TOL * max(1.0, float(np.abs(cost).max()))
+
+
+def dual_vertices(c: CostMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """Vertices (F, G) of the dual polyhedron {f_i + g_j <= c_ij, f_0 = 0}.
+
+    Row v of F and of G is one vertex.  For any nonnegative pair (p, q) of
+    equal mass, OT(p, q) = max_v F_v . p + G_v . q.  Cached per cost table.
+    None past ``VERTEX_MAX`` symbols a side, where callers solve by flow.
+    """
+    return _vertices(*_cost_key(c.as_array()))
+
+
+def _cost_key(cost: np.ndarray) -> tuple[tuple, bytes]:
+    cost = np.ascontiguousarray(cost, dtype=float)
+    return cost.shape, cost.tobytes()
+
+
+@lru_cache(maxsize=64)
+def _vertices(shape: tuple, raw: bytes):
+    m, k = shape
+    if max(m, k) > VERTEX_MAX:
+        return None
+    cost = np.frombuffer(raw).reshape(m, k)
+    # Each candidate is a set of m + k - 1 cells with f_i + g_j = c_ij on
+    # them.  The system in (f_1..f_{m-1}, g) is a network matrix, so it is
+    # nonsingular (determinant +-1) exactly when the cells form a spanning
+    # tree of K_{m,k}.
+    r = m + k - 1
+    cells = np.array(list(itertools.combinations(range(m * k), r)))
+    rows, cols = np.divmod(cells, k)
+    tree = np.arange(len(cells))[:, None]
+    eq = np.arange(r)[None, :]
+    a = np.zeros((len(cells), r, m + k))
+    a[tree, eq, rows] = 1.0
+    a[tree, eq, m + cols] = 1.0
+    a = a[:, :, 1:]
+    spanning = np.abs(np.linalg.det(a)) > 0.5
+    sol = np.linalg.solve(a[spanning],
+                          cost.reshape(-1)[cells[spanning]][..., None])[..., 0]
+    verts = np.concatenate([np.zeros((len(sol), 1)), sol], axis=1)
+    tol = vertex_tol(cost)
+    slack = cost - verts[:, :m, None] - verts[:, None, m:]
+    verts = verts[(slack >= -tol).all(axis=(1, 2))]
+    # Degenerate costs reach one vertex from several trees; keep the first.
+    _, first = np.unique(np.round(verts / tol), axis=0, return_index=True)
+    verts = verts[np.sort(first)]
+    verts.setflags(write=False)
+    return verts[:, :m], verts[:, m:]
+
+
 def ot_value(px: np.ndarray, py: np.ndarray, cost: np.ndarray) -> float:
-    """Expected-cost optimum only, for hot loops (no plan, no dataclasses)."""
-    if cost.shape == (2, 2):
-        return float(_ot_value_2x2(px[0], py[0], cost))
+    """Expected-cost optimum only, for hot loops (no plan, no dataclasses).
+
+    Up to ``VERTEX_MAX`` symbols a side it is the best dual vertex;
+    larger tables run the min-cost flow.
+    """
+    verts = _vertices(*_cost_key(cost))
+    if verts is not None:
+        f, g = verts
+        return float(np.max(f @ px + g @ py))
     _, _, _, objective = flow.transport_min_cost(px, py, cost)
     return objective
-
-
-def _ot_value_2x2(q0, r0, cost: np.ndarray):
-    """OT value of (q0, 1-q0) against (r0, 1-r0); q0 and r0 broadcast."""
-    # The coupling is one-parameter: t = P(0,0) in [max(0, q0+r0-1), min(q0, r0)],
-    # and the objective is affine in t, so the optimum sits at an endpoint.
-    slope = cost[0, 0] + cost[1, 1] - cost[0, 1] - cost[1, 0]
-    t = np.minimum(q0, r0) if slope < 0 else np.maximum(0.0, q0 + r0 - 1.0)
-    return (t * cost[0, 0]
-            + (q0 - t) * cost[0, 1]
-            + (r0 - t) * cost[1, 0]
-            + (1.0 - q0 - r0 + t) * cost[1, 1])
 
 
 def ot_cost(p_x: Dist, p_y: Dist, c: CostMatrix) -> TransportPlan:

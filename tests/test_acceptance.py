@@ -33,7 +33,8 @@ from strassen_lab.ldp import (
     rate_g,
     rate_g_binary,
 )
-from strassen_lab.mdp import mdp_rate_lower, mdp_rate_upper, seta_check, support_of, theta
+from strassen_lab.mdp import (_theta_lp, mdp_rate_lower, mdp_rate_upper,
+                              seta_check, support_of, theta)
 from strassen_lab.measures import Dist, SignedVec, coupling_transfer, kl, tv
 from strassen_lab.transport import CostMatrix, ecp, ecp_dual_bruteforce, ot_value
 
@@ -307,6 +308,19 @@ def test_criterion9_theta_subadditivity(case):
                   _recentered([a + b for a, b in zip(by1.mass, by2.mass)]),
                   s, cost)
     assert joint <= theta(bx1, by1, s, cost) + theta(bx2, by2, s, cost) + 1e-9
+
+
+@BULK
+@given(_theta_case(betas=1))
+def test_theta_face_vertices_match_signed_coupling_lp(case):
+    # theta reads the best vertex of the optimal dual face; the HiGHS LP
+    # over signed couplings it replaced is the oracle
+    idx, ((beta_x, beta_y),) = case
+    p_x, p_y, cost = THETA_INSTANCES[idx]
+    s = support_of(p_x, p_y, cost)
+    res, _, _ = _theta_lp(beta_x.mass, beta_y.mass, s, cost)
+    assert res.status == 0
+    assert theta(beta_x, beta_y, s, cost) == pytest.approx(res.fun, abs=1e-10)
 
 
 def _ball_extremes(k: int) -> list:

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strassen_lab import lattice
+from strassen_lab import flow, lattice
 from strassen_lab.curves import RateCurve
 from strassen_lab.errors import SizeGuardError, ValidationError
 from strassen_lab.lattice import (
     TypeMeasure,
     TypeVector,
     _banded_view,
+    _counts_matrix,
+    _inner_cost_table,
     _chain_masks,
     _chain_members,
     _dp_chains,
@@ -36,7 +38,7 @@ from strassen_lab.lattice import (
     type_log_prob,
 )
 from strassen_lab.measures import Dist
-from strassen_lab.transport import CostMatrix, ecp
+from strassen_lab.transport import ADMISS_EPS, CostMatrix, ecp
 
 from conftest import random_cost, random_dist
 
@@ -97,6 +99,51 @@ class TestNestedInstance:
             got = exact_gn(B01, B05, HAMMING, alpha, 1)
             want = ecp(B01, B05, HAMMING, alpha).value
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def _ssp_inner_cost_table(c: CostMatrix, n: int) -> np.ndarray:
+    """The inner cost table as it was built before the dual-vertex kernel:
+    one SSP min-cost flow per pair of types, then clipped at 0."""
+    kx, ky = c.shape
+    fx = _counts_matrix(n, kx) / n
+    fy = _counts_matrix(n, ky) / n
+    carr = c.as_array()
+    table = np.empty((len(fx), len(fy)))
+    for i in range(len(fx)):
+        for j in range(len(fy)):
+            _, _, _, table[i, j] = flow.transport_min_cost(fx[i], fy[j], carr)
+    return np.maximum(table, 0.0)
+
+
+class TestInnerCostTable:
+    """The dual-vertex table against the per-pair SSP loop it replaced."""
+
+    # the two dense benchmark templates at their sizes, a 2x2 Hamming
+    # table, whose entries |k - l|/n all sit on admissibility ties, and a
+    # 5x5 Hamming table, past the vertex kernel, solved pair by pair
+    CASES = (
+        ((0.4, 0.6), (0.2, 0.3, 0.5), ((0.0, 0.6, 1.0), (0.8, 0.2, 0.5)), 24),
+        ((0.5, 0.3, 0.2), (0.3, 0.4, 0.3),
+         ((0.0, 0.7, 1.3), (0.9, 0.1, 0.6), (1.4, 0.8, 0.2)), 12),
+        ((0.1, 0.9), (0.5, 0.5), ((0.0, 1.0), (1.0, 0.0)), 50),
+        ((0.2,) * 5, (0.1, 0.1, 0.2, 0.3, 0.3),
+         CostMatrix.hamming(5).values, 3),
+    )
+
+    @pytest.mark.parametrize("mx,my,rows,n", CASES)
+    def test_same_admissible_masks_as_ssp(self, mx, my, rows, n):
+        c = CostMatrix.from_rows(rows)
+        got = _inner_cost_table(c, n)
+        want = _ssp_inner_cost_table(c, n)
+        assert np.abs(got - want).max() <= 1e-14
+        carr = c.as_array()
+        _, _, _, base = flow.transport_min_cost(np.array(mx), np.array(my),
+                                                carr)
+        scale = (carr.max() - carr.min()) / math.sqrt(n)
+        sweep = [base + t * scale for t in np.linspace(-1.2, 1.2, 8)]
+        for alpha in [base, *sweep, *np.unique(want)]:
+            assert np.array_equal(got <= alpha + ADMISS_EPS,
+                                  want <= alpha + ADMISS_EPS)
 
 
 class TestExactGn:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strassen_lab import mdp
 from strassen_lab.errors import (DimensionMismatchError, SizeGuardError,
                                  ValidationError)
 from strassen_lab.mdp import (SetaReport, SignedMatrix, helmert_basis,
@@ -58,6 +59,25 @@ class TestTheta:
         with pytest.warns(RuntimeWarning):
             val = theta(SignedVec.zero(2), SignedVec.zero(2), s, HAM)
         assert val == -math.inf
+
+    def test_full_support_runs_no_lp(self, monkeypatch):
+        # a support from optimal_support that touches every symbol is priced
+        # on the vertices of its dual face, with no linprog call
+        px, py = Dist.from_mass([0.5, 0.3, 0.2]), Dist.from_mass([0.3, 0.4, 0.3])
+        c = CostMatrix.from_rows([[0.0, 0.7, 1.3], [0.9, 0.1, 0.6],
+                                  [1.4, 0.8, 0.2]])
+        s = support_of(px, py, c)
+        assert {i for i, _ in s} == {0, 1, 2} == {j for _, j in s}
+        bx, by = SignedVec((0.3, -0.1, -0.2)), SignedVec((-0.25, 0.5, -0.25))
+        want = mdp._theta_lp(bx.mass, by.mass, s, c)[0].fun
+        calls = []
+        real = mdp.linprog
+        monkeypatch.setattr(mdp, "linprog",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        assert theta(bx, by, s, c) == pytest.approx(want, abs=1e-12)
+        assert theta(SignedVec((0.1, -0.1)), SignedVec((0.2, -0.2)),
+                     _binary_support(), HAM) == pytest.approx(0.1, abs=1e-12)
+        assert calls == []
 
     def test_dimension_mismatch(self):
         s = _binary_support()

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from scipy.optimize import linprog
 
+from strassen_lab import flow
 from strassen_lab.errors import SizeGuardError, ValidationError
 from strassen_lab.measures import Dist, tv
 from strassen_lab.transport import (
     CostMatrix,
     SupportSet,
+    dual_vertices,
     ecp,
     ecp_dual_bruteforce,
     gamma_enlarge,
@@ -128,6 +130,49 @@ class TestOtCost:
                  + (1 - lam) * ot_value(qx_raw.as_array(), qy_raw.as_array(),
                                         carr))
         assert mixed <= split + 1e-9
+
+
+def _vertex_test_costs(rng, m, k):
+    """Generic, tied, rank-one (every tree tight) and constant cost tables."""
+    yield rng.random((m, k)) * 4.0
+    yield rng.integers(0, 3, (m, k)).astype(float)
+    yield rng.random(m)[:, None] + rng.random(k)[None, :]
+    yield np.full((m, k), 0.7)
+
+
+class TestDualVertices:
+    """The dual-vertex value route against the SSP min-cost flow it replaces."""
+
+    @pytest.mark.parametrize("m,k", itertools.product(range(1, 5), repeat=2))
+    def test_ot_value_matches_ssp(self, m, k):
+        rng = np.random.default_rng(100 * m + k)
+        for cost in _vertex_test_costs(rng, m, k):
+            for _ in range(40):
+                px = random_dist(rng, m).as_array()
+                py = random_dist(rng, k).as_array()
+                _, _, _, want = flow.transport_min_cost(px, py, cost)
+                assert abs(ot_value(px, py, cost) - want) <= 1e-14
+
+    @pytest.mark.parametrize("m,k", itertools.product(range(1, 5), repeat=2))
+    def test_generic_cost_vertex_count_and_feasibility(self, m, k):
+        # a generic m x k cost has C(m+k-2, m-1) dual vertices, each
+        # feasible everywhere and tight on a spanning set of cells
+        rng = np.random.default_rng(7 * m + k)
+        cost = rng.random((m, k)) * 4.0
+        f, g = dual_vertices(CostMatrix.from_rows(cost.tolist()))
+        assert f.shape == (math.comb(m + k - 2, m - 1), m)
+        assert g.shape == (len(f), k)
+        assert np.all(f[:, 0] == 0.0)
+        slack = cost - f[:, :, None] - g[:, None, :]
+        assert slack.min() >= -1e-12
+        assert np.all((np.abs(slack) <= 1e-12).sum(axis=(1, 2)) >= m + k - 1)
+
+    def test_none_past_four_symbols_and_ot_value_falls_back(self, rng):
+        c = CostMatrix.hamming(5)
+        assert dual_vertices(c) is None
+        px, py = random_dist(rng, 5).as_array(), random_dist(rng, 5).as_array()
+        want = flow.transport_min_cost(px, py, c.as_array())[3]
+        assert ot_value(px, py, c.as_array()) == want
 
 
 class TestEcp:
