@@ -68,7 +68,6 @@ from .ldp import (
 from .mdp import (
     SetaReport,
     SignedMatrix,
-    helmert_basis,
     mdp_rate_lower,
     mdp_rate_upper,
     seta_check,
@@ -76,7 +75,6 @@ from .mdp import (
     support_of,
     theta,
     theta_plan,
-    unit_directions,
 )
 from .clt import (
     BinaryCltInstance,
@@ -127,7 +125,6 @@ __all__ = [
     "exponent_series",
     "gauss_params",
     "gn_tails",
-    "helmert_basis",
     "kantorovich_certificate",
     "kl",
     "lambda_binary",
@@ -154,5 +151,4 @@ __all__ = [
     "theta_plan",
     "tv",
     "type_log_prob",
-    "unit_directions",
 ]

@@ -384,7 +384,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("mdp-rate", help="moderate-deviation rate kernels")
     _add_common(p)
     p.add_argument("--delta", type=float)
-    p.add_argument("--directions", type=int, default=720)
+    p.add_argument("--directions", type=int, default=720,
+                   help="ignored; kept so existing command lines still run "
+                        "(the kernels come from the optimal dual face)")
     p.set_defaults(func=cmd_mdp_rate)
 
     p = subs.add_parser("clt", help="binary root-n limit curve")

@@ -9,20 +9,28 @@ potentials with f + g <= c everywhere and f + g = c on S.  When S touches
 every symbol that face is a bounded polytope, whose vertices are the dual
 vertices of c (``transport.dual_vertices``) tight on S, so theta is a max
 of a few dot products; other supports go to a HiGHS LP.
-Both moderate-deviation rates are degree-2 homogeneous in the deviation
-delta, so each reduces to delta^2 times a kernel minimized over unit
-perturbation directions:
 
-* lower (delta < 0): one marginal must outrun the other.  For an outer unit
-  direction u, W(u) is the smallest theta achievable by the other marginal
-  inside the matching chi-square ball; directions with W(u) > 0 cost
-  (chi2/2)(u) / W(u)^2.
-* upper (delta > 0): both marginals cooperate to push the value up.  Joint
-  unit directions with theta(u) > 0 cost max of the two halved chi-squares
-  over theta(u)^2.
+Both moderate-deviation rates are delta^2 times a kernel read off the same
+face.  Write F, G for its vertices (one per row) and sigma_p(h) for the
+standard deviation of h under p: over zero-sum u with chi2/2(u) <= r, the
+largest h . u is sqrt(2 r) sigma_p(h).
 
-Binary instances admit closed forms (1/(2(sigma_y - sigma_x)^2) and
-1/(2(sigma_x + sigma_y)^2) kernels) that the direction search reproduces.
+* upper (delta > 0): both marginals push theta up inside their balls, so
+  the kernel is 1 / (2 max_v (sigma_x(f_v) + sigma_y(g_v))^2).  It is
+  exact: a convex function of the face point peaks at a vertex.
+* lower (delta < 0): one marginal must outrun the other, which pulls theta
+  down inside its own ball.  Sion's minimax theorem turns W(u) = min_beta
+  max_v into a max over mixtures lam of the vertices, so the kernel is
+  1 / (2 M^2), M = max_lam |sigma_x(F^T lam) - sigma_y(G^T lam)| over both
+  orientations, and +inf when M vanishes.  The vertices and every segment
+  between two of them are solved exactly (a segment's stationary points
+  are roots of a quartic).  Only a face with three or more vertices adds a
+  search: a seeded multistart ascent over lam.
+
+A one-vertex face, the generic case, gives both kernels in closed form;
+binary Hamming reduces to 1/(2(sigma_y - sigma_x)^2) and
+1/(2(sigma_x + sigma_y)^2).  Zero-mass symbols are dropped before the face
+lookup, because the chi-square term pins a perturbation to zero there.
 """
 from __future__ import annotations
 
@@ -32,10 +40,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.optimize import linprog, minimize
 
 from .errors import DimensionMismatchError, SizeGuardError, ValidationError
-from .measures import Dist, SignedVec, chi2_half
+from .measures import Dist, SignedVec
 from .transport import (CostMatrix, SupportSet, dual_vertices,
                         optimal_support, ot_cost, vertex_tol)
 
@@ -189,41 +198,6 @@ def support_of(p_x: Dist, p_y: Dist, c: CostMatrix) -> SupportSet:
     return optimal_support(p_x, p_y, c, tol=1e-9)
 
 
-def helmert_basis(k: int) -> np.ndarray:
-    """Orthonormal basis (rows) of the zero-sum subspace in R^k."""
-    if k < 2:
-        raise ValidationError("zero-sum subspace needs k >= 2")
-    basis = np.zeros((k - 1, k))
-    for r in range(1, k):
-        basis[r - 1, :r] = 1.0
-        basis[r - 1, r] = -r
-        basis[r - 1] /= math.sqrt(r * (r + 1))
-    return basis
-
-
-def unit_directions(dim: int, count: int, seed: int = 2026) -> np.ndarray:
-    """A spread of unit vectors: signs, angles, or a seeded sphere sample."""
-    if dim < 1:
-        raise ValidationError("direction space must have dimension >= 1")
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((count, dim))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    axes = np.vstack([np.eye(dim), -np.eye(dim)])
-    return np.vstack([axes, pts])
-
-
-def _chi2_half_arr(beta: np.ndarray, mass: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(mass > 0.0, beta * beta / np.where(mass > 0.0, mass, 1.0),
-                         np.where(beta == 0.0, 0.0, math.inf))
-    return 0.5 * float(terms.sum())
-
-
 def _guard_sizes(p_x: Dist, p_y: Dist) -> None:
     if len(p_x) > 4 or len(p_y) > 4:
         raise SizeGuardError(
@@ -231,205 +205,147 @@ def _guard_sizes(p_x: Dist, p_y: Dist) -> None:
         )
 
 
-def _w_inner(u: np.ndarray, radius: float, s: SupportSet, c: CostMatrix,
-             inner_mass: np.ndarray, outer_on_rows: bool) -> float:
-    """min theta(u, beta) over the inner chi-square ball of the given radius.
+def _spread_rows(h: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Rows h_v centered and scaled so that sigma(h^T lam) = |lam @ out|."""
+    return (h - (h @ mass)[:, None]) * np.sqrt(mass)
 
-    Solved as a smooth convex program in the arc variables: linear cost,
-    linear outer-marginal equalities, one convex quadratic ball constraint.
+
+@lru_cache(maxsize=256)
+def _face_spreads(p_x: Dist, p_y: Dist, c: CostMatrix):
+    """The optimal face's vertices as spread rows under p_x and p_y.
+
+    Zero-mass symbols are dropped first: the chi-square term pins a
+    perturbation to zero there, and S has no cell on them.
     """
-    carr = c.as_array() if outer_on_rows else c.as_array().T
-    cells = (s.cells if outer_on_rows
-             else frozenset((j, i) for i, j in s.cells))
-    m, k = carr.shape
-    s_cells = sorted(cells)
-    n_f, n_b = m * k, len(s_cells)
-    cost_vec = np.concatenate([carr.reshape(-1),
-                               [-carr[i, j] for i, j in s_cells]])
-    row_mat = np.zeros((m, n_f + n_b))
-    col_mat = np.zeros((k, n_f + n_b))
-    for i in range(m):
-        row_mat[i, i * k:(i + 1) * k] = 1.0
-    for j in range(k):
-        col_mat[j, j:n_f:k] = 1.0
-    for col, (i, j) in enumerate(s_cells):
-        row_mat[i, n_f + col] = -1.0
-        col_mat[j, n_f + col] = -1.0
-    inv_mass = 1.0 / inner_mass
+    px, py = p_x.as_array(), p_y.as_array()
+    rows, cols = np.flatnonzero(px > 0.0), np.flatnonzero(py > 0.0)
+    at_row = {int(i): a for a, i in enumerate(rows)}
+    at_col = {int(j): b for b, j in enumerate(cols)}
+    cells = frozenset((at_row[i], at_col[j])
+                      for i, j in support_of(p_x, p_y, c).cells
+                      if i in at_row and j in at_col)
+    sub = CostMatrix(tuple(map(tuple, c.as_array()[np.ix_(rows, cols)])))
+    face = _optimal_face(SupportSet(cells), sub)
+    if face is None:
+        raise ValidationError("the optimal dual face is empty or unbounded")
+    spreads = _spread_rows(face[0], px[rows]), _spread_rows(face[1], py[cols])
+    for part in spreads:
+        part.setflags(write=False)
+    return spreads
 
-    def quad(z):
-        beta = col_mat @ z
-        return radius - 0.5 * float(beta @ (beta * inv_mass))
 
-    def quad_jac(z):
-        beta = col_mat @ z
-        return -(beta * inv_mass) @ col_mat
+def _kernel(spread: float) -> float:
+    return 1.0 / (2.0 * spread * spread) if spread > DIR_EPS else math.inf
 
-    z0 = np.zeros(n_f + n_b)
-    for i in range(m):
-        if u[i] > 0.0:
-            z0[i * k + int(np.argmin(carr[i]))] = u[i]
-    for col, (i, j) in enumerate(s_cells):
-        if u[i] < 0.0 and z0[n_f + col] == 0.0:
-            z0[n_f + col] = -u[i]
-    # second start spreads each row's mass uniformly: a degenerate vertex
-    # start occasionally jams the line search
-    z1 = np.zeros(n_f + n_b)
-    back_per_row = np.zeros(m)
-    for i, _ in s_cells:
-        back_per_row[i] += 1.0
-    for i in range(m):
-        if u[i] > 0.0:
-            z1[i * k:(i + 1) * k] = u[i] / k
-    for col, (i, j) in enumerate(s_cells):
-        if u[i] < 0.0:
-            z1[n_f + col] = -u[i] / back_per_row[i]
-    for start in (z0, z1):
-        res = minimize(
-            lambda z: float(cost_vec @ z), start, jac=lambda z: cost_vec,
-            method="SLSQP",
-            bounds=[(0.0, None)] * (n_f + n_b),
-            constraints=[
-                {"type": "eq", "fun": lambda z: row_mat @ z - u,
-                 "jac": lambda z: row_mat},
-                {"type": "ineq", "fun": quad, "jac": quad_jac},
-            ],
-            options={"maxiter": 400, "ftol": 1e-14},
-        )
-        if res.success:
-            return float(res.fun)
-    # Fall back to a ray sweep: theta is convex along each ray from 0, so a
-    # golden search per direction recovers the ball minimum to grid accuracy.
-    basis = helmert_basis(k)
-    best = math.inf
-    uvec = SignedVec(tuple(u - u.mean()))
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    for v in unit_directions(k - 1, 48):
-        beta_dir = v @ basis
-        chalf = _chi2_half_arr(beta_dir, inner_mass)
-        if not math.isfinite(chalf) or chalf <= 0.0:
-            continue
-        t_max = math.sqrt(radius / chalf)
 
-        def along(t: float) -> float:
-            bv = SignedVec(tuple(t * beta_dir - (t * beta_dir).mean()))
-            if outer_on_rows:
-                return theta(uvec, bv, s, c)
-            return theta(bv, uvec, s, c)
+def _spread_gap(lam: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> float:
+    return abs(float(np.linalg.norm(lam @ wx) - np.linalg.norm(lam @ wy)))
 
-        lo, hi = 0.0, t_max
-        t1, t2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-        f1, f2 = along(t1), along(t2)
-        for _ in range(28):
-            if f1 <= f2:
-                hi, t2, f2 = t2, t1, f1
-                t1 = hi - invphi * (hi - lo)
-                f1 = along(t1)
-            else:
-                lo, t1, f1 = t1, t2, f2
-                t2 = lo + invphi * (hi - lo)
-                f2 = along(t2)
-        best = min(best, f1, f2, along(0.0), along(t_max))
-    return best
+
+def _segment_critical(wx: np.ndarray, wy: np.ndarray, i: int, j: int):
+    """Candidate maximizers t in [0, 1] of the gap on the segment i -> j.
+
+    Along lam = (1 - t) e_i + t e_j the variances are quadratics A and B;
+    sqrt(A) - sqrt(B) is stationary where A'^2 B = B'^2 A, a quartic.  The
+    minimizers of A and B are added in closed form: a spread that vanishes
+    there is a cusp, a double root the quartic solve finds only to
+    sqrt(eps).  Real parts of all roots are kept, since a spare candidate
+    costs one evaluation and a lost one the answer.
+    """
+    def quad(w):
+        d = w[j] - w[i]
+        return np.array([w[i] @ w[i], 2.0 * (w[i] @ d), d @ d])
+
+    a, b = quad(wx), quad(wy)
+    da, db = P.polyder(a), P.polyder(b)
+    quartic = P.polysub(P.polymul(P.polymul(da, da), b),
+                        P.polymul(P.polymul(db, db), a))
+    t = P.polyroots(quartic).real if np.any(quartic) else np.empty(0)
+    t = np.append(t, [-q[1] / (2.0 * q[2]) for q in (a, b) if q[2] > 0.0])
+    return t[np.isfinite(t) & (t >= 0.0) & (t <= 1.0)]
+
+
+def _ascend_gap(wx: np.ndarray, wy: np.ndarray, start: np.ndarray,
+                sign: float) -> np.ndarray:
+    """Local max of sign * (sigma_x - sigma_y) over the vertex simplex.
+
+    lam = w / sum(w) with box bounds on w, so a face of the simplex is
+    reached exactly; the objective is scale-free in w.
+    """
+    def neg(w):
+        total = w.sum()
+        if total <= 0.0:
+            return 0.0, np.zeros_like(w)
+        hx, hy = w @ wx, w @ wy
+        sx, sy = np.linalg.norm(hx), np.linalg.norm(hy)
+        val = sign * (sx - sy) / total
+        grad = (sign * (wx @ hx / max(sx, DIR_EPS) - wy @ hy / max(sy, DIR_EPS))
+                - val) / total
+        return -val, -grad
+
+    # TNC rather than L-BFGS-B: with default BLAS threads, L-BFGS-B at times
+    # took 50 ms for one of these 4-variable ascents instead of 1.5 ms
+    res = minimize(neg, start / start.max(), jac=True, method="TNC",
+                   bounds=[(0.0, 1.0)] * len(start),
+                   options={"ftol": 1e-15, "gtol": 1e-12})
+    return res.x / res.x.sum() if res.x.sum() > 0.0 else start
+
+
+def _max_spread_gap(wx: np.ndarray, wy: np.ndarray) -> float:
+    """M = max over the vertex simplex of |sigma_x(F^T lam) - sigma_y(G^T lam)|.
+
+    Exact on the vertices and on every segment between two of them; a face
+    with three or more vertices adds a seeded multistart ascent.
+    """
+    n = len(wx)
+    eye = np.eye(n)
+    cands = list(eye)
+    for i in range(n):
+        for j in range(i + 1, n):
+            cands += [(1.0 - t) * eye[i] + t * eye[j]
+                      for t in _segment_critical(wx, wy, i, j)]
+    best = max(cands, key=lambda lam: _spread_gap(lam, wx, wy))
+    if n >= 3:
+        inits = [best, np.full(n, 1.0 / n)] + list(
+            np.random.default_rng(2026).dirichlet(np.ones(n), 6))
+        cands = [_ascend_gap(wx, wy, w, sign)
+                 for w in inits for sign in (1.0, -1.0)] + [best]
+    return max(_spread_gap(lam, wx, wy) for lam in cands)
 
 
 def mdp_rate_lower(p_x: Dist, p_y: Dist, c: CostMatrix, delta: float,
                    directions: int = 720) -> float:
     """Lower-tail moderate-deviation rate at deviation delta < 0.
 
-    delta^2 times the separation kernel: over both orientations and outer
-    unit directions u, the cheapest u with W(u) > 0 costs
-    (chi2/2)(u) / W(u)^2, where W(u) is the best theta the opposing marginal
-    can reach inside the matching chi-square ball.
+    delta^2 / (2 M^2), where M is the largest gap between the two spreads,
+    |sigma_x(F^T lam) - sigma_y(G^T lam)|, over mixtures lam of the optimal
+    face's vertices; +inf when no mixture separates them.  ``directions``
+    is accepted for compatibility and ignored.
     """
     if delta >= 0.0:
         raise ValidationError("the lower-tail rate needs delta < 0")
     _guard_sizes(p_x, p_y)
     if min(p_x.mass) <= 0.0 or min(p_y.mass) <= 0.0:
         raise ValidationError("marginals must be strictly positive")
-    s = support_of(p_x, p_y, c)
-    best = math.inf
-    for outer_on_rows, outer_p, inner_p in ((True, p_x, p_y),
-                                            (False, p_y, p_x)):
-        ko = len(outer_p)
-        basis = helmert_basis(ko)
-        omass = outer_p.as_array()
-        imass = inner_p.as_array()
-
-        def kernel(coords: np.ndarray) -> float:
-            u = coords @ basis
-            chalf = _chi2_half_arr(u, omass)
-            if not math.isfinite(chalf) or chalf <= 0.0:
-                return math.inf
-            w = _w_inner(u, chalf, s, c, imass, outer_on_rows)
-            if w <= DIR_EPS:
-                return math.inf
-            return chalf / (w * w)
-
-        dirs = unit_directions(ko - 1, directions)
-        vals = [kernel(v) for v in dirs]
-        idx = int(np.argmin(vals))
-        local = vals[idx]
-        if math.isfinite(local) and ko > 2:
-            polish = minimize(
-                lambda v: kernel(v / max(np.linalg.norm(v), 1e-12)),
-                dirs[idx], method="Nelder-Mead",
-                options={"maxiter": 200, "xatol": 1e-6, "fatol": 1e-12},
-            )
-            if math.isfinite(polish.fun):
-                local = min(local, float(polish.fun))
-        best = min(best, local)
-    return delta * delta * best
+    return delta * delta * _kernel(_max_spread_gap(*_face_spreads(p_x, p_y, c)))
 
 
 def mdp_rate_upper(p_x: Dist, p_y: Dist, c: CostMatrix, delta: float,
                    directions: int = 720) -> float:
     """Upper-tail moderate-deviation rate at deviation delta > 0.
 
-    delta^2 times the cooperation kernel: joint unit directions with
-    theta(u) > 0 cost max of the two halved chi-squares over theta^2
-    (rescaling such a direction onto the constraint boundary theta = 1
-    is exact by positive homogeneity).
+    delta^2 / (2 max_v (sigma_x(f_v) + sigma_y(g_v))^2) over the vertices
+    of the optimal face; exact, since a convex function of the face point
+    peaks at a vertex.  ``directions`` is accepted for compatibility and
+    ignored.
     """
     if delta <= 0.0:
         raise ValidationError("the upper-tail rate needs delta > 0")
     _guard_sizes(p_x, p_y)
-    s = support_of(p_x, p_y, c)
-    kx, ky = len(p_x), len(p_y)
-    bx = helmert_basis(kx)
-    by = helmert_basis(ky)
-    xmass = p_x.as_array()
-    ymass = p_y.as_array()
-    dim = (kx - 1) + (ky - 1)
-
-    def kernel(coords: np.ndarray) -> float:
-        ux = coords[:kx - 1] @ bx
-        uy = coords[kx - 1:] @ by
-        try:
-            th = theta(SignedVec(tuple(ux - ux.mean())),
-                       SignedVec(tuple(uy - uy.mean())), s, c)
-        except ValidationError:
-            return math.inf
-        if not th > DIR_EPS:
-            return math.inf
-        q = max(_chi2_half_arr(ux, xmass), _chi2_half_arr(uy, ymass))
-        if not math.isfinite(q):
-            return math.inf
-        return q / (th * th)
-
-    dirs = unit_directions(dim, directions)
-    vals = [kernel(v) for v in dirs]
-    idx = int(np.argmin(vals))
-    best = vals[idx]
-    if math.isfinite(best):
-        polish = minimize(
-            lambda v: kernel(v / max(np.linalg.norm(v), 1e-12)),
-            dirs[idx], method="Nelder-Mead",
-            options={"maxiter": 400, "xatol": 1e-7, "fatol": 1e-13},
-        )
-        if math.isfinite(polish.fun):
-            best = min(best, float(polish.fun))
-    return delta * delta * best
+    wx, wy = _face_spreads(p_x, p_y, c)
+    spread = float(np.max(np.linalg.norm(wx, axis=1)
+                          + np.linalg.norm(wy, axis=1)))
+    return delta * delta * _kernel(spread)
 
 
 @dataclass(frozen=True)

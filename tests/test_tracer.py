@@ -1,0 +1,49 @@
+"""The benchmark's tracer wraps the live package and puts it back.
+
+``perfbench/spans.py`` replaces layer functions and the scipy entry points
+``ldp.minimize``, ``mdp.minimize`` and ``mdp.linprog`` by attribute, so
+each of those must stay a module-level binding that the layer calls.
+"""
+import importlib.util
+from pathlib import Path
+
+from strassen_lab import CostMatrix, Dist, ldp, mdp
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_and_restore_on_live_package():
+    spans = _spans()
+    bound = {(ldp, "minimize"): ldp.minimize, (mdp, "minimize"): mdp.minimize,
+             (mdp, "linprog"): mdp.linprog, (mdp, "theta"): mdp.theta}
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        for (owner, attr), fn in bound.items():
+            assert getattr(owner, attr).__wrapped__ is fn
+        # a face with four vertices runs the multistart ascent through
+        # mdp.minimize, with no SLSQP and no LP
+        c = CostMatrix.from_rows([[3, 1, 2, 2], [0, 1, 0, 1], [2, 0, 0, 1],
+                                  [3, 3, 2, 1]])
+        px = Dist.from_mass([1 / 6, 1 / 6, 1 / 6, 3 / 6])
+        py = Dist.from_mass([1 / 6, 1 / 6, 2 / 6, 2 / 6])
+        tracer.top("mdp_lower", "mdp.mdp_rate_lower", mdp.mdp_rate_lower,
+                   px, py, c, -1.0, directions=16)
+        tracer.top("mdp_upper", "mdp.mdp_rate_upper", mdp.mdp_rate_upper,
+                   px, py, c, 1.0, directions=48)
+    finally:
+        restore()
+    for (owner, attr), fn in bound.items():
+        assert getattr(owner, attr) is fn
+    metrics = tracer.layer_metrics()
+    assert any(name == "mdp.minimize" for _, _, _, name, _, _ in tracer.spans)
+    for kind in ("mdp_lower", "mdp_upper"):
+        assert metrics[f"{kind}.mdp.slsqp.calls"] == 0
+        assert metrics[f"{kind}.mdp.linprog.calls"] == 0
