@@ -11,29 +11,49 @@ exp(-n * rate_g(alpha)).  One marginal drifts to a law Q whose entire
 cost-alpha neighbourhood on the other side is even less likely than Q
 itself; the cheapest such drift, over both orientations, is the rate.
 
-Both solvers work on the convexity of the transport value in its marginals:
-Frank-Wolfe steps with exact linear minimization over a KL ball, certified
-by the dual-potential subgradient gap, decide each bisection level.  The
-transport value is piecewise linear, so the single-subgradient step can jam
-at a kink; jammed levels are finished in coupling space, where the same
-feasibility question is a smooth convex program.
+Both are I-projections (Csiszar 1975) onto the polyhedron the dual vertices
+(F, G) of the cost cut out (``transport.dual_vertices``): OT(q_x, q_y) <=
+alpha exactly when F q_x + G q_y <= alpha, row by row.  rate_f, the least
+max(KL(q_x || p_x), KL(q_y || p_y)) there, is the max over lam >= 0 and mu
+in [0, 1] of -mu LSE(log p_x - F^T lam / mu) - (1 - mu) LSE(log p_y -
+G^T lam / (1 - mu)) - alpha sum(lam).  rate_g tests at each drifted Q
+whether E(Q) > KL(Q || p_a), E(Q) the least KL(Q' || p_b) subject to
+G Q' <= alpha - F Q: the max over lam >= 0 of -LSE(log p_b - G^T lam)
+- lam . (alpha - F Q).  An active-set Newton ascent solves these duals.
+A dual value bounds a rate from below, and the exponential tilts of the
+marginals at its multipliers, where they meet the constraints (the duals
+are solved against a budget shrunk by SHRINK, for room), bound it above;
+where mu sits at 0 or 1 one side binds alone, and its partner is where the
+cheapest cells send it.  rate_f is the midpoint of that bracket; rate_g's
+bracket closes on the boundary of each walk.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+# Not called here: the benchmark's tracer wraps ldp.minimize by attribute.
+from scipy.optimize import minimize  # noqa: F401
 
 from .errors import SizeGuardError, ValidationError
-from .flow import transport_min_cost
 from .measures import Dist, kl
-from .transport import CostMatrix, ot_value
+from .transport import CostMatrix, dual_vertices, ot_value
 
 COST_EPS = 1e-12
 EXCEED_EPS = 1e-9
+
+#: The duals are solved against the budget less SHRINK times max(1, max c).
+SHRINK = 1e-15
+#: rate_f's search keeps mu inside [MU_EDGE, 1 - MU_EDGE].
+MU_EDGE = 1e-12
+#: A bracket narrower than WIDTH times its lower end is done.
+WIDTH = 1e-13
+#: Below ROUND times the value, a promised rise is lost in rounding.
+ROUND = 1e-12
+#: Newton steps per solve, and steps in a row improving no bound that end it.
+STEPS = 200
+STALL = 6
 
 
 @dataclass(frozen=True)
@@ -58,265 +78,238 @@ def d_bern(x: float, y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Linear minimization over a KL ball, and certified ball-constrained
-# transport minimization.
+# Tilts and the dual ascent.
 # ---------------------------------------------------------------------------
 
-def _kl_of(q: np.ndarray, logp: np.ndarray) -> float:
+def _kl_rows(q: np.ndarray, logp: np.ndarray) -> np.ndarray:
+    """KL(q || p) along the last axis; p > 0 everywhere."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(q > 0.0, q * (np.log(np.where(q > 0.0, q, 1.0))
-                                       - logp), 0.0)
-    return float(max(0.0, terms.sum()))
+        terms = np.where(q > 0.0, q * (np.log(q) - logp), 0.0)
+    return np.maximum(terms.sum(axis=-1), 0.0)
 
 
-def _kl_ball_linmin(logp: np.ndarray, grad: np.ndarray, r: float) -> np.ndarray:
-    """argmin <grad, q> over {q : KL(q || p) <= r}, support kept inside p.
+def _tilt(logp: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of w: LSE(log p - w), and the tilted law p exp(-w) / Z."""
+    s = logp - w
+    top = s.max(axis=-1, keepdims=True)
+    e = np.exp(s - top)
+    total = e.sum(axis=-1, keepdims=True)
+    return (top + np.log(total))[..., 0], e / total
 
-    The minimizer is an exponential tilt q ~ p * exp(-grad / lam); lam is
-    bisected until the tilt sits on the ball boundary, unless even the point
-    mass on the cheapest symbol fits inside.
+
+def _covariance(b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """b diag(q) b^T - (b q)(b q)^T per row: the Hessian of LSE through b."""
+    b = np.broadcast_to(b, (len(q),) + b.shape[-2:])
+    bq = np.einsum("nvi,ni->nv", b, q)
+    return (np.einsum("nvi,ni,nwi->nvw", b, q, b)
+            - bq[:, :, None] * bq[:, None, :])
+
+
+def _ascend(oracle, bounds, settled, z: np.ndarray):
+    """Maximize each row's concave oracle over z >= 0.
+
+    oracle(z) gives (value, gradient, Hessian, *extras) by row, bounds(z,
+    state) the certified (lower, upper) bounds they yield.  Coordinates at
+    zero that the gradient or the step would push below it stay there; the
+    others take a Levenberg-Marquardt step (damping damp * |free gradient|)
+    cut where a coordinate reaches zero, a simplex pivot along the duals'
+    flat directions.  A step is kept if the value rises by an Armijo part of
+    its promise or, a promise lost in rounding, if the free gradient
+    shrinks; damp then falls tenfold, else grows tenfold.  A row stops when
+    settled(lower, upper) holds for its best bounds, or after STALL steps
+    improving neither.  Returns those bounds, the last z and state.
     """
-    p = np.exp(logp)
-    if r <= 0.0:
-        return p
-    j = int(np.argmin(grad))
-    if -logp[j] <= r:
-        out = np.zeros_like(p)
-        out[j] = 1.0
-        return out
-    lo, hi = -40.0, 40.0  # log(lam) bracket
-    q = p
-    for _ in range(80):
-        lam = math.exp(0.5 * (lo + hi))
-        z = logp - grad / lam
-        z -= z.max()
-        w = np.exp(z)
-        q_try = w / w.sum()
-        if _kl_of(q_try, logp) <= r:
-            q = q_try
-            hi = 0.5 * (lo + hi)
-        else:
-            lo = 0.5 * (lo + hi)
-    return q
+    state = oracle(z)
+    lower, upper = bounds(z, state)
+    damp = np.ones(len(z))
+    idle = np.zeros(len(z), dtype=int)
+    eye = np.eye(z.shape[1])
 
+    def free_gradient(z, grad):
+        return np.linalg.norm(np.where((z > 0.0) | (grad > 0.0), grad, 0.0),
+                              axis=1)
 
-def _golden_min(fun, lo: float = 0.0, hi: float = 1.0, iters: int = 32):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    t = c if fc <= fd else d
-    return t, min(fc, fd)
-
-
-def _coupling_min(px: np.ndarray, py: np.ndarray, carr: np.ndarray,
-                  rx: float, ry: float, move_x: bool, move_y: bool,
-                  x0: np.ndarray | None = None):
-    """min <c, pi> over couplings whose marginals stay in the KL balls.
-
-    The marginal of a frozen side is pinned by equality instead.  Returns
-    the coupling as a matrix; the caller re-checks feasibility and value on
-    the induced marginals, so no trust is placed in the solver status.
-    """
-    m, k = carr.shape
-    cvec = carr.reshape(-1)
-
-    def rows(v: np.ndarray) -> np.ndarray:
-        return v.reshape(m, k).sum(axis=1)
-
-    def cols(v: np.ndarray) -> np.ndarray:
-        return v.reshape(m, k).sum(axis=0)
-
-    cons = []
-    # logs only of a moving side: a pinned side may hold zero masses
-    if move_x:
-        logpx = np.log(px)
-        cons.append({
-            "type": "ineq",
-            "fun": lambda v: rx - _kl_of(rows(v), logpx),
-            "jac": lambda v: np.repeat(
-                -(np.log(np.maximum(rows(v), 1e-18)) - logpx + 1.0), k),
-        })
-        cons.append({"type": "eq", "fun": lambda v: v.sum() - 1.0,
-                     "jac": lambda v: np.ones_like(v)})
-    else:
-        cons.append({"type": "eq", "fun": lambda v: rows(v) - px,
-                     "jac": lambda v: np.repeat(np.eye(m), k, axis=1)})
-    if move_y:
-        logpy = np.log(py)
-        cons.append({
-            "type": "ineq",
-            "fun": lambda v: ry - _kl_of(cols(v), logpy),
-            "jac": lambda v: np.tile(
-                -(np.log(np.maximum(cols(v), 1e-18)) - logpy + 1.0), m),
-        })
-    else:
-        cons.append({"type": "eq", "fun": lambda v: cols(v) - py,
-                     "jac": lambda v: np.tile(np.eye(k), (1, m)).reshape(k, m * k)})
-
-    if x0 is None:
-        x0 = np.outer(px, py).reshape(-1)
-    res = minimize(lambda v: float(np.dot(cvec, v)), x0,
-                   jac=lambda v: cvec, method="SLSQP",
-                   bounds=[(0.0, 1.0)] * (m * k), constraints=cons,
-                   options={"maxiter": 300, "ftol": 1e-14})
-    v = np.maximum(res.x, 0.0)
-    total = v.sum()
-    if not total > 0.0:
-        return None
-    return (v / total).reshape(m, k)
-
-
-class _BallTransport:
-    """Certified min of the transport value over one or two KL balls.
-
-    decide(r, budget) answers whether the minimum over the ball(s) of
-    radius r is <= budget, with the answer certified by either a feasible
-    point or the Frank-Wolfe duality gap.  When the linearized step jams at
-    a kink of the piecewise-linear value, the level is finished by a direct
-    coupling-space solve; a level undecided even then (only possible exactly
-    at the threshold) warns and reports infeasible.
-    """
-
-    def __init__(self, px: np.ndarray, py: np.ndarray, carr: np.ndarray,
-                 move_x: bool, move_y: bool):
-        self.px, self.py, self.carr = px, py, carr
-        self.logpx = np.where(px > 0.0, np.log(np.where(px > 0.0, px, 1.0)),
-                              -math.inf)
-        self.logpy = np.where(py > 0.0, np.log(np.where(py > 0.0, py, 1.0)),
-                              -math.inf)
-        self.move_x, self.move_y = move_x, move_y
-        self.warm = None
-        self._warned = False
-
-    def _project(self, q: np.ndarray, logp: np.ndarray, r: float) -> np.ndarray:
-        p = np.exp(logp)
-        if _kl_of(q, logp) <= r:
-            return q
-        lo, hi = 0.0, 1.0
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if _kl_of(q + mid * (p - q), logp) <= r * 0.999 + 1e-15:
-                hi = mid
-            else:
-                lo = mid
-        return q + hi * (p - q)
-
-    def _lower_bound(self, qx: np.ndarray, qy: np.ndarray,
-                     rx: float, ry: float) -> tuple[float, float]:
-        """(value, certified lower bound on the ball-constrained minimum).
-
-        By convexity the transport value dominates its linearization at
-        (qx, qy), and the linearization's exact minimum over the balls is
-        one tilt per side.  Valid at any anchor point, feasible or not.
-        """
-        _, f, g, val = transport_min_cost(qx, qy, self.carr)
-        gap = 0.0
-        if self.move_x:
-            sx = _kl_ball_linmin(self.logpx, np.asarray(f), rx)
-            gap += float(np.dot(f, qx - sx))
-        if self.move_y:
-            sy = _kl_ball_linmin(self.logpy, np.asarray(g), ry)
-            gap += float(np.dot(g, qy - sy))
-        return val, val - gap
-
-    def decide(self, r: float, budget: float, max_iter: int = 120) -> bool:
-        qx, qy = (self.warm if self.warm is not None
-                  else (self.px.copy(), self.py.copy()))
-        rx = r if self.move_x else 0.0
-        ry = r if self.move_y else 0.0
-        qx = self._project(qx, self.logpx, rx) if self.move_x else self.px
-        qy = self._project(qy, self.logpy, ry) if self.move_y else self.py
-        plan = None
-        for _ in range(max_iter):
-            plan, f, g, val = transport_min_cost(qx, qy, self.carr)
-            if val <= budget:
-                self.warm = (qx, qy)
-                return True
-            sx = (_kl_ball_linmin(self.logpx, np.asarray(f), rx)
-                  if self.move_x else qx)
-            sy = (_kl_ball_linmin(self.logpy, np.asarray(g), ry)
-                  if self.move_y else qy)
-            gap = (float(np.dot(f, qx - sx)) if self.move_x else 0.0) \
-                + (float(np.dot(g, qy - sy)) if self.move_y else 0.0)
-            if val - gap > budget:
-                return False
-            dx, dy = sx - qx, sy - qy
-            t, best = _golden_min(
-                lambda t: ot_value(qx + t * dx, qy + t * dy, self.carr))
-            if best >= val - 1e-13:
+    for _ in range(STEPS):
+        live = ~settled(lower, upper) & (idle < STALL)
+        if not live.any():
+            break
+        val, grad, hess = state[:3]
+        free = (z > 0.0) | (grad > 0.0)
+        norm = free_gradient(z, grad)
+        floor = 1e-14 * (1.0 + np.abs(hess).max(axis=(1, 2)))
+        for _ in range(z.shape[1]):
+            diag = np.where(free, (damp * norm + floor)[:, None], 1.0)
+            a = (np.where(free[:, :, None] & free[:, None, :], -hess, 0.0)
+                 + diag[:, :, None] * eye)
+            step = np.linalg.solve(
+                a, np.where(free, grad, 0.0)[..., None])[..., 0]
+            blocked = free & (z <= 0.0) & (step < 0.0)
+            if not blocked.any():
                 break
-            qx = qx + t * dx
-            qy = qy + t * dy
-        pi = _coupling_min(self.px, self.py, self.carr, rx, ry,
-                           self.move_x, self.move_y,
-                           None if plan is None else plan.reshape(-1))
-        if pi is not None:
-            qx = pi.sum(axis=1) if self.move_x else self.px
-            qy = pi.sum(axis=0) if self.move_y else self.py
-            klx = _kl_of(qx, self.logpx) if self.move_x else 0.0
-            kly = _kl_of(qy, self.logpy) if self.move_y else 0.0
-            # a 1e-9 overhang on the ball shifts the bisected radius by at
-            # most that much, well under every quoted tolerance
-            if klx <= rx + 1e-9 and kly <= ry + 1e-9:
-                val = ot_value(qx, qy, self.carr)
-                if val <= budget:
-                    self.warm = (qx, qy)
-                    return True
-            val, bound = self._lower_bound(qx, qy, rx, ry)
-            if bound > budget:
-                return False
-        if not self._warned:
-            self._warned = True
-            warnings.warn("ball-constrained transport stalled at the decision "
-                          "boundary; reporting infeasible", RuntimeWarning)
-        return False
+            free &= ~blocked
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.where(step < 0.0, z / -step, np.inf)
+        cut = np.minimum(reach.min(axis=1), 1.0)[:, None]
+        trial = np.where(reach <= cut, 0.0, np.maximum(z + cut * step, 0.0))
+        trial = np.where(live[:, None], trial, z)
+        new = oracle(trial)
+        promise = np.sum(grad * (trial - z), axis=1)
+        keep = live & np.where(promise > ROUND * (1.0 + np.abs(val)),
+                               new[0] - val >= 1e-4 * promise,
+                               free_gradient(trial, new[1]) < norm)
+        z = np.where(keep[:, None], trial, z)
+        state = tuple(np.where(keep.reshape((-1,) + (1,) * (b.ndim - 1)), a, b)
+                      for a, b in zip(new, state))
+        damp = np.clip(np.where(keep, damp / 10.0,
+                                np.where(live, damp * 10.0, damp)), 1e-8, 1e8)
+        low, up = bounds(z, state)
+        idle = np.where((low > lower) | (up < upper), 0, idle + live)
+        lower, upper = np.maximum(lower, low), np.minimum(upper, up)
+    return lower, upper, z, state
 
 
-def _restrict(p: Dist):
-    mass = p.as_array()
-    supp = np.nonzero(mass > 0.0)[0]
-    return mass[supp], supp
+def _narrow(lower, upper):
+    return upper - lower <= WIDTH * lower
+
+
+def _project(logp, a, beta, shrink, settled):
+    """I-projections of p onto {q : a q <= beta}, one per row of beta.
+
+    Returns per row a certified lower bound on the least KL(q || p), the
+    dual value at beta; an upper bound, the KL of the tilt if it meets
+    a q <= beta, else inf; and the tilt.  settled(lower, upper) ends a row.
+    """
+    def oracle(lam):
+        lse, q = _tilt(logp, lam @ a)
+        grad = q @ a.T - beta + shrink
+        return (-lse - np.sum(lam * (beta - shrink), axis=1), grad,
+                -_covariance(a, q), q)
+
+    def bounds(lam, state):
+        val, grad, _, q = state
+        return (val - shrink * lam.sum(axis=1),
+                np.where((grad <= shrink).all(axis=1), _kl_rows(q, logp),
+                         np.inf))
+
+    lower, upper, _, state = _ascend(oracle, bounds, settled,
+                                     np.zeros_like(beta))
+    return lower, upper, state[3]
+
+
+def _supports(pa: Dist, pb: Dist, cost: np.ndarray):
+    """Both laws and the cost array, restricted to the supports."""
+    a, b = pa.as_array(), pb.as_array()
+    sa, sb = np.flatnonzero(a > 0.0), np.flatnonzero(b > 0.0)
+    return a[sa], b[sb], cost[np.ix_(sa, sb)]
+
+
+def _dual_of(carr: np.ndarray):
+    """The dual vertices (F, G) of a cost array, and its budget shrink."""
+    f, g = dual_vertices(CostMatrix.from_rows(carr.tolist()))
+    return f, g, SHRINK * max(1.0, float(carr.max()))
+
+
+# ---------------------------------------------------------------------------
+# Lower tail.
+# ---------------------------------------------------------------------------
+
+def _rate_f_dual(lam, mu, logpx, logpy, f, g, budget):
+    """rate_f's dual at rows lam and a fixed mu: value, gradient and Hessian
+    in lam, the divergences of the tilts, and the Hessian in (lam, mu)."""
+    nu = 1.0 - mu
+    ux, uy = lam @ f / mu, lam @ g / nu
+    lse_x, qx = _tilt(logpx, ux)
+    lse_y, qy = _tilt(logpy, uy)
+    bx = np.concatenate([np.broadcast_to(f, (len(lam),) + f.shape),
+                         -ux[:, None, :]], axis=1)
+    by = np.concatenate([np.broadcast_to(g, (len(lam),) + g.shape),
+                         uy[:, None, :]], axis=1)
+    hess = -(_covariance(bx, qx) / mu + _covariance(by, qy) / nu)
+    return (-mu * lse_x - nu * lse_y - budget * lam.sum(axis=1),
+            qx @ f.T + qy @ g.T - budget, hess[:, :-1, :-1],
+            _kl_rows(qx, logpx), _kl_rows(qy, logpy), hess)
+
+
+def _rate_f_bracket(query: RateQuery) -> tuple[float, float]:
+    """Certified [lower, upper] bounds on rate_f: the best dual value, and
+    the larger divergence of the best pair found within budget."""
+    if max(len(query.p_x), len(query.p_y)) > 4:
+        raise SizeGuardError("rate_f handles alphabets of size at most 4")
+    px, py, carr = _supports(query.p_x, query.p_y, query.cost.as_array())
+    budget = query.alpha + COST_EPS
+    if ot_value(px, py, carr) <= budget:
+        return 0.0, 0.0
+    if carr.min() > budget:
+        return math.inf, math.inf
+    f, g, shrink = _dual_of(carr)
+    logpx, logpy = np.log(px), np.log(py)
+    # mu = 0 (or 1): the y (x) law binds alone.  It is the I-projection onto
+    # the laws that some partner meets within budget, those whose mean
+    # cheapest cost is within it, and its partner is where the cheapest
+    # cells send it (ties split by the partner's own mass).
+    lower, upper = 0.0, math.inf
+    for logp, cost, other in ((logpy, carr, px), (logpx, carr.T, py)):
+        low, _, q = _project(logp, cost.min(axis=0)[None],
+                             np.array([[budget]]), shrink, _narrow)
+        w = np.where(cost == cost.min(axis=0), other[:, None], 0.0)
+        pair = ((w / w.sum(axis=0)) @ q[0], q[0])
+        qx, qy = pair if other is px else pair[::-1]
+        if np.max(f @ qx + g @ qy) <= budget:
+            upper = min(upper, max(_kl_rows(qx, logpx), _kl_rows(qy, logpy)))
+        lower = max(lower, low[0])
+    if _narrow(lower, upper):
+        return float(lower), float(upper)
+    # Otherwise KL_x = KL_y at the optimum.  g(mu) = max_lam D(lam, mu) is
+    # concave with slope KL_x - KL_y at the tilts and curvature the Schur
+    # complement of D's lam block, so a Newton search over mu, kept inside
+    # the bracket the slope signs leave, finds that crossing; every mu first
+    # maximizes D over lam.  A mu whose lam stays 1e-9 short of optimal
+    # steps back halfway instead.
+    lam = np.zeros((1, len(f)))
+    mu, left, right = 0.5, MU_EDGE, 1.0 - MU_EDGE
+    base, idle = None, 0
+    for _ in range(STEPS):
+        def bounds(lam, state, mu=mu):
+            val, grad, _, klx, kly, _ = state
+            fits = (grad <= shrink).all(axis=1)
+            return (val - shrink * lam.sum(axis=1),
+                    np.where(fits, mu * klx + (1.0 - mu) * kly, np.inf))
+
+        inner_low, inner_up, found, state = _ascend(
+            lambda lam, mu=mu: _rate_f_dual(lam, mu, logpx, logpy, f, g,
+                                            budget - shrink),
+            bounds, _narrow, lam)
+        val, grad, _, klx, kly, hess = state
+        low = float(val[0] - shrink * found.sum())
+        up = float(max(klx[0], kly[0])) if (grad <= shrink).all() else upper
+        idle = 0 if low > lower or up < upper else idle + 1
+        lower, upper = max(lower, low), min(upper, up)
+        if _narrow(lower, upper) or idle >= STALL:
+            break
+        if not inner_up[0] - inner_low[0] <= 1e-9 * (1.0 + inner_low[0]):
+            if base is None:
+                break
+            mu, lam = 0.5 * (mu + base[0]), base[1]
+            continue
+        base, lam = (mu, found), found
+        slope = float(klx[0] - kly[0])
+        if slope == 0.0:
+            break
+        left, right = (mu, right) if slope > 0.0 else (left, mu)
+        free = (lam[0] > 0.0) | (grad[0] >= 0.0)
+        cross = hess[0, :-1, -1][free]
+        bend = hess[0, -1, -1] - cross @ np.linalg.lstsq(
+            hess[0, :-1, :-1][np.ix_(free, free)], cross, rcond=None)[0]
+        step = mu - slope / bend if bend < 0.0 else math.nan
+        mu = step if left < step < right else 0.5 * (left + right)
+    return float(lower), float(upper)
 
 
 def rate_f(query: RateQuery) -> float:
-    """Lower-tail rate: smallest KL radius whose two balls touch cost alpha.
-
-    Bisection on the radius; each level is decided by certified Frank-Wolfe
-    over the product of the two balls.
-    """
-    if max(len(query.p_x), len(query.p_y)) > 4:
-        raise SizeGuardError("rate_f handles alphabets of size at most 4")
-    alpha = query.alpha
-    px, sx = _restrict(query.p_x)
-    py, sy = _restrict(query.p_y)
-    carr = query.cost.as_array()[np.ix_(sx, sy)]
-    if ot_value(px, py, carr) <= alpha + COST_EPS:
-        return 0.0
-    if carr.min() > alpha + COST_EPS:
-        return math.inf
-    cells = np.argwhere(carr <= alpha + COST_EPS)
-    r_hi = min(max(-math.log(px[i]), -math.log(py[j]))
-               for i, j in cells) + 1.0
-    solver = _BallTransport(px, py, carr, move_x=True, move_y=True)
-    lo, hi = 0.0, r_hi
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if solver.decide(mid, alpha + COST_EPS):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    """Lower-tail rate: smallest KL radius whose two balls touch cost alpha,
+    the midpoint of the certified bracket from the vertex dual."""
+    lower, upper = _rate_f_bracket(query)
+    return 0.5 * (lower + upper)
 
 
 def rate_f_binary(a: float, b: float, alpha: float) -> float:
@@ -364,81 +357,86 @@ def rate_f_binary(a: float, b: float, alpha: float) -> float:
 # Upper tail.
 # ---------------------------------------------------------------------------
 
-def _exceeds(solver: _BallTransport, level: float, alpha: float) -> bool:
-    """Whether every law within KL 'level' of the fixed side costs > alpha."""
-    if level <= 0.0:
-        return False
-    return not solver.decide(level, alpha + EXCEED_EPS)
+def _exceed_test(carr: np.ndarray, bmass: np.ndarray, alpha: float):
+    """exceeds(q, level): per row of q, whether E(q) > level, that is,
+    every law within KL 'level' of bmass costs more than alpha + EXCEED_EPS
+    against q; a row that neither its dual nor a tilt settles exceeds."""
+    f, g, shrink = _dual_of(carr)
+    logb, budget = np.log(bmass), alpha + EXCEED_EPS
+
+    def exceeds(q: np.ndarray, level: np.ndarray) -> np.ndarray:
+        # E(q) is 0 where bmass itself is within budget of q, and infinite
+        # (its dual unbounded) where q's cheapest cells cost more
+        home = np.max(q @ f.T + g @ bmass, axis=1) <= budget
+        beyond = q @ carr.min(axis=1) > budget - shrink
+        _, upper, _ = _project(
+            logb, g, budget - q @ f.T, shrink,
+            lambda lower, upper: (lower > level) | (upper <= level)
+            | (level <= 0.0) | home | beyond)
+        return (level > 0.0) & ~home & (beyond | (upper > level))
+
+    return exceeds
 
 
 def _orientation_rate(pa: Dist, pb: Dist, carr_ab: np.ndarray,
-                      alpha: float, grid: int) -> float:
+                      alpha: float, grid: int) -> tuple[float, float]:
     """inf D(Q || pa) over laws Q whose cost-alpha neighbourhood of pb is
-    rarer than Q itself; Q ranges over the simplex on pa's support."""
-    amass, asupp = _restrict(pa)
-    bmass, bsupp = _restrict(pb)
-    carr = carr_ab[np.ix_(asupp, bsupp)]
-    loga = np.where(amass > 0.0, np.log(amass), -math.inf)
+    rarer than Q itself; Q ranges over the simplex on pa's support.
+
+    Returns the bracket the boundary walks close: the least divergence of a
+    walk's first law that does not exceed, and of its last law that does.
+    """
+    amass, bmass, carr = _supports(pa, pb, carr_ab)
+    loga = np.log(amass)
     k = len(amass)
-
-    def feasible(q: np.ndarray) -> tuple[bool, float]:
-        dq = _kl_of(q, loga)
-        solver = _BallTransport(q, bmass, carr, move_x=False, move_y=True)
-        return _exceeds(solver, dq, alpha), dq
-
-    points: list[np.ndarray] = []
+    exceeds = _exceed_test(carr, bmass, alpha)
     if k == 1:
-        points.append(np.array([1.0]))
+        points = np.ones((1, 1))
     elif k == 2:
         ts = np.linspace(0.0, 1.0, grid)
-        points.extend(np.array([t, 1.0 - t]) for t in ts)
+        points = np.stack([ts, 1.0 - ts], axis=1)
     else:
         steps = max(2, int(round(math.sqrt(grid))) * 4)
-        for i in range(steps + 1):
-            for j in range(steps + 1 - i):
-                t0, t1 = i / steps, j / steps
-                points.append(np.array([t0, t1, 1.0 - t0 - t1]))
-    feas = []
-    for q in points:
-        ok, dq = feasible(q)
-        if ok:
-            feas.append((dq, q))
-    if not feas:
-        return math.inf
-    feas.sort(key=lambda pair: pair[0])
-    best = feas[0][0]
-    # Walk the best few feasible points toward the base law: the rate is
+        points = np.array([[i / steps, j / steps, 1.0 - i / steps - j / steps]
+                           for i in range(steps + 1)
+                           for j in range(steps + 1 - i)])
+    levels = _kl_rows(points, loga)
+    ok = exceeds(points, levels)
+    if not ok.any():
+        return math.inf, math.inf
+    # Walk the best few exceeding points toward the base law: the rate is
     # attained on the boundary where the neighbourhood stops being rarer.
-    for dq, q in feas[:3]:
-        lo_t, hi_t = 0.0, 1.0  # q + t (amass - q); t=0 feasible
-        for _ in range(45):
-            mid = 0.5 * (lo_t + hi_t)
-            ok, _ = feasible(q + mid * (amass - q))
-            if ok:
-                lo_t = mid
-            else:
-                hi_t = mid
-        best = min(best, _kl_of(q + lo_t * (amass - q), loga))
-    return best
+    q = points[ok][np.argsort(levels[ok], kind="stable")[:3]]
+    toward = amass - q
+    lo_t, hi_t = np.zeros(len(q)), np.ones(len(q))
+    for _ in range(45):
+        mid = 0.5 * (lo_t + hi_t)
+        at = q + mid[:, None] * toward
+        ok = exceeds(at, _kl_rows(at, loga))
+        lo_t, hi_t = np.where(ok, mid, lo_t), np.where(ok, hi_t, mid)
+    return (float(_kl_rows(q + hi_t[:, None] * toward, loga).min()),
+            float(_kl_rows(q + lo_t[:, None] * toward, loga).min()))
+
+
+def _rate_g_bracket(query: RateQuery, grid: int = 201) -> tuple[float, float]:
+    """[lower, upper] on rate_g: both orientations' walk brackets."""
+    if max(len(query.p_x), len(query.p_y)) > 3:
+        raise SizeGuardError("rate_g handles alphabets of size at most 3")
+    alpha = query.alpha
+    px, py, carr = _supports(query.p_x, query.p_y, query.cost.as_array())
+    if alpha < ot_value(px, py, carr) - COST_EPS:
+        return 0.0, 0.0
+    if alpha >= carr.max() - COST_EPS:
+        return math.inf, math.inf
+    cost = query.cost.as_array()
+    gx = _orientation_rate(query.p_x, query.p_y, cost, alpha, grid)
+    gy = _orientation_rate(query.p_y, query.p_x, cost.T, alpha, grid)
+    return min(gx[0], gy[0]), min(gx[1], gy[1])
 
 
 def rate_g(query: RateQuery, grid: int = 201) -> float:
     """Upper-tail rate, minimized over the two drift orientations."""
-    if max(len(query.p_x), len(query.p_y)) > 3:
-        raise SizeGuardError("rate_g handles alphabets of size at most 3")
-    alpha = query.alpha
-    px, sx = _restrict(query.p_x)
-    py, sy = _restrict(query.p_y)
-    carr = query.cost.as_array()[np.ix_(sx, sy)]
-    if alpha < ot_value(px, py, carr) - COST_EPS:
-        return 0.0
-    if alpha >= carr.max() - COST_EPS:
-        return math.inf
-    gx = _orientation_rate(query.p_x, query.p_y, query.cost.as_array(),
-                           alpha, grid)
-    gy = _orientation_rate(query.p_y, query.p_x, query.cost.as_array().T,
-                           alpha, grid)
-    return min(gx, gy)
+    return _rate_g_bracket(query, grid)[1]
 
 
 def rate_g_binary(a: float, b: float, alpha: float) -> float:

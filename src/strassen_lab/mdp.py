@@ -325,8 +325,6 @@ def mdp_rate_lower(p_x: Dist, p_y: Dist, c: CostMatrix, delta: float,
     if delta >= 0.0:
         raise ValidationError("the lower-tail rate needs delta < 0")
     _guard_sizes(p_x, p_y)
-    if min(p_x.mass) <= 0.0 or min(p_y.mass) <= 0.0:
-        raise ValidationError("marginals must be strictly positive")
     return delta * delta * _kernel(_max_spread_gap(*_face_spreads(p_x, p_y, c)))
 
 

@@ -133,7 +133,6 @@ def _rates_agree(general: float, closed: float, tol: float) -> bool:
     return abs(general - closed) <= tol
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion5_binary_rate_solvers_match_closed_forms():
     start = time.monotonic()
     for a, b, alpha in RATE_TRIPLES:

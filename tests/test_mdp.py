@@ -255,10 +255,19 @@ class TestRateKernels:
         with pytest.raises(ValidationError):
             mdp_rate_upper(px, py, HAM, 0.0)
 
-    def test_lower_rejects_zero_mass_marginal(self):
-        px = Dist.from_mass([0.0, 1.0])
-        with pytest.raises(ValidationError):
-            mdp_rate_lower(px, Dist.bernoulli(0.5), HAM, -1.0)
+    def test_lower_drops_zero_mass_row(self):
+        # as for the upper kernel: the reduced 2x3 instance, against the
+        # direction sweep on it, and a point mass leaves only sigma_y(g)
+        c = CostMatrix.from_rows([[abs(i - j) for j in range(3)]
+                                  for i in range(3)])
+        py = Dist.from_mass([0.2, 0.3, 0.5])
+        got = mdp_rate_lower(Dist.from_mass([0.5, 0.5, 0.0]), py, c, -1.0)
+        assert got == pytest.approx(6.331114844099786, rel=1e-12)
+        sub = CostMatrix.from_rows([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
+        sweep, _, _ = sweep_lower(Dist.from_mass([0.5, 0.5]), py, sub, 48)
+        assert got == pytest.approx(sweep, rel=1e-6)
+        assert mdp_rate_lower(Dist.from_mass([0.0, 1.0]), Dist.bernoulli(0.5),
+                              HAM, -1.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_closed_forms_exact(self):
         bx, by = Dist.bernoulli(0.1), Dist.bernoulli(0.5)

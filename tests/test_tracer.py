@@ -5,9 +5,11 @@
 each of those must stay a module-level binding that the layer calls.
 """
 import importlib.util
+import warnings
 from pathlib import Path
 
-from strassen_lab import CostMatrix, Dist, ldp, mdp
+from strassen_lab import CostMatrix, Dist, RateQuery, ldp, mdp
+from test_acceptance import THETA_INSTANCES
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -47,3 +49,30 @@ def test_install_and_restore_on_live_package():
     for kind in ("mdp_lower", "mdp_upper"):
         assert metrics[f"{kind}.mdp.slsqp.calls"] == 0
         assert metrics[f"{kind}.mdp.linprog.calls"] == 0
+
+
+def test_rate_solvers_run_no_slsqp_and_warn_nothing():
+    # the binary triple whose upper-tail rate stalled the old solver, and
+    # the 3x3 instance at the kink where its lower-tail rate stalled
+    spans = _spans()
+    tracer = spans.Tracer()
+    binary = RateQuery(Dist.bernoulli(0.1), Dist.bernoulli(0.5),
+                       CostMatrix.hamming(2), 0.45)
+    px, py, c = THETA_INSTANCES[2]
+    theta = RateQuery(px, py, c, 0.05), RateQuery(px, py, c, 0.28)
+    restore = spans.install(tracer)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for query in (binary, theta[0]):
+                tracer.top("rate_f", "ldp.rate_f", ldp.rate_f, query)
+            for query, grid in ((binary, 201), (theta[1], 4)):
+                tracer.top("rate_g", "ldp.rate_g", ldp.rate_g, query, grid)
+    finally:
+        restore()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    metrics = tracer.layer_metrics()
+    for kind in ("rate_f", "rate_g"):
+        assert metrics[f"{kind}.ldp.slsqp.calls"] == 0
+    assert not any(name == "ldp.minimize"
+                   for _, _, _, name, _, _ in tracer.spans)
