@@ -10,7 +10,8 @@ of the package needs two things generic solvers do not expose:
 
 Graphs here are tiny bipartite networks (alphabets or type lattices), so the
 implementations favor clarity over asymptotic heroics: Dinic for max-flow,
-successive shortest paths with Dijkstra for min-cost flow.
+successive shortest paths with Dijkstra for min-cost flow, and a
+lexicographic max-flow for vertex couplings.
 """
 from __future__ import annotations
 
@@ -179,6 +180,34 @@ def bipartite_max_flow_exact(supply: Sequence[float], demand: Sequence[float],
     return Fraction(value, den), flow, witness
 
 
+def lex_min_coupling(supply, demand, allowed: np.ndarray) -> list[list]:
+    """The lexicographically least coupling on the allowed cells, as rows.
+
+    In row-major order each cell carries the least mass it must: what the
+    allowed cells after it cannot route, one max-flow.  The result is a
+    vertex (no support cycle).  Python ints stay exact; a float need within
+    ``FLOW_EPS`` of 0 or of its row's or column's remainder snaps there.
+    """
+    sup, dem = list(supply), list(demand)
+    m, k = allowed.shape
+    cell_cap = sum(sup) + 1 if isinstance(sum(sup), int) else math.inf
+    plan = [[0] * k for _ in range(m)]
+    later = np.array(allowed, dtype=bool)
+    for i, j in np.argwhere(allowed):
+        later[i, j] = False
+        routed, _, _ = _bipartite_flow(sup, dem, later, cell_cap)
+        need = sum(sup) - routed
+        if need <= FLOW_EPS:
+            continue
+        bound = min(sup[i], dem[j])
+        if bound - need <= FLOW_EPS:  # the row or column is used up
+            need = bound
+        plan[i][j] = need
+        sup[i] -= need
+        dem[j] -= need
+    return plan
+
+
 def transport_min_cost(supply: Sequence[float], demand: Sequence[float],
                        cost: np.ndarray):
     """Balanced transportation problem by successive shortest paths.
@@ -266,79 +295,3 @@ def transport_min_cost(supply: Sequence[float], demand: Sequence[float],
     g = np.array([pot[m + j] for j in range(k)])
     objective = float(np.sum(plan * cost))
     return plan, f, g, objective
-
-
-def cancel_cycles(plan: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """Remove support cycles from a transportation plan.
-
-    Any cycle in the bipartite support of an optimal plan is cost-neutral
-    (otherwise one direction around it would improve the plan), so pushing
-    mass around it until an edge empties keeps both feasibility and
-    optimality while shrinking the support — the result is a vertex of the
-    transportation polytope.
-    """
-    plan = plan.copy()
-    m, k = plan.shape
-    while True:
-        cycle = _find_support_cycle(plan, tol)
-        if cycle is None:
-            return plan
-        # cycle alternates row->col cells; shift mass around it.
-        plus = cycle[0::2]
-        minus = cycle[1::2]
-        shift = min(plan[i, j] for i, j in minus)
-        for i, j in plus:
-            plan[i, j] += shift
-        for i, j in minus:
-            plan[i, j] -= shift
-            if plan[i, j] < tol:
-                plan[i, j] = 0.0
-
-
-def _find_support_cycle(plan: np.ndarray, tol: float):
-    """A cycle in the bipartite support graph, as cells in cyclic edge order.
-
-    Vertices are rows (0..m-1) and columns (m..m+k-1); each support cell is
-    an undirected edge.  A depth-first search finds a back edge; the cycle is
-    returned as the edge walk around it, so consecutive cells alternately
-    share a column and a row and the caller can shift mass with alternating
-    signs.
-    """
-    m = plan.shape[0]
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for i, j in np.argwhere(plan > tol):
-        u, v, cell = int(i), m + int(j), (int(i), int(j))
-        adj.setdefault(u, []).append((v, cell))
-        adj.setdefault(v, []).append((u, cell))
-    color = dict.fromkeys(adj, 0)  # 0 = unseen, 1 = on the DFS path, 2 = done
-    parent: dict[int, tuple] = {}
-    for root in adj:
-        if color[root]:
-            continue
-        color[root] = 1
-        parent[root] = (None, None)
-        frames = [(root, iter(adj[root]))]
-        while frames:
-            u, edges = frames[-1]
-            advanced = False
-            for v, cell in edges:
-                if cell == parent[u][1]:
-                    continue  # do not walk the entering edge backwards
-                if color[v] == 1:
-                    cells = [cell]
-                    w = u
-                    while w != v:
-                        w, pc = parent[w]
-                        cells.append(pc)
-                    cells.reverse()
-                    return cells
-                if color[v] == 0:
-                    color[v] = 1
-                    parent[v] = (u, cell)
-                    frames.append((v, iter(adj[v])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[u] = 2
-                frames.pop()
-    return None

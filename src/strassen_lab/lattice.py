@@ -36,14 +36,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.special import gammaln, logsumexp
 
 from . import flow
 from .curves import RateCurve
 from .errors import SizeGuardError, ValidationError
 from .measures import Dist, JointDist
-from .transport import ADMISS_EPS, CostMatrix, dual_vertices, ecp, ot_value
+from .transport import (ADMISS_EPS, CostMatrix, dual_vertices, ecp, ot_value,
+                        tight_cells)
 
 ENUM_GUARD = 10_000_000
 DENSE_GUARD = 300_000
@@ -534,46 +534,19 @@ def optimal_outer_plan(instance: NestedInstance, alpha: float) -> JointDist:
 def _optimal_joint_type(tx: tuple, ty: tuple, c: CostMatrix) -> tuple:
     """The lexicographically smallest cost-optimal integer coupling of types.
 
-    Transportation polytopes with integer marginals have integer vertices, so
-    each sequential lexicographic minimization lands on an integer; the
-    result is rounded and re-verified.
+    The min-cost flow gives optimal potentials; the lexicographic max-flow
+    then runs in exact integers on the cells tight against them.  The
+    result is re-verified.
     """
-    m, k = len(tx), len(ty)
-    carr = c.as_array().reshape(-1)
-    a_eq = np.zeros((m + k, m * k))
-    for i in range(m):
-        a_eq[i, i * k:(i + 1) * k] = 1.0
-    for j in range(k):
-        a_eq[m + j, j::k] = 1.0
-    b_eq = np.concatenate([np.array(tx, float), np.array(ty, float)])
-    res = linprog(carr, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise ValidationError("inner type coupling LP failed")
-    vstar = res.fun
-    fixed: list[tuple[int, float]] = []
-    values = []
-    for cell in range(m * k):
-        obj = np.zeros(m * k)
-        obj[cell] = 1.0
-        a_extra = np.zeros((len(fixed), m * k))
-        for r, (cj, _) in enumerate(fixed):
-            a_extra[r, cj] = 1.0
-        a = np.vstack([a_eq, a_extra]) if fixed else a_eq
-        b = np.concatenate([b_eq, np.array([v for _, v in fixed])]) if fixed else b_eq
-        res = linprog(obj, A_ub=carr.reshape(1, -1), b_ub=[vstar + 1e-7],
-                      A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-        if res.status != 0:
-            raise ValidationError("lexicographic tie-break LP failed")
-        val = round(res.fun)
-        fixed.append((cell, float(val)))
-        values.append(int(val))
-    mat = tuple(tuple(values[i * k + j] for j in range(k)) for i in range(m))
+    carr = c.as_array()
+    _, f, g, vstar = flow.transport_min_cost(tx, ty, carr)
+    mat = tuple(map(tuple, flow.lex_min_coupling(tx, ty,
+                                                 tight_cells(carr, f, g))))
     if (any(v < 0 for row in mat for v in row)
             or [sum(row) for row in mat] != list(tx)
             or [sum(col) for col in zip(*mat)] != list(ty)):
         raise ValidationError("tie-broken inner coupling failed verification")
-    total_cost = sum(v * cv for v, cv in zip(values, carr))
-    if total_cost > vstar + 1e-6:
+    if float(np.sum(np.array(mat) * carr)) > vstar + 1e-6:
         raise ValidationError("tie-broken inner coupling lost optimality")
     return mat
 

@@ -46,7 +46,7 @@ from scipy.optimize import linprog, minimize
 from .errors import DimensionMismatchError, SizeGuardError, ValidationError
 from .measures import Dist, SignedVec
 from .transport import (CostMatrix, SupportSet, dual_vertices,
-                        optimal_support, ot_cost, vertex_tol)
+                        optimal_support, ot_value, vertex_tol)
 
 THETA_TOL = 1e-10
 DIR_EPS = 1e-12
@@ -365,12 +365,12 @@ def seta_check(p_x: Dist, p_y: Dist, c: CostMatrix, q_x: Dist, q_y: Dist,
     """
     if a <= 0.0:
         raise ValidationError("the scale a must be positive")
-    base = ot_cost(p_x, p_y, c).objective
-    moved = ot_cost(q_x, q_y, c).objective
-    lhs = (moved - base) / a
     s = support_of(p_x, p_y, c)
     rhs = theta(SignedVec.from_difference(q_x, p_x, scale=a),
                 SignedVec.from_difference(q_y, p_y, scale=a), s, c)
+    cost = c.as_array()
+    lhs = (ot_value(q_x.as_array(), q_y.as_array(), cost)
+           - ot_value(p_x.as_array(), p_y.as_array(), cost)) / a
     return SetaReport(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs - 1e-9))
 
 

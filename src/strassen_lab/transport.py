@@ -2,7 +2,8 @@
 
 The two primal problems live on the same bipartite geometry:
 
-* ``ot_cost`` minimizes expected cost over couplings (min-cost flow);
+* ``ot_cost`` minimizes expected cost over couplings (min-cost flow, then a
+  lexicographic max-flow for a vertex plan);
 * ``ecp`` minimizes the probability of exceeding a cost level ``alpha``
   (max-flow over the admissible cells, by Strassen duality).
 
@@ -15,7 +16,7 @@ symbols a side, ``dual_vertices`` lists the vertices of the dual polyhedron
 K_{m,k} that stay dual-feasible (Dantzig; Klee & Witzgall 1968).  They
 depend only on c and are cached, and by LP duality OT(p, q) is the largest
 F_v . p + G_v . q over them, so ``ot_value`` is a few dot products.  Plans
-and certificates still come from the min-cost flow.
+come from the lexicographic max-flow, certificates from the min-cost flow.
 """
 from __future__ import annotations
 
@@ -168,6 +169,12 @@ def gamma_enlarge(a_set, c: CostMatrix, alpha: float) -> frozenset:
     return frozenset(out)
 
 
+def tight_cells(cost: np.ndarray, f, g, tol: float = 1e-9) -> np.ndarray:
+    """Cells tight against (f, g), up to ``tol`` times the cost scale."""
+    scale = max(1.0, float(np.abs(cost).max()))
+    return cost - f[:, None] - g[None, :] <= tol * scale
+
+
 def vertex_tol(cost: np.ndarray) -> float:
     """The absolute tolerance ``VERTEX_TOL`` stands for at this cost scale."""
     return VERTEX_TOL * max(1.0, float(np.abs(cost).max()))
@@ -236,11 +243,15 @@ def ot_value(px: np.ndarray, py: np.ndarray, cost: np.ndarray) -> float:
 
 
 def ot_cost(p_x: Dist, p_y: Dist, c: CostMatrix) -> TransportPlan:
-    """The minimum expected cost over couplings, with an optimal vertex plan."""
+    """The minimum expected cost over couplings, with an optimal vertex plan.
+
+    The plan is the lexicographically least coupling on the tight cells.
+    """
     _check_dims(p_x, p_y, c)
     cost = c.as_array()
-    plan, _, _, _ = flow.transport_min_cost(p_x.mass, p_y.mass, cost)
-    plan = flow.cancel_cycles(plan)
+    _, f, g, _ = flow.transport_min_cost(p_x.mass, p_y.mass, cost)
+    tight = tight_cells(cost, f, g)
+    plan = np.array(flow.lex_min_coupling(p_x.mass, p_y.mass, tight), float)
     objective = float(np.sum(plan * cost))
     return TransportPlan(plan=JointDist.from_array(plan), objective=objective)
 
@@ -383,16 +394,15 @@ def optimal_support(p_x: Dist, p_y: Dist, c: CostMatrix,
     than by thresholding a per-cell LP, which would also admit slack cells
     whose reduced cost is smaller than the mass budget lets on.  ``tol``
     only separates tight from slack reduced costs (relative to the cost
-    scale) and plan mass from roundoff dust.
+    scale); plan mass counts above the flow's own dust, ``FLOW_EPS``.
     """
     _check_dims(p_x, p_y, c)
     m, k = c.shape
     cost = c.as_array()
     plan, f, g, _ = flow.transport_min_cost(p_x.as_array(), p_y.as_array(),
                                             cost)
-    scale = max(1.0, float(np.abs(cost).max()))
-    tight = cost - f[:, None] - g[None, :] <= tol * scale
-    used = plan > tol
+    tight = tight_cells(cost, f, g, tol)
+    used = plan > flow.FLOW_EPS
     # Symbol digraph: x -> y along any tight cell (mass may be added there),
     # y -> x along any used cell (the base plan can give mass back).  A cell
     # (i, j) joins the support iff a path j ~> i closes the cycle through it.

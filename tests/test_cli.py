@@ -295,6 +295,31 @@ class TestSampleCommand:
         code, _, _ = run(capsys, "sample", binary_path)
         assert code == 2
 
+    def test_tied_costs_pinned(self, capsys, tmp_path):
+        # x = 0 costs nothing against a or b, so many inner joint types have
+        # several optima; the lexicographically least one is drawn
+        path = tmp_path / "tied.json"
+        path.write_text(json.dumps({
+            "px": {"labels": [0, 1], "mass": [0.5, 0.5]},
+            "py": {"labels": ["a", "b", "c"], "mass": [0.25, 0.5, 0.25]},
+            "cost": [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+            "alpha": 0.5, "n": 4,
+        }))
+        code, out, _ = run(capsys, "sample", str(path), "--seed", "3",
+                           "--count", "8")
+        assert code == 0
+        assert out == (
+            "draw,x,y,cost\n"
+            "0,0|1|1|1,b|b|c|b,0.5\n"
+            "1,0|1|1|0,b|b|a|b,0.5\n"
+            "2,0|0|0|1,b|a|b|a,0.25\n"
+            "3,0|1|1|1,b|b|b|c,0.5\n"
+            "4,1|1|0|0,c|c|a|b,0\n"
+            "5,0|0|0|1,b|a|b|a,0.25\n"
+            "6,0|1|1|0,b|a|b|b,0.5\n"
+            "7,1|1|1|0,c|c|a|b,0.25\n"
+        )
+
 
 class TestFailureModes:
     def test_malformed_json_reports_position(self, capsys, tmp_path):

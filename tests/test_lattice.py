@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from strassen_lab import flow, lattice
 from strassen_lab.curves import RateCurve
@@ -504,6 +506,108 @@ class TestChainDp:
                     end_value = (Decimal(float(lpos[read])).exp()
                                  - Decimal(float(lneg[read])).exp())
                     assert abs(end_value - brute) <= tol
+
+
+# ---------------------------------------------------------------------------
+# The HiGHS LP ladder that built the inner joint types before the
+# lexicographic max-flow, kept as its oracle: one LP for the optimum, then
+# one per cell in row-major order, each minimizing that cell with the cells
+# before it fixed.
+
+
+def lp_ladder_joint_type(tx: tuple, ty: tuple, c: CostMatrix) -> tuple:
+    m, k = len(tx), len(ty)
+    carr = c.as_array().reshape(-1)
+    a_eq = np.zeros((m + k, m * k))
+    for i in range(m):
+        a_eq[i, i * k:(i + 1) * k] = 1.0
+    for j in range(k):
+        a_eq[m + j, j::k] = 1.0
+    b_eq = np.concatenate([np.array(tx, float), np.array(ty, float)])
+    res = linprog(carr, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise ValidationError("inner type coupling LP failed")
+    vstar = res.fun
+    fixed: list[tuple[int, float]] = []
+    values = []
+    for cell in range(m * k):
+        obj = np.zeros(m * k)
+        obj[cell] = 1.0
+        a_extra = np.zeros((len(fixed), m * k))
+        for r, (cj, _) in enumerate(fixed):
+            a_extra[r, cj] = 1.0
+        a = np.vstack([a_eq, a_extra]) if fixed else a_eq
+        b = np.concatenate([b_eq, np.array([v for _, v in fixed])]) if fixed else b_eq
+        res = linprog(obj, A_ub=carr.reshape(1, -1), b_ub=[vstar + 1e-7],
+                      A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        if res.status != 0:
+            raise ValidationError("lexicographic tie-break LP failed")
+        val = round(res.fun)
+        fixed.append((cell, float(val)))
+        values.append(int(val))
+    return tuple(tuple(values[i * k + j] for j in range(k)) for i in range(m))
+
+
+def enumerated_joint_type(tx: tuple, ty: tuple, c: CostMatrix) -> tuple:
+    """The row-major least of the cheapest integer couplings, by enumeration."""
+    carr = c.as_array()
+
+    def couplings(i, rest):
+        if i == len(tx):
+            if not any(rest):
+                yield ()
+            return
+        for row in itertools.product(*(range(v + 1) for v in rest)):
+            if sum(row) == tx[i]:
+                left = tuple(r - v for r, v in zip(rest, row))
+                for tail in couplings(i + 1, left):
+                    yield (row,) + tail
+
+    every = [(float((np.array(mat) * carr).sum()), mat)
+             for mat in couplings(0, tuple(ty))]
+    best = min(cost for cost, _ in every)
+    return min(mat for cost, mat in every if cost <= best + 1e-9)
+
+
+class TestJointTypes:
+    def test_match_lp_ladder(self):
+        # half the draws have costs in {0, 1, 2}, so many optima are tied;
+        # where HiGHS calls a ladder step infeasible, as on the pair below,
+        # the enumeration stands in for the ladder
+        rng = random.Random(2026)
+        laddered = 0
+        for trial in range(500):
+            m, k, n = rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 8)
+            tx = rng.choice(enum_types(n, m)).counts
+            ty = rng.choice(enum_types(n, k)).counts
+            if trial % 2:
+                rows = [[float(rng.randint(0, 2)) for _ in range(k)]
+                        for _ in range(m)]
+            else:
+                rows = [[round(rng.random() * 4, 3) for _ in range(k)]
+                        for _ in range(m)]
+            c = CostMatrix.from_rows(rows)
+            got = lattice._optimal_joint_type(tx, ty, c)
+            try:
+                want = lp_ladder_joint_type(tx, ty, c)
+                laddered += 1
+            except ValidationError:
+                want = enumerated_joint_type(tx, ty, c)
+            assert got == want, (tx, ty, rows)
+            if laddered == 400:
+                break
+        assert laddered == 400
+
+    def test_pair_the_ladder_could_not_solve(self):
+        # HiGHS reported the ladder's second step infeasible on this pair,
+        # and `sample` on its instance exited with an error
+        c = CostMatrix.from_rows([[1, 1], [0, 1], [0, 0], [2, 2]])
+        tx, ty = (1, 1, 1, 0), (1, 2)
+        with pytest.raises(ValidationError):
+            lp_ladder_joint_type(tx, ty, c)
+        want = ((0, 1), (1, 0), (0, 1), (0, 0))
+        assert enumerated_joint_type(tx, ty, c) == want
+        assert lattice._optimal_joint_type(tx, ty, c) == want
 
 
 class TestCouplings:

@@ -269,6 +269,19 @@ class TestRateKernels:
         assert mdp_rate_lower(Dist.from_mass([0.0, 1.0]), Dist.bernoulli(0.5),
                               HAM, -1.0) == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+    def test_tiny_mass_row_keeps_its_support(self, eps):
+        # against Bern(0.5) the face is the one vertex f = (1, -1)/2 up to
+        # shift, so the kernels are 1 / (2 (1/2 +- sqrt(eps (1 - eps)))^2);
+        # an absolute 1e-9 cut-off on plan mass once dropped the (0, 0)
+        # cell at eps = 1e-9 and both kernels refused an empty face
+        px, py = Dist.from_mass([eps, 1 - eps]), Dist.bernoulli(0.5)
+        spread = math.sqrt(eps * (1 - eps))
+        assert mdp_rate_upper(px, py, HAM, 1.0) == pytest.approx(
+            1 / (2 * (0.5 + spread) ** 2), rel=1e-12)
+        assert mdp_rate_lower(px, py, HAM, -1.0) == pytest.approx(
+            1 / (2 * (0.5 - spread) ** 2), rel=1e-12)
+
     def test_closed_forms_exact(self):
         bx, by = Dist.bernoulli(0.1), Dist.bernoulli(0.5)
         assert mdp_rate_lower(bx, by, HAM, -1.0) == pytest.approx(12.5, rel=1e-12)

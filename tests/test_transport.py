@@ -175,6 +175,127 @@ class TestDualVertices:
         assert ot_value(px, py, c.as_array()) == want
 
 
+# ---------------------------------------------------------------------------
+# The cycle canceller that ``ot_cost`` used before the lexicographic
+# max-flow, kept as its oracle: an SSP plan with every support cycle
+# shifted away is an optimal vertex plan.
+
+
+def cancel_cycles(plan: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+    """Remove support cycles from a transportation plan.
+
+    Any cycle in the bipartite support of an optimal plan is cost-neutral
+    (otherwise one direction around it would improve the plan), so pushing
+    mass around it until an edge empties keeps both feasibility and
+    optimality while shrinking the support.
+    """
+    plan = plan.copy()
+    while True:
+        cycle = find_support_cycle(plan, tol)
+        if cycle is None:
+            return plan
+        # cycle alternates row->col cells; shift mass around it.
+        plus = cycle[0::2]
+        minus = cycle[1::2]
+        shift = min(plan[i, j] for i, j in minus)
+        for i, j in plus:
+            plan[i, j] += shift
+        for i, j in minus:
+            plan[i, j] -= shift
+            if plan[i, j] < tol:
+                plan[i, j] = 0.0
+
+
+def find_support_cycle(plan: np.ndarray, tol: float):
+    """A cycle in the bipartite support graph, as cells in cyclic edge order.
+
+    Vertices are rows (0..m-1) and columns (m..m+k-1); each support cell is
+    an undirected edge.  A depth-first search finds a back edge; the cycle is
+    returned as the edge walk around it, so consecutive cells alternately
+    share a column and a row.
+    """
+    m = plan.shape[0]
+    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    for i, j in np.argwhere(plan > tol):
+        u, v, cell = int(i), m + int(j), (int(i), int(j))
+        adj.setdefault(u, []).append((v, cell))
+        adj.setdefault(v, []).append((u, cell))
+    color = dict.fromkeys(adj, 0)  # 0 = unseen, 1 = on the DFS path, 2 = done
+    parent: dict[int, tuple] = {}
+    for root in adj:
+        if color[root]:
+            continue
+        color[root] = 1
+        parent[root] = (None, None)
+        frames = [(root, iter(adj[root]))]
+        while frames:
+            u, edges = frames[-1]
+            advanced = False
+            for v, cell in edges:
+                if cell == parent[u][1]:
+                    continue  # do not walk the entering edge backwards
+                if color[v] == 1:
+                    cells = [cell]
+                    w = u
+                    while w != v:
+                        w, pc = parent[w]
+                        cells.append(pc)
+                    cells.reverse()
+                    return cells
+                if color[v] == 0:
+                    color[v] = 1
+                    parent[v] = (u, cell)
+                    frames.append((v, iter(adj[v])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[u] = 2
+                frames.pop()
+    return None
+
+
+class TestLexMinCoupling:
+    def test_northeast_corner_when_every_cell_is_allowed(self):
+        plan = flow.lex_min_coupling([3, 2], [1, 2, 2], np.ones((2, 3), bool))
+        assert plan == [[0, 1, 2], [1, 1, 0]]
+
+    def test_big_integers_stay_exact(self):
+        big = 10 ** 30
+        sup, dem = [big + 1, big], [big, big, 1]
+        allowed = np.array([[True, False, True], [True, True, True]])
+        plan = flow.lex_min_coupling(sup, dem, allowed)
+        assert all(type(v) is int for row in plan for v in row)
+        assert [sum(row) for row in plan] == sup
+        assert [sum(col) for col in zip(*plan)] == dem
+        assert plan == [[big, 0, 1], [0, big, 0]]
+
+    def test_floats_snap_rounding_to_the_marginals(self):
+        allowed = np.array([[True, True], [False, True]])
+        plan = flow.lex_min_coupling([0.1, 0.9], [0.1, 0.9], allowed)
+        assert plan == [[0.1, 0], [0, 0.9]]
+
+    def test_plans_match_cancelled_ssp_plans(self):
+        rng = np.random.default_rng(808)
+        for trial in range(2000):
+            m, k = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            px, py = random_dist(rng, m), random_dist(rng, k)
+            if trial % 2:
+                c = CostMatrix.from_rows(
+                    rng.integers(0, 3, (m, k)).astype(float).tolist())
+            else:
+                c = random_cost(rng, m, k)
+            cost = c.as_array()
+            got = ot_cost(px, py, c)
+            mat = got.plan.as_array()
+            assert find_support_cycle(mat, 1e-13) is None
+            assert np.abs(mat.sum(axis=1) - px.as_array()).max() <= 1e-12
+            assert np.abs(mat.sum(axis=0) - py.as_array()).max() <= 1e-12
+            ssp_plan = flow.transport_min_cost(px.mass, py.mass, cost)[0]
+            want = float(np.sum(cancel_cycles(ssp_plan) * cost))
+            scale = max(1.0, float(np.abs(cost).max()))
+            assert abs(got.objective - want) <= 1e-15 * scale
+
+
 class TestEcp:
     def test_tv_case(self):
         res = ecp(Dist.bernoulli(0.1), Dist.bernoulli(0.5), HAMMING, 0.0)
@@ -299,6 +420,13 @@ class TestOptimalSupport:
         c = CostMatrix.from_rows([[1.0, 1.0], [1.0, 1.0]])
         s = optimal_support(Dist.bernoulli(0.3), Dist.bernoulli(0.6), c)
         assert s.cells == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+
+    def test_tiny_plan_mass_counts(self):
+        # the base plan carries 1e-9 on (0, 0); an absolute 1e-9 cut-off
+        # dropped that cell and left the x = 0 row with no support at all
+        px = Dist.from_mass([1e-9, 1 - 1e-9])
+        s = optimal_support(px, Dist.bernoulli(0.5), HAMMING)
+        assert s.cells == frozenset({(0, 0), (1, 0), (1, 1)})
 
     def test_point_masses(self):
         px = Dist.from_mass([1.0, 0.0])
