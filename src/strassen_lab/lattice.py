@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import flow
 from .curves import RateCurve
@@ -96,6 +95,46 @@ def _compositions(n: int, k: int):
             yield (first,) + rest
 
 
+# cephes lgam, the routine behind scipy.special.gammaln: log(sqrt(2 pi)) and
+# the Stirling-series coefficients it uses below x = 1000, highest first.
+LS2PI = 0.91893853320467274178
+STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+            7.93650340457716943945e-4, -2.77777777730099687205e-3,
+            8.33333333333331927722e-2)
+
+
+@lru_cache(maxsize=32)
+def _log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k = 0..n, computed as cephes lgam(k + 1).
+
+    A port of lgam's integer path with libm's log (``math.log``), so every
+    entry equals scipy.special.gammaln(k + 1) bit for bit: log(k!) of the
+    exact product below k = 12, Stirling's series from there on.
+    """
+    out = [0.0] * (n + 1)
+    z = 1.0
+    for k in range(2, min(n, 11) + 1):
+        z *= k
+        out[k] = math.log(z)
+    for k in range(12, n + 1):
+        x = float(k + 1)
+        q = (x - 0.5) * math.log(x) - x + LS2PI
+        p = 1.0 / (x * x)
+        if x >= 1000.0:
+            q += ((7.9365079365079365079365e-4 * p
+                   - 2.7777777777777777777778e-3) * p
+                  + 0.0833333333333333333333) / x
+        else:
+            poly = STIRLING[0]
+            for coef in STIRLING[1:]:
+                poly = poly * p + coef
+            q += poly / x
+        out[k] = q
+    arr = np.array(out)
+    arr.setflags(write=False)
+    return arr
+
+
 @lru_cache(maxsize=32)
 def _counts_matrix(n: int, k: int) -> np.ndarray:
     arr = np.array([t.counts for t in enum_types(n, k)], dtype=np.int64)
@@ -132,7 +171,7 @@ class TypeMeasure:
         object.__setattr__(self, "logmass", lm)
         if len(self.lattice) != len(lm):
             raise ValidationError("lattice and logmass must align")
-        total = logsumexp(lm)
+        total = _lse(lm)
         if abs(total) > 1e-9:
             raise ValidationError(
                 f"type masses sum to exp({total!r}), not 1"
@@ -149,7 +188,8 @@ class TypeMeasure:
         with np.errstate(invalid="ignore"):
             # 0 * (-inf) appears on zero-count coordinates and is discarded
             contrib = np.where(counts > 0, counts * logp[None, :], 0.0)
-        logmass = (gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
+        log_fact = _log_factorials(n)
+        logmass = (log_fact[n] - log_fact[counts].sum(axis=1)
                    + contrib.sum(axis=1))
         return cls(lattice=lattice, logmass=logmass)
 
@@ -163,7 +203,7 @@ class TypeMeasure:
         idx = np.fromiter((int(i) for i in index_set), dtype=np.int64)
         if idx.size == 0:
             return 0.0
-        return float(np.exp(logsumexp(self.logmass[idx])))
+        return float(np.exp(_lse(self.logmass[idx])))
 
     def as_dist(self) -> Dist:
         """The lattice as a plain Dist (masses renormalized from log space)."""
@@ -397,9 +437,22 @@ def _span_indices(spans) -> np.ndarray:
 
 
 def _lse(logs: np.ndarray) -> float:
+    """log(sum(exp(logs))) in scipy.special.logsumexp's log1p form.
+
+    The m entries equal to the max are left out of the shifted sum s, and
+    the result is log1p(s / m) + log(m) + max, the same operations in the
+    same order as scipy (1.17), so the two agree bit for bit.  Empty input
+    gives -inf; a non-finite max (all -inf, or +inf) is returned as is.
+    """
     if logs.size == 0:
         return -math.inf
-    return float(logsumexp(logs))
+    top = logs.max()
+    if not np.isfinite(top):
+        return float(top)
+    at_top = logs == top
+    m = np.float64(np.count_nonzero(at_top))
+    s = np.exp(np.where(at_top, -np.inf, logs) - top).sum()
+    return float(np.log1p(s / m) + np.log(m) + top)
 
 
 def _chain_masks(chain, view, size_mu: int, size_nu: int):

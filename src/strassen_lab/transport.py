@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -103,10 +103,16 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """An optimal coupling together with its expected cost."""
+    """An optimal coupling together with its expected cost.
+
+    ``potentials`` holds the Kantorovich potentials (f, g) of the solve that
+    found the plan, when ``ot_cost`` made it, so that
+    ``kantorovich_certificate`` need not solve the problem again.
+    """
 
     plan: JointDist
     objective: float
+    potentials: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -253,7 +259,10 @@ def ot_cost(p_x: Dist, p_y: Dist, c: CostMatrix) -> TransportPlan:
     tight = tight_cells(cost, f, g)
     plan = np.array(flow.lex_min_coupling(p_x.mass, p_y.mass, tight), float)
     objective = float(np.sum(plan * cost))
-    return TransportPlan(plan=JointDist.from_array(plan), objective=objective)
+    f.setflags(write=False)
+    g.setflags(write=False)
+    return TransportPlan(plan=JointDist.from_array(plan), objective=objective,
+                         potentials=(f, g))
 
 
 def ecp(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
@@ -360,7 +369,8 @@ def kantorovich_certificate(p_x: Dist, p_y: Dist, c: CostMatrix,
     """Dual potentials (f, g) with f + g <= c everywhere, and the duality gap.
 
     The gap is plan objective minus the dual value; it vanishes (up to flow
-    roundoff) exactly when the plan is optimal.
+    roundoff) exactly when the plan is optimal.  The potentials are the
+    plan's own when ``ot_cost`` made it, else those of a min-cost flow.
     """
     _check_dims(p_x, p_y, c)
     mat = plan.plan.as_array()
@@ -370,7 +380,10 @@ def kantorovich_certificate(p_x: Dist, p_y: Dist, c: CostMatrix,
             or np.abs(mat.sum(axis=0) - p_y.as_array()).max() > 1e-9):
         raise InfeasibleError("plan marginals do not match the problem marginals")
     cost = c.as_array()
-    _, f, g, _ = flow.transport_min_cost(p_x.mass, p_y.mass, cost)
+    if plan.potentials is None:
+        _, f, g, _ = flow.transport_min_cost(p_x.mass, p_y.mass, cost)
+    else:
+        f, g = plan.potentials
     violation = float((f[:, None] + g[None, :] - cost).max())
     if violation > 0.0:
         # Shift f down by the roundoff overshoot so the certificate is

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from strassen_lab import flow
 from strassen_lab.cli import (Instance, instance_to_dict, main, parse_instance,
                               _parse_grid, _parse_ns)
 from strassen_lab.errors import ValidationError
@@ -137,6 +138,15 @@ class TestOtCommand:
         header, rows = rows_of(out)
         assert header == ["value", "duality_gap"]
         assert abs(float(rows[0][1])) <= 1e-9
+
+    def test_certify_solves_once(self, capsys, binary_path, monkeypatch):
+        # the certificate reuses the potentials of ot_cost's own solve
+        calls = []
+        real = flow.transport_min_cost
+        monkeypatch.setattr(flow, "transport_min_cost",
+                            lambda *a: calls.append(1) or real(*a))
+        code, _, _ = run(capsys, "ot", binary_path, "--certify")
+        assert code == 0 and len(calls) == 1
 
 
 class TestEcpCommand:

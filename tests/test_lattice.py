@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.special import gammaln, logsumexp
 
 from strassen_lab import flow, lattice
 from strassen_lab.curves import RateCurve
@@ -25,7 +26,9 @@ from strassen_lab.lattice import (
     _gain,
     _lattice_ecp_banded,
     _lattice_ecp_dense,
+    _log_factorials,
     _loss,
+    _lse,
     _signed_argmax,
     _witness_values,
     direct_gn_oracle,
@@ -84,6 +87,37 @@ class TestTypes:
         tm = TypeMeasure.of(B05, 3)
         # P(at most one head in 3 tosses) = 4/8 under Bern(0.5)
         assert tm.prob([0, 1]) == pytest.approx(0.5, abs=1e-12)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestScipyFreeKernels:
+    """The numpy log-sum-exp and the lgam port against the scipy originals."""
+
+    def test_log_factorials_match_gammaln_bit_for_bit(self):
+        k = np.arange(200_001)
+        assert _bits(_log_factorials(200_000)) == _bits(gammaln(k + 1))
+
+    def test_lse_matches_logsumexp_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        cases = [np.full(5, -np.inf), np.array([-3.25]), np.array([700.0]),
+                 np.array([-np.inf, 2.0, -np.inf])]
+        for _ in range(3000):
+            size = int(rng.integers(1, 80))
+            spread = float(rng.choice([1.0, 30.0, 700.0]))
+            a = rng.uniform(-spread, spread, size)
+            if rng.random() < 0.5:
+                a[rng.integers(0, size, int(rng.integers(1, size + 1)))] = a.max()
+            if rng.random() < 0.5:
+                a[rng.integers(0, size, int(rng.integers(1, size + 1)))] = -np.inf
+            cases.append(a)
+        for a in cases:
+            assert _bits(_lse(a)) == _bits(logsumexp(a)), a
+
+    def test_lse_of_nothing_is_minus_inf(self):
+        assert _lse(np.empty(0)) == -math.inf
 
 
 class TestNestedInstance:

@@ -2,7 +2,9 @@
 
 ``perfbench/spans.py`` replaces layer functions and the scipy entry points
 ``ldp.minimize``, ``mdp.minimize`` and ``mdp.linprog`` by attribute, so
-each of those must stay a module-level binding that the layer calls.
+each of those must stay a module-level binding that the layer calls.  They
+are small functions that import scipy.optimize on their first call, so the
+wrapped binding is what reaches scipy.
 """
 import importlib.util
 import warnings
