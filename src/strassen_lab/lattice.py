@@ -19,7 +19,15 @@ their own scale.  Signed scores are ranked exactly in log space, by
 (sign, sign * log|value|).  The DP ends with every chain's four masses,
 so G and 1 - G are read off that end state, and only the winning
 witness sets, two for each orientation of the table, are evaluated
-exactly.  Other lattices go to a dense max-flow.
+exactly.
+
+When one alphabet has 2 letters, its types lie on a line and the inner
+cost is convex along it, so every type of the other side admits an
+interval of them, with ends in any order (a convex bipartite graph).
+The same chain DP then runs over that line, with E on the 2-letter side;
+only the masses each step adds are found differently.  Lattices where
+both sides have 3 or more letters, or whose table rounding has broken,
+go to a dense max-flow.
 
 Numerical posture: type masses are kept in log space end to end; every
 reported probability is assembled from sums of same-sign terms selected
@@ -34,6 +42,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,20 +151,29 @@ def _counts_matrix(n: int, k: int) -> np.ndarray:
     return arr
 
 
+def _log_type_masses(counts: np.ndarray, p: Dist, n: int) -> np.ndarray:
+    """log of the product-law probability of each type class, one per row."""
+    mass = p.as_array()
+    logp = np.where(mass > 0.0, np.log(np.where(mass > 0.0, mass, 1.0)),
+                    -math.inf)
+    with np.errstate(invalid="ignore"):
+        # 0 * (-inf) appears on zero-count coordinates and is discarded
+        contrib = np.where(counts > 0, counts * logp[None, :], 0.0)
+    log_fact = _log_factorials(n)
+    return log_fact[n] - log_fact[counts].sum(axis=1) + contrib.sum(axis=1)
+
+
 def type_log_prob(t: TypeVector, p: Dist) -> float:
-    """log of the product-law probability of the type class of t under p."""
+    """log of the product-law probability of the type class of t under p.
+
+    Computed as ``TypeMeasure.of`` computes its masses, so the two agree
+    bit for bit.
+    """
     if len(t.counts) != len(p):
         raise ValidationError(
             f"type has {len(t.counts)} symbols, distribution has {len(p)}"
         )
-    total = math.lgamma(t.n + 1)
-    for cnt, mass in zip(t.counts, p.mass):
-        if cnt == 0:
-            continue
-        if mass == 0.0:
-            return -math.inf
-        total += cnt * math.log(mass) - math.lgamma(cnt + 1)
-    return total
+    return float(_log_type_masses(np.array([t.counts]), p, t.n)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,18 +198,8 @@ class TypeMeasure:
     @classmethod
     def of(cls, p: Dist, n: int) -> "TypeMeasure":
         k = len(p)
-        lattice = enum_types(n, k)
-        counts = _counts_matrix(n, k)
-        mass = p.as_array()
-        logp = np.where(mass > 0.0, np.log(np.where(mass > 0.0, mass, 1.0)),
-                        -math.inf)
-        with np.errstate(invalid="ignore"):
-            # 0 * (-inf) appears on zero-count coordinates and is discarded
-            contrib = np.where(counts > 0, counts * logp[None, :], 0.0)
-        log_fact = _log_factorials(n)
-        logmass = (log_fact[n] - log_fact[counts].sum(axis=1)
-                   + contrib.sum(axis=1))
-        return cls(lattice=lattice, logmass=logmass)
+        logmass = _log_type_masses(_counts_matrix(n, k), p, n)
+        return cls(lattice=enum_types(n, k), logmass=logmass)
 
     def __len__(self) -> int:
         return len(self.lattice)
@@ -280,26 +288,155 @@ def nested_instance(p_x: Dist, p_y: Dist, c: CostMatrix, n: int) -> NestedInstan
 # Outer Strassen solve on the lattice.
 # ---------------------------------------------------------------------------
 
+def _row_spans(adm: np.ndarray):
+    """(admits, first, last) per row, or None if a row's admissible set has
+    a hole; first and last are its first and last admissible column."""
+    admits = adm.any(axis=1)
+    first = np.argmax(adm, axis=1)
+    last = adm.shape[1] - 1 - np.argmax(adm[:, ::-1], axis=1)
+    if not np.array_equal(adm.sum(axis=1)[admits],
+                          (last - first + 1)[admits]):
+        return None
+    return admits, first, last
+
+
+class _BandedView(NamedTuple):
+    """Rows ``act`` admit the columns lo..hi, both ends nondecreasing; the
+    rows ``empty`` admit none."""
+
+    act: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    empty: np.ndarray
+
+    def masses(self, lognu):
+        """The column masses a chain DP over the rows needs.
+
+        Returns the log nu of the columns still unsettled after each slot's
+        last row (slot 0 is the empty chain, slot i + 1 the chain ending at
+        active row i), and an iterator that yields, for each active row i,
+        the log nu newly covered and newly left uncovered when row i
+        follows the last row of each slot 0..i.  Because lo and hi are
+        nondecreasing, after a chain whose span ends at hi_j, row i covers
+        (max(hi_j, lo_i - 1), hi_i] and leaves the gap (hi_j, lo_i - 1].
+        """
+        nu_suffix = np.append(np.logaddexp.accumulate(lognu[::-1])[::-1],
+                              -np.inf)
+        last_hi = np.concatenate([[-1], self.hi])
+        return nu_suffix[last_hi + 1], self._steps(lognu, last_hi)
+
+    def _steps(self, lognu, last_hi):
+        # span[t] = log nu(hi_i - t .. hi_i) and gap[t] = log nu(lo_i - 1 - t
+        # .. lo_i - 1) at step i; index -1 reads the empty sum
+        span = np.full(len(lognu) + 1, -np.inf)
+        gap = np.full(len(lognu) + 1, -np.inf)
+        for i in range(len(self.act)):
+            lo_i, hi_i = int(self.lo[i]), int(self.hi[i])
+            np.logaddexp.accumulate(lognu[lo_i:hi_i + 1][::-1],
+                                    out=span[:hi_i - lo_i + 1])
+            np.logaddexp.accumulate(lognu[:lo_i][::-1], out=gap[:lo_i])
+            prev = last_hi[:i + 1]
+            yield (span[np.minimum(hi_i - 1 - prev, hi_i - lo_i)],
+                   gap[np.maximum(lo_i - 2 - prev, -1)])
+
+    def covered(self, chain, size_nu: int) -> np.ndarray:
+        in_g = np.zeros(size_nu, dtype=bool)
+        in_g[_span_indices(_merge_spans(chain, self.lo, self.hi))] = True
+        return in_g
+
+
+class _IntervalView(NamedTuple):
+    """Column y is admitted by the active rows lo_y..hi_y, in any order of
+    the ends; ``act`` holds the rows that admit something, ``empty`` the
+    rest.  A column that no row admits has lo = len(act) and hi = -1."""
+
+    act: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    empty: np.ndarray
+
+    def masses(self, lognu):
+        """The same masses as ``_BandedView.masses``, from the columns' ends.
+
+        After a chain whose last row is j, row i newly covers the columns
+        with j < lo_y <= i <= hi_y and leaves uncovered for good those with
+        j < lo_y <= hi_y < i; the columns with lo_y > j are unsettled.  With
+        the columns sorted by lo, those with j < lo_y <= i are a run, so
+        both masses of step i are suffix sums over the columns starting by
+        row i: of those that row i admits, and of the rest.
+        """
+        order = np.argsort(self.lo, kind="stable")
+        lo, hi, nu = self.lo[order], self.hi[order], lognu[order]
+        # start[s]: the columns whose rows begin before active row s
+        start = np.searchsorted(lo, np.arange(len(self.act) + 1))
+        suffix = np.append(np.logaddexp.accumulate(nu[::-1])[::-1], -np.inf)
+        return suffix[start], self._steps(hi, nu, start)
+
+    @staticmethod
+    def _steps(hi, nu, start):
+        # at step i, cover[t] and gap[t] sum the t + 1 columns before
+        # start[i + 1]; index -1 reads the empty sum
+        cover = np.full(len(nu) + 1, -np.inf)
+        gap = np.full(len(nu) + 1, -np.inf)
+        for i in range(len(start) - 1):
+            p = start[i + 1]
+            admitted = hi[:p] >= i
+            np.logaddexp.accumulate(np.where(admitted, nu[:p], -np.inf)[::-1],
+                                    out=cover[:p])
+            np.logaddexp.accumulate(np.where(admitted, -np.inf, nu[:p])[::-1],
+                                    out=gap[:p])
+            at = p - 1 - start[:i + 1]
+            yield cover[at], gap[at]
+
+    def covered(self, chain, size_nu: int) -> np.ndarray:
+        # the first chain row at or after lo_y, or the sentinel len(act)
+        rows = np.append(np.asarray(chain, dtype=np.int64), len(self.act))
+        return rows[np.searchsorted(rows, self.lo)] <= self.hi
+
+
 def _banded_view(adm: np.ndarray):
-    """Interval structure of an admissibility table, if it has one.
+    """Interval structure of an admissibility table's rows, if it has one.
 
     Returns ``(active_rows, lo, hi, empty_rows)`` when every row's admissible
     set is a contiguous interval and the interval endpoints are nondecreasing
     over the active rows; otherwise None.  Both conditions together are what
     the cut DP needs to enumerate witness sets exactly.
     """
-    any_row = adm.any(axis=1)
-    act = np.nonzero(any_row)[0]
+    spans = _row_spans(adm)
+    if spans is None:
+        return None
+    admits, first, last = spans
+    act = np.flatnonzero(admits)
     if act.size == 0:
         return None
-    first = np.argmax(adm, axis=1)[act]
-    last = (adm.shape[1] - 1 - np.argmax(adm[:, ::-1], axis=1))[act]
-    counts = adm.sum(axis=1)[act]
-    if not np.array_equal(counts, last - first + 1):
-        return None
+    first, last = first[act], last[act]
     if np.any(np.diff(first) < 0) or np.any(np.diff(last) < 0):
         return None
-    return act, first, last, np.nonzero(~any_row)[0]
+    return _BandedView(act, first, last, np.flatnonzero(~admits))
+
+
+def _interval_view(adm: np.ndarray):
+    """Interval structure of an admissibility table's columns, if it has one.
+
+    Returns an ``_IntervalView`` when every column's admissible rows are
+    contiguous, which holds whenever the rows are the types of a 2-letter
+    alphabet in line order: the inner cost is convex along that line.  The
+    ends may move in any direction.  Otherwise, or with nothing admissible,
+    None.
+    """
+    spans = _row_spans(adm.T)
+    if spans is None:
+        return None
+    admits, first, last = spans
+    any_row = adm.any(axis=1)
+    act = np.flatnonzero(any_row)
+    if act.size == 0:
+        return None
+    # every row inside a column's interval admits it, so is active
+    rank = np.cumsum(any_row) - 1
+    return _IntervalView(act, np.where(admits, rank[first], act.size),
+                         np.where(admits, rank[last], -1),
+                         np.flatnonzero(~any_row))
 
 
 _LOG_HALF = math.log(0.5)
@@ -349,65 +486,51 @@ def _dp_chains(logmu: np.ndarray, lognu: np.ndarray, view,
 
     A chain is a set E of active rows, plus the always-free rows.  Every
     chain carries the same log-sum state over the rows up to its end and
-    the columns up to its span's end: mu(E), nu(Gamma(E)), mu of the rows
-    it skipped and nu of the columns it left uncovered.  Because lo and hi
-    are nondecreasing, appending row i to the chain ending at row j adds
-    mu_i to the first, the span (max(hi_j, lo_i - 1), hi_i] to the second
-    and the gap (hi_j, lo_i - 1] to the last; every chain that does not
-    take row i adds mu_i to its skipped mass.  Slot 0 is the empty chain
-    (hi = -1), so starting fresh is one more candidate and wins ties, ahead
-    of the chains in row order.  ``score(log_e, log_g, log_ec, log_gc)``
-    sees each candidate's mu(E), nu(Gamma(E)), mu(E^c) and nu(Gamma(E)^c)
-    and returns the logs of the plus and minus parts of its value.
+    the columns it has settled: mu(E), nu(Gamma(E)), mu of the rows it
+    skipped and nu of the columns it left uncovered for good.  Appending
+    row i to the chain ending at row j adds mu_i to the first, and the
+    view's newly covered and gap masses for (j, i) to the second and the
+    last (``view.masses``); every chain that does not take row i adds mu_i
+    to its skipped mass.  Slot 0 is the empty chain, so starting fresh is
+    one more candidate and wins ties, ahead of the chains in row order.
+    ``score(log_e, log_g, log_ec, log_gc)`` sees each candidate's mu(E),
+    nu(Gamma(E)), mu(E^c) and nu(Gamma(E)^c) and returns the logs of the
+    plus and minus parts of its value.
 
     Returns the parent pointers (the row before row i in its chain, or
     -1) and the end state: the four log-masses above for slot 0 and for
     the chain ending at each active row.  At the end every
-    row after a chain's last one is skipped, and every column after its
-    span is uncovered, so the state holds E^c and Gamma(E)^c whole, each
+    row after a chain's last one is skipped, and every column it has not
+    settled is uncovered, so the state holds E^c and Gamma(E)^c whole, each
     summed from same-sign terms.  G and 1 - G are read off this state;
     only the two winning witness sets are then evaluated exactly.
     """
-    act, lo, hi, empty = view
-    logmu_a = logmu[act]
-    m = len(act)
-    # log mass of the active rows after row i, and of the columns from j on
+    logmu_a = logmu[view.act]
+    m = len(logmu_a)
+    # log mass of the active rows after row i
     mu_after = np.append(np.logaddexp.accumulate(logmu_a[:0:-1])[::-1],
                          -np.inf)
-    nu_suffix = np.append(np.logaddexp.accumulate(lognu[::-1])[::-1], -np.inf)
-    nu_after = nu_suffix[hi + 1]
     log_e = np.full(m + 1, -np.inf)
-    log_e[0] = _lse(logmu[empty])
+    log_e[0] = _lse(logmu[view.empty])
     log_g = np.full(m + 1, -np.inf)
     log_skip = np.full(m + 1, -np.inf)
     log_gap = np.full(m + 1, -np.inf)
-    last_hi = np.concatenate([[-1], hi])
     parent = np.full(m, -1, dtype=np.int64)
-    # span[t] = log nu(hi_i - t .. hi_i) and gap[t] = log nu(lo_i - 1 - t ..
-    # lo_i - 1) at step i; index -1 reads the empty sum
-    span = np.full(len(lognu) + 1, -np.inf)
-    gap = np.full(len(lognu) + 1, -np.inf)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for i in range(m):
-            lo_i, hi_i = int(lo[i]), int(hi[i])
-            np.logaddexp.accumulate(lognu[lo_i:hi_i + 1][::-1],
-                                    out=span[:hi_i - lo_i + 1])
-            np.logaddexp.accumulate(lognu[:lo_i][::-1], out=gap[:lo_i])
-            prev = last_hi[:i + 1]
+        unsettled, steps = view.masses(lognu)
+        for i, (cover, gap) in enumerate(steps):
             skip = log_skip[:i + 1]
             cand_e = np.logaddexp(log_e[:i + 1], logmu_a[i])
-            cand_g = np.logaddexp(
-                log_g[:i + 1], span[np.minimum(hi_i - 1 - prev, hi_i - lo_i)])
-            cand_gap = np.logaddexp(
-                log_gap[:i + 1], gap[np.maximum(lo_i - 2 - prev, -1)])
+            cand_g = np.logaddexp(log_g[:i + 1], cover)
+            cand_gap = np.logaddexp(log_gap[:i + 1], gap)
             best = _signed_argmax(*score(
                 cand_e, cand_g, np.logaddexp(skip, mu_after[i]),
-                np.logaddexp(cand_gap, nu_after[i])))
+                np.logaddexp(cand_gap, unsettled[i + 1])))
             parent[i] = best - 1
             log_e[i + 1], log_g[i + 1] = cand_e[best], cand_g[best]
             log_skip[i + 1], log_gap[i + 1] = skip[best], cand_gap[best]
             log_skip[:i + 1] = np.logaddexp(skip, logmu_a[i])
-    log_gc = np.logaddexp(log_gap, nu_suffix[last_hi + 1])
+    log_gc = np.logaddexp(log_gap, unsettled)
     return parent, (log_e, log_g, log_skip, log_gc)
 
 
@@ -457,13 +580,10 @@ def _lse(logs: np.ndarray) -> float:
 
 def _chain_masks(chain, view, size_mu: int, size_nu: int):
     """Masks of the witness set E of one chain and of its enlargement."""
-    act, lo, hi, empty = view
     in_e = np.zeros(size_mu, dtype=bool)
-    in_e[act[chain]] = True
-    in_e[empty] = True
-    in_g = np.zeros(size_nu, dtype=bool)
-    in_g[_span_indices(_merge_spans(chain, lo, hi))] = True
-    return in_e, in_g
+    in_e[view.act[chain]] = True
+    in_e[view.empty] = True
+    return in_e, view.covered(chain, size_nu)
 
 
 def _witness_values(logmu, lognu, in_e, in_g):
@@ -503,21 +623,35 @@ def _side_candidates(logmu, lognu, view):
     return out
 
 
+def _bounds(candidates) -> tuple[float, float]:
+    """(G, 1 - G) from the (direct, complement-sum) pairs of witness sets."""
+    g = max(0.0, max(direct for direct, _ in candidates))
+    comp = min(1.0, min(comp_sum for _, comp_sum in candidates))
+    return min(g, 1.0), max(comp, 0.0)
+
+
 def _lattice_ecp_banded(logmu, lognu, adm):
     view_a, view_b = _banded_view(adm), _banded_view(adm.T)
     if view_a is None or view_b is None:
         return None
-    a = _side_candidates(logmu, lognu, view_a)
-    b = _side_candidates(lognu, logmu, view_b)
-    g = max(0.0, max(direct for direct, _ in a + b))
-    comp = min(1.0, min(comp_sum for _, comp_sum in a + b))
-    return min(g, 1.0), max(comp, 0.0)
+    return _bounds(_side_candidates(logmu, lognu, view_a)
+                   + _side_candidates(lognu, logmu, view_b))
+
+
+def _lattice_ecp_interval(logmu, lognu, adm):
+    """The outer solve with E on the rows, when every column admits an
+    interval of rows; None otherwise."""
+    view = _interval_view(adm)
+    if view is None:
+        return None
+    return _bounds(_side_candidates(logmu, lognu, view))
 
 
 def _lattice_ecp_dense(logmu, lognu, adm):
     if adm.size > DENSE_GUARD:
         raise SizeGuardError(
-            f"dense outer flow needs {adm.size} cells; no banded structure found"
+            f"dense outer flow needs {adm.size} cells; no banded or "
+            "interval structure found"
         )
     mu_lin = np.exp(logmu)
     nu_lin = np.exp(lognu)
@@ -545,6 +679,13 @@ def gn_tails(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
     banded = _lattice_ecp_banded(logmu, lognu, adm)
     if banded is not None:
         return banded
+    # the types of a 2-letter side lie on a line, so the chain runs there
+    kx, ky = c.shape
+    if kx == 2 or ky == 2:
+        interval = (_lattice_ecp_interval(logmu, lognu, adm) if kx == 2
+                    else _lattice_ecp_interval(lognu, logmu, adm.T))
+        if interval is not None:
+            return interval
     return _lattice_ecp_dense(logmu, lognu, adm)
 
 

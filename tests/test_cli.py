@@ -20,6 +20,14 @@ BINARY = {
     "n": 2,
 }
 
+TWO_BY_THREE = {
+    "px": {"labels": [0, 1], "mass": [0.37, 0.63]},
+    "py": {"labels": ["a", "b", "c"], "mass": [0.17, 0.29, 0.54]},
+    "cost": [[0.0, 0.6, 1.0], [0.8, 0.2, 0.5]],
+    "alpha": 0.37,
+    "n": 6,
+}
+
 
 @pytest.fixture
 def binary_path(tmp_path):
@@ -193,6 +201,31 @@ class TestExactGnCommand:
         _, rows = rows_of(out)
         assert rows[0][1] == "3"
         assert float(rows[0][2]) == pytest.approx(0.432, abs=1e-12)
+
+    def test_two_by_three_with_oracle_pinned(self, capsys, tmp_path):
+        path = tmp_path / "two_by_three.json"
+        path.write_text(json.dumps(TWO_BY_THREE))
+        code, out, _ = run(capsys, "exact-gn", str(path), "--oracle")
+        assert code == 0
+        assert out == ("alpha,n,value,complement,oracle\n"
+                       "0.37,6,0.351171934461,0.648828065539,0.351171934461\n")
+
+    def test_two_by_three_past_the_dense_guard(self, capsys, tmp_path):
+        # 101 x 5,151 lattice cells: more than the dense flow takes, while
+        # the 2-letter side runs the interval chain DP
+        path = tmp_path / "two_by_three.json"
+        path.write_text(json.dumps(TWO_BY_THREE))
+        gs = []
+        for alpha in ("0.2", "0.3", "0.37", "0.45", "0.6"):
+            code, out, err = run(capsys, "exact-gn", str(path), "--alpha",
+                                 alpha, "--n", "100", "--format", "json")
+            assert code == 0, err
+            _, n, g, comp = json.loads(out)["rows"][0]
+            assert n == 100
+            assert abs(g + comp - 1.0) <= 1e-9
+            gs.append(g)
+        assert all(b <= a for a, b in zip(gs, gs[1:]))
+        assert gs[0] > 0.99 and gs[-1] < 0.01
 
 
 class TestLdpRateCommand:

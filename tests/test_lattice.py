@@ -24,8 +24,10 @@ from strassen_lab.lattice import (
     _chain_members,
     _dp_chains,
     _gain,
+    _interval_view,
     _lattice_ecp_banded,
     _lattice_ecp_dense,
+    _lattice_ecp_interval,
     _log_factorials,
     _loss,
     _lse,
@@ -76,6 +78,16 @@ class TestTypes:
     def test_type_log_prob_off_support(self):
         t = TypeVector((1, 2), 3)
         assert type_log_prob(t, Dist.from_mass([1.0, 0.0])) == -math.inf
+
+    @pytest.mark.parametrize("mass", [(0.9, 0.1), (0.5, 0.3, 0.2)])
+    def test_type_log_prob_is_the_lattice_mass(self, mass):
+        # the same log-factorials, summed in the same order, as the masses
+        # of the type lattice
+        p = Dist.from_mass(list(mass))
+        for n in ((5, 30, 200, 1600) if len(mass) == 2 else (5, 30, 200)):
+            tm = TypeMeasure.of(p, n)
+            got = [type_log_prob(t, p) for t in tm.lattice]
+            assert _bits(got) == _bits(tm.logmass)
 
     def test_type_measure_sums_to_one(self, rng):
         for _ in range(5):
@@ -296,6 +308,150 @@ class TestBandedAgainstDense:
             assert banded[1] == pytest.approx(dense[1], abs=1e-9)
             compared += 1
         assert compared >= 12
+
+
+def two_letter_lattices(gen, count):
+    """Random 2 x k and k x 2 lattices, k = 2..4, as (shape, logmu, lognu,
+    adm): integer costs in {0, 1, 2}, so many costs tie, masses from
+    integer weights that are sometimes 0, and alpha on a cost of the
+    inner table, so cells tie with the threshold too."""
+    def dist(k):
+        w = gen.integers(0, 4, size=k).astype(float)
+        w[gen.integers(k)] += 1.0
+        return Dist.from_mass((w / w.sum()).tolist())
+
+    out = []
+    while len(out) < count:
+        k = int(gen.integers(2, 5))
+        shape = (2, k) if gen.random() < 0.5 else (k, 2)
+        c = CostMatrix.from_rows(gen.integers(0, 3, size=shape).tolist())
+        inst = nested_instance(dist(shape[0]), dist(shape[1]), c,
+                               int(gen.integers(1, 9)))
+        alpha = float(gen.choice(np.unique(inst.inner_cost)))
+        adm = inst.inner_cost <= alpha + ADMISS_EPS
+        out.append((shape, inst.mu.logmass, inst.nu.logmass, adm))
+    return out
+
+
+def random_intervals(gen, m, k, shift=0.0):
+    """Log-masses and an m x k table whose columns admit intervals of rows,
+    with ends in no particular order; some columns and rows admit nothing."""
+    lo = gen.integers(0, m, k)
+    hi = np.minimum(lo + gen.integers(0, 4, k), m - 1)
+    hi[gen.random(k) < 0.15] = -1
+    rows = np.arange(m)[:, None]
+    adm = (rows >= lo) & (rows <= hi)
+    return (np.log(gen.dirichlet(np.ones(m))) + shift,
+            np.log(gen.dirichlet(np.ones(k))) + shift, adm)
+
+
+class TestIntervalRoute:
+    """The chain DP on lattices with a 2-letter side, whose columns each
+    admit an interval of the 2-letter types."""
+
+    def test_agrees_with_dense_flow(self):
+        gen = np.random.default_rng(31)
+        shapes = set()
+        for shape, logmu, lognu, adm in two_letter_lattices(gen, 160):
+            if shape[0] == 2:
+                got = _lattice_ecp_interval(logmu, lognu, adm)
+            else:
+                got = _lattice_ecp_interval(lognu, logmu, adm.T)
+            assert got is not None
+            want = _lattice_ecp_dense(logmu, lognu, adm)
+            assert got[0] == pytest.approx(want[0], rel=0.0, abs=1e-12)
+            assert got[1] == pytest.approx(want[1], rel=0.0, abs=1e-12)
+            assert abs(got[0] + got[1] - 1.0) <= 1e-9
+            if _lattice_ecp_banded(logmu, lognu, adm) is None:
+                shapes.add(shape)
+        # both orientations, every k, past the banded route
+        assert shapes == {(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)}
+
+    def test_gn_tails_makes_no_flow_on_two_letter_sides(self, monkeypatch):
+        def no_flow(*args):
+            raise AssertionError("dense flow on a 2-letter lattice")
+        monkeypatch.setattr(flow, "bipartite_max_flow", no_flow)
+        px, py = Dist.from_mass([0.4, 0.6]), Dist.from_mass([0.2, 0.3, 0.5])
+        c = CostMatrix.from_rows([[0.0, 0.6, 1.0], [0.8, 0.2, 0.5]])
+        ct = CostMatrix.from_rows(c.as_array().T.tolist())
+        for alpha in (0.2, 0.3, 0.35, 0.4):
+            g, comp = gn_tails(px, py, c, alpha, 20)
+            assert (g, comp) == gn_tails(py, px, ct, alpha, 20)
+            assert 0.0 < g < 1.0
+
+    @pytest.mark.parametrize("shift", [0.0, -1500.0])
+    @pytest.mark.parametrize("score", [_gain, _loss])
+    def test_chain_reaches_subset_maximum(self, score, shift):
+        # brute force over all subsets E of the rows, summed in decimal,
+        # also with every mass below exp(-1000): the best chain and the end
+        # state both reach the maximal gain mu(E) - nu(Gamma(E)), or the
+        # minimal loss nu(Gamma(E)) + mu(E^c)
+        gen = np.random.default_rng(11)
+        m, k = 11, 12
+        banded = 0
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for _ in range(12):
+                logmu, lognu, adm = random_intervals(gen, m, k, shift)
+                mu = [Decimal(v).exp() for v in logmu]
+                nu = [Decimal(v).exp() for v in lognu]
+                cols = [int("".join("1" if v else "0" for v in row[::-1]), 2)
+                        for row in adm]
+                total = sum(mu, Decimal(0))
+
+                def objective(rows):
+                    hit = 0
+                    for i in rows:
+                        hit |= cols[i]
+                    gain = (sum((mu[i] for i in rows), Decimal(0))
+                            - sum((nu[j] for j in range(k) if hit >> j & 1),
+                                  Decimal(0)))
+                    return gain if score is _gain else gain - total
+
+                view = _interval_view(adm)
+                assert view is not None
+                banded += _banded_view(adm.T) is not None
+                brute = max(objective([i for i in range(m) if mask >> i & 1])
+                            for mask in range(1 << m))
+                tol = abs(brute) * Decimal("1e-9")
+                parent, state = _dp_chains(logmu, lognu, view, score)
+                best = max(objective(list(view.act[_chain_members(parent, i)])
+                                     + list(view.empty))
+                           for i in range(-1, len(view.act)))
+                assert best >= brute - tol
+                with np.errstate(invalid="ignore", divide="ignore",
+                                 over="ignore"):
+                    lpos, lneg = np.broadcast_arrays(*score(*state))
+                    read = _signed_argmax(lpos, lneg)
+                end_value = (Decimal(float(lpos[read])).exp()
+                             - Decimal(float(lneg[read])).exp())
+                assert abs(end_value - brute) <= tol
+        assert banded < 12
+
+    def test_broken_interval_reaches_dense_flow(self, monkeypatch):
+        # a hand-made 2 x 3 inner table at n = 2: the first column of types
+        # is admitted by the types (0, 2) and (2, 0) but not by (1, 1), a
+        # hole that convexity rules out and rounding could still make
+        table = np.array([[0.1, 0.9, 0.9, 0.9, 0.9, 0.1],
+                          [0.9, 0.1, 0.1, 0.9, 0.9, 0.9],
+                          [0.1, 0.9, 0.9, 0.1, 0.1, 0.9]])
+        monkeypatch.setattr(lattice, "_inner_cost_table", lambda c, n: table)
+        calls = Counter()
+        real = flow.bipartite_max_flow
+
+        def counted(*args):
+            calls["flow"] += 1
+            return real(*args)
+        monkeypatch.setattr(flow, "bipartite_max_flow", counted)
+        px, py = Dist.from_mass([0.4, 0.6]), Dist.from_mass([0.2, 0.3, 0.5])
+        c = CostMatrix.from_rows([[0.0, 0.6, 1.0], [0.8, 0.2, 0.5]])
+        inst = nested_instance(px, py, c, 2)
+        adm = table <= 0.5 + ADMISS_EPS
+        assert _interval_view(adm) is None
+        got = gn_tails(px, py, c, 0.5, 2)
+        assert calls["flow"] == 1
+        assert got == _lattice_ecp_dense(inst.mu.logmass, inst.nu.logmass, adm)
+        assert 0.0 < got[0] < 1.0
 
 
 # The two chain DPs that _dp_chains replaced, kept verbatim as the

@@ -7,10 +7,14 @@ are small functions that import scipy.optimize on their first call, so the
 wrapped binding is what reaches scipy.
 """
 import importlib.util
+import math
 import warnings
 from pathlib import Path
 
-from strassen_lab import CostMatrix, Dist, RateQuery, ldp, mdp
+import numpy as np
+
+from strassen_lab import CostMatrix, Dist, RateQuery, gn_tails, ldp, mdp
+from strassen_lab.transport import ot_value
 from test_acceptance import THETA_INSTANCES
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -78,3 +82,30 @@ def test_rate_solvers_run_no_slsqp_and_warn_nothing():
         assert metrics[f"{kind}.ldp.slsqp.calls"] == 0
     assert not any(name == "ldp.minimize"
                    for _, _, _, name, _, _ in tracer.spans)
+
+
+def _maxflow_spans(px, py, c, n) -> int:
+    """flow.maxflow spans of gn_tails over the lattice-dense alpha sweep."""
+    spans = _spans()
+    tracer = spans.Tracer()
+    carr = c.as_array()
+    base = ot_value(np.array(px.mass), np.array(py.mass), carr)
+    scale = (carr.max() - carr.min()) / math.sqrt(n)
+    restore = spans.install(tracer)
+    try:
+        for t in (0.0, *np.linspace(-1.2, 1.2, 8)):
+            tracer.top("gn_warm", "lattice.gn_tails", gn_tails, px, py, c,
+                       float(base + t * scale), n)
+    finally:
+        restore()
+    return sum(name == "flow.maxflow" for _, _, _, name, _, _ in tracer.spans)
+
+
+def test_lattice_dense_flow_only_on_three_letter_sides():
+    # the lattice-dense templates: a 2-letter side runs the interval chain
+    # DP, so only the 3 x 3 instance reaches the dense max-flow
+    two_by_three = (Dist.from_mass([0.4, 0.6]),
+                    Dist.from_mass([0.2, 0.3, 0.5]),
+                    CostMatrix.from_rows([[0.0, 0.6, 1.0], [0.8, 0.2, 0.5]]))
+    assert _maxflow_spans(*two_by_three, 24) == 0
+    assert _maxflow_spans(*THETA_INSTANCES[2], 12) >= 1
