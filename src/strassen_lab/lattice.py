@@ -10,24 +10,23 @@ pair of types.  This module builds those lattices, solves the outer problem
 through Strassen's dual G = max_E mu(E) - nu(Gamma(E)), and provides the
 coupling constructions used to realize the optimum.
 
-When every row's admissible set is an interval and the intervals move
-monotonically (as for Bernoulli laws under Hamming cost), witness sets E
-are chains of rows, and one chain DP finds them.  It runs with two
-scores: the gain mu(E) - nu(Gamma(E)), maximised, and the loss
-nu(Gamma(E)) + mu(E^c), minimised, so both G and 1 - G get a witness on
-their own scale.  Signed scores are ranked exactly in log space, by
-(sign, sign * log|value|).  The DP ends with every chain's four masses,
-so G and 1 - G are read off that end state, and only the winning
-witness sets, two for each orientation of the table, are evaluated
-exactly.
-
 When one alphabet has 2 letters, its types lie on a line and the inner
 cost is convex along it, so every type of the other side admits an
 interval of them, with ends in any order (a convex bipartite graph).
-The same chain DP then runs over that line, with E on the 2-letter side;
-only the masses each step adds are found differently.  Lattices where
-both sides have 3 or more letters, or whose table rounding has broken,
-go to a dense max-flow.
+Witness sets E on the 2-letter side are then chains of its types, and
+one chain DP over that line finds them.  It runs with three scores, each
+ranked on the masses a chain has settled itself, never on the masses
+every chain of a step shares, which would round away differences at the
+tail's scale: the gain mu(E) - nu(Gamma(E)) over sets with mu(E) <= 1/2,
+the same value through the complement D = E^c, nu(F(D)) - mu(D), over
+sets with mu(D) <= 1/2, and the loss nu(Gamma(E)) + mu(E^c), minimised.
+So G gets a witness on the scale of E or of its complement, and 1 - G
+on its own.  Signed scores are ranked exactly in log space, by (sign,
+sign * log|value|).  The DP ends with every chain's four masses, so the
+winners are read off that end state, and only the three winning witness
+sets are evaluated exactly.  Lattices where both sides have 3 or more
+letters, or whose table rounding has broken an interval, go to a dense
+max-flow.
 
 Numerical posture: type masses are kept in log space end to end; every
 reported probability is assembled from sums of same-sign terms selected
@@ -300,51 +299,6 @@ def _row_spans(adm: np.ndarray):
     return admits, first, last
 
 
-class _BandedView(NamedTuple):
-    """Rows ``act`` admit the columns lo..hi, both ends nondecreasing; the
-    rows ``empty`` admit none."""
-
-    act: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    empty: np.ndarray
-
-    def masses(self, lognu):
-        """The column masses a chain DP over the rows needs.
-
-        Returns the log nu of the columns still unsettled after each slot's
-        last row (slot 0 is the empty chain, slot i + 1 the chain ending at
-        active row i), and an iterator that yields, for each active row i,
-        the log nu newly covered and newly left uncovered when row i
-        follows the last row of each slot 0..i.  Because lo and hi are
-        nondecreasing, after a chain whose span ends at hi_j, row i covers
-        (max(hi_j, lo_i - 1), hi_i] and leaves the gap (hi_j, lo_i - 1].
-        """
-        nu_suffix = np.append(np.logaddexp.accumulate(lognu[::-1])[::-1],
-                              -np.inf)
-        last_hi = np.concatenate([[-1], self.hi])
-        return nu_suffix[last_hi + 1], self._steps(lognu, last_hi)
-
-    def _steps(self, lognu, last_hi):
-        # span[t] = log nu(hi_i - t .. hi_i) and gap[t] = log nu(lo_i - 1 - t
-        # .. lo_i - 1) at step i; index -1 reads the empty sum
-        span = np.full(len(lognu) + 1, -np.inf)
-        gap = np.full(len(lognu) + 1, -np.inf)
-        for i in range(len(self.act)):
-            lo_i, hi_i = int(self.lo[i]), int(self.hi[i])
-            np.logaddexp.accumulate(lognu[lo_i:hi_i + 1][::-1],
-                                    out=span[:hi_i - lo_i + 1])
-            np.logaddexp.accumulate(lognu[:lo_i][::-1], out=gap[:lo_i])
-            prev = last_hi[:i + 1]
-            yield (span[np.minimum(hi_i - 1 - prev, hi_i - lo_i)],
-                   gap[np.maximum(lo_i - 2 - prev, -1)])
-
-    def covered(self, chain, size_nu: int) -> np.ndarray:
-        in_g = np.zeros(size_nu, dtype=bool)
-        in_g[_span_indices(_merge_spans(chain, self.lo, self.hi))] = True
-        return in_g
-
-
 class _IntervalView(NamedTuple):
     """Column y is admitted by the active rows lo_y..hi_y, in any order of
     the ends; ``act`` holds the rows that admit something, ``empty`` the
@@ -356,10 +310,15 @@ class _IntervalView(NamedTuple):
     empty: np.ndarray
 
     def masses(self, lognu):
-        """The same masses as ``_BandedView.masses``, from the columns' ends.
+        """The column masses a chain DP over the rows needs.
 
-        After a chain whose last row is j, row i newly covers the columns
-        with j < lo_y <= i <= hi_y and leaves uncovered for good those with
+        Returns the log nu of the columns still unsettled after each slot's
+        last row (slot 0 is the empty chain, slot j + 1 the chain ending at
+        active row j), and an iterator that yields, for each active row i,
+        the log nu newly covered and newly left uncovered for good when
+        row i follows the last row of each slot 0..i.  After a chain whose
+        last row is j, row i newly covers the columns with
+        j < lo_y <= i <= hi_y and leaves uncovered for good those with
         j < lo_y <= hi_y < i; the columns with lo_y > j are unsettled.  With
         the columns sorted by lo, those with j < lo_y <= i are a run, so
         both masses of step i are suffix sums over the columns starting by
@@ -394,27 +353,6 @@ class _IntervalView(NamedTuple):
         return rows[np.searchsorted(rows, self.lo)] <= self.hi
 
 
-def _banded_view(adm: np.ndarray):
-    """Interval structure of an admissibility table's rows, if it has one.
-
-    Returns ``(active_rows, lo, hi, empty_rows)`` when every row's admissible
-    set is a contiguous interval and the interval endpoints are nondecreasing
-    over the active rows; otherwise None.  Both conditions together are what
-    the cut DP needs to enumerate witness sets exactly.
-    """
-    spans = _row_spans(adm)
-    if spans is None:
-        return None
-    admits, first, last = spans
-    act = np.flatnonzero(admits)
-    if act.size == 0:
-        return None
-    first, last = first[act], last[act]
-    if np.any(np.diff(first) < 0) or np.any(np.diff(last) < 0):
-        return None
-    return _BandedView(act, first, last, np.flatnonzero(~admits))
-
-
 def _interval_view(adm: np.ndarray):
     """Interval structure of an admissibility table's columns, if it has one.
 
@@ -442,22 +380,38 @@ def _interval_view(adm: np.ndarray):
 _LOG_HALF = math.log(0.5)
 
 
-def _gain(log_e, log_g, log_ec, log_gc):
-    """Score mu(E) - nu(Gamma(E)), as the logs of its plus and minus parts.
+# The scores of a chain, from the four masses it has settled (see
+# _dp_chains), as the logs of the plus and minus parts of its value.  A
+# chain outside a score's range scores -inf; mu(E) and mu(D) only grow
+# along a chain, so every prefix of a chain inside the range is inside it.
 
-    As in _witness_values, a chain with mu(E) > 1/2 is scored through the
-    equal form nu(Gamma(E)^c) - mu(E^c), which sums the smaller masses;
-    summed directly, the bulk masses carry the lattices' normalization
-    error (TypeMeasure admits 1e-9) and would outrank every deep-tail
-    witness.
+
+def _gain(log_e, log_g, log_skip, log_gap):
+    """Score mu(E) - nu(Gamma(E)) of a chain with mu(E) <= 1/2.
+
+    Summed directly, the bulk masses of a chain with mu(E) > 1/2 carry the
+    lattices' normalization error (TypeMeasure admits 1e-9) and would
+    outrank every deep-tail witness; ``_complement`` scores those chains.
     """
     bulk = log_e > _LOG_HALF
-    return np.where(bulk, log_gc, log_e), np.where(bulk, log_ec, log_g)
+    return np.where(bulk, -np.inf, log_e), np.where(bulk, np.inf, log_g)
 
 
-def _loss(log_e, log_g, log_ec, log_gc):
+def _complement(log_e, log_g, log_skip, log_gap):
+    """Score nu(F(D)) - mu(D) of the skipped rows D = E^c, mu(D) <= 1/2.
+
+    F(D), the columns whose whole row interval lies inside D plus those no
+    row admits, is Gamma(E)^c, so at the end this is the gain of E summed
+    from the smaller masses.  Past mu(D) = 1/2 the chain is left to
+    ``_gain``: D = all rows would win on the normalization error alone.
+    """
+    bulk = log_skip > _LOG_HALF
+    return np.where(bulk, -np.inf, log_gap), np.where(bulk, np.inf, log_skip)
+
+
+def _loss(log_e, log_g, log_skip, log_gap):
     """Score -(nu(Gamma(E)) + mu(E^c)), the chain's bound on 1 - G."""
-    return -np.inf, np.logaddexp(log_g, log_ec)
+    return -np.inf, np.logaddexp(log_g, log_skip)
 
 
 def _signed_argmax(lpos, lneg) -> int:
@@ -493,9 +447,11 @@ def _dp_chains(logmu: np.ndarray, lognu: np.ndarray, view,
     last (``view.masses``); every chain that does not take row i adds mu_i
     to its skipped mass.  Slot 0 is the empty chain, so starting fresh is
     one more candidate and wins ties, ahead of the chains in row order.
-    ``score(log_e, log_g, log_ec, log_gc)`` sees each candidate's mu(E),
-    nu(Gamma(E)), mu(E^c) and nu(Gamma(E)^c) and returns the logs of the
-    plus and minus parts of its value.
+    ``score(log_e, log_g, log_skip, log_gap)`` ranks the candidates of
+    step i on these four masses alone.  As witness sets, all of them also
+    hold the rows after i in E^c and the columns starting after row i in
+    Gamma(E)^c; those masses are the same for every candidate, and added
+    in, they would round away the differences at the tail's scale.
 
     Returns the parent pointers (the row before row i in its chain, or
     -1) and the end state: the four log-masses above for slot 0 and for
@@ -503,13 +459,10 @@ def _dp_chains(logmu: np.ndarray, lognu: np.ndarray, view,
     row after a chain's last one is skipped, and every column it has not
     settled is uncovered, so the state holds E^c and Gamma(E)^c whole, each
     summed from same-sign terms.  G and 1 - G are read off this state;
-    only the two winning witness sets are then evaluated exactly.
+    only the winning witness sets are then evaluated exactly.
     """
     logmu_a = logmu[view.act]
     m = len(logmu_a)
-    # log mass of the active rows after row i
-    mu_after = np.append(np.logaddexp.accumulate(logmu_a[:0:-1])[::-1],
-                         -np.inf)
     log_e = np.full(m + 1, -np.inf)
     log_e[0] = _lse(logmu[view.empty])
     log_g = np.full(m + 1, -np.inf)
@@ -523,9 +476,7 @@ def _dp_chains(logmu: np.ndarray, lognu: np.ndarray, view,
             cand_e = np.logaddexp(log_e[:i + 1], logmu_a[i])
             cand_g = np.logaddexp(log_g[:i + 1], cover)
             cand_gap = np.logaddexp(log_gap[:i + 1], gap)
-            best = _signed_argmax(*score(
-                cand_e, cand_g, np.logaddexp(skip, mu_after[i]),
-                np.logaddexp(cand_gap, unsettled[i + 1])))
+            best = _signed_argmax(*score(cand_e, cand_g, skip, cand_gap))
             parent[i] = best - 1
             log_e[i + 1], log_g[i + 1] = cand_e[best], cand_g[best]
             log_skip[i + 1], log_gap[i + 1] = skip[best], cand_gap[best]
@@ -541,22 +492,6 @@ def _chain_members(parent: np.ndarray, i: int) -> list[int]:
         i = parent[i]
     out.reverse()
     return out
-
-
-def _merge_spans(chain, lo, hi):
-    spans = []
-    for i in chain:
-        if spans and lo[i] <= spans[-1][1] + 1:
-            spans[-1][1] = max(spans[-1][1], hi[i])
-        else:
-            spans.append([int(lo[i]), int(hi[i])])
-    return spans
-
-
-def _span_indices(spans) -> np.ndarray:
-    if not spans:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([np.arange(a, b + 1) for a, b in spans])
 
 
 def _lse(logs: np.ndarray) -> float:
@@ -605,16 +540,19 @@ def _witness_values(logmu, lognu, in_e, in_g):
 
 
 def _side_candidates(logmu, lognu, view):
-    """(direct, complement-sum) of the best G and the best 1 - G chain.
+    """(direct, complement-sum) of the best chain of each score.
 
-    Both DP runs end with every chain's four masses, so the winners are
-    picked from that state, and only their witness sets are evaluated.
+    The best G chain is the better of the ``_gain`` and ``_complement``
+    winners, the best 1 - G chain the ``_loss`` winner.  Every DP run ends
+    with every chain's four masses, so each winner is picked from the
+    state of all runs, and only the winners' witness sets are evaluated.
     """
-    runs = [_dp_chains(logmu, lognu, view, score) for score in (_gain, _loss)]
+    scores = (_gain, _complement, _loss)
+    runs = [_dp_chains(logmu, lognu, view, score) for score in scores]
     state = np.concatenate([end for _, end in runs], axis=1)
     slots = state.shape[1] // len(runs)
     out = []
-    for score in (_gain, _loss):
+    for score in scores:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             best = _signed_argmax(*score(*state))
         chain = _chain_members(runs[best // slots][0], best % slots - 1)
@@ -630,14 +568,6 @@ def _bounds(candidates) -> tuple[float, float]:
     return min(g, 1.0), max(comp, 0.0)
 
 
-def _lattice_ecp_banded(logmu, lognu, adm):
-    view_a, view_b = _banded_view(adm), _banded_view(adm.T)
-    if view_a is None or view_b is None:
-        return None
-    return _bounds(_side_candidates(logmu, lognu, view_a)
-                   + _side_candidates(lognu, logmu, view_b))
-
-
 def _lattice_ecp_interval(logmu, lognu, adm):
     """The outer solve with E on the rows, when every column admits an
     interval of rows; None otherwise."""
@@ -650,8 +580,8 @@ def _lattice_ecp_interval(logmu, lognu, adm):
 def _lattice_ecp_dense(logmu, lognu, adm):
     if adm.size > DENSE_GUARD:
         raise SizeGuardError(
-            f"dense outer flow needs {adm.size} cells; no banded or "
-            "interval structure found"
+            f"dense outer flow needs {adm.size} cells and no side has "
+            "2 letters whose types admit intervals"
         )
     mu_lin = np.exp(logmu)
     nu_lin = np.exp(lognu)
@@ -676,9 +606,6 @@ def gn_tails(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
     if not adm.any():
         return 1.0, 0.0
     logmu, lognu = inst.mu.logmass, inst.nu.logmass
-    banded = _lattice_ecp_banded(logmu, lognu, adm)
-    if banded is not None:
-        return banded
     # the types of a 2-letter side lie on a line, so the chain runs there
     kx, ky = c.shape
     if kx == 2 or ky == 2:

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from decimal import Decimal, localcontext
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,20 +18,22 @@ from strassen_lab.errors import SizeGuardError, ValidationError
 from strassen_lab.lattice import (
     TypeMeasure,
     TypeVector,
-    _banded_view,
+    _bounds,
     _counts_matrix,
     _inner_cost_table,
     _chain_masks,
     _chain_members,
+    _complement,
     _dp_chains,
     _gain,
     _interval_view,
-    _lattice_ecp_banded,
     _lattice_ecp_dense,
     _lattice_ecp_interval,
     _log_factorials,
     _loss,
     _lse,
+    _row_spans,
+    _side_candidates,
     _signed_argmax,
     _witness_values,
     direct_gn_oracle,
@@ -257,6 +260,28 @@ class TestExactGn:
         # chain's own complement sum is 1.3e3 times larger
         _, comp = gn_tails(B01, B05, HAMMING, 0.01, 400)
         assert comp == pytest.approx(2.195307e-20, rel=1e-5, abs=0.0)
+        # complements at small alpha, the ends of binary_bracket(...,
+        # digits=300), which agree to every digit shown; ranked with the
+        # mass of the rows after them, which every candidate of a step
+        # shares, the loss chains stop near 1e-29
+        for n, alpha, want in ((800, 0.01, 3.8709695276185255e-39),
+                               (800, 0.05, 5.0031981499379766e-32),
+                               (1200, 0.01, 8.119674237928434e-58),
+                               (1600, 0.01, 1.8694415223582315e-76),
+                               (1600, 0.05, 2.518975194699562e-62)):
+            _, comp = gn_tails(B01, B05, HAMMING, alpha, n)
+            assert comp == pytest.approx(want, rel=1e-9, abs=0.0)
+        # G whose witness sets are tails, also ends of binary_bracket(...,
+        # digits=300); summed directly, the bulk sets carry the lattices'
+        # normalization error, and if the gain run scored them too, they
+        # would outrank these witnesses and G would read 0
+        for p, q, alpha, n, want in ((0.1, 0.02, 0.25, 100,
+                                      2.8057892542987618e-38),
+                                     (0.5, 0.95, 0.565, 200,
+                                      8.7748259040664744e-18)):
+            g, _ = gn_tails(Dist.bernoulli(p), Dist.bernoulli(q), HAMMING,
+                            alpha, n)
+            assert g == pytest.approx(want, rel=1e-9, abs=0.0)
 
     @given(st.integers(1, 30), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=150, deadline=None)
@@ -265,6 +290,102 @@ class TestExactGn:
         g_lo = exact_gn(B01, B05, HAMMING, lo, n)
         g_hi = exact_gn(B01, B05, HAMMING, hi, n)
         assert g_lo >= g_hi - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The banded route, which solved lattices whose rows admit intervals with
+# nondecreasing ends in both orientations (binary Hamming among them)
+# before the interval route took every lattice with a 2-letter side; kept
+# verbatim as the oracle of the tests below.
+
+class _BandedView(NamedTuple):
+    """Rows ``act`` admit the columns lo..hi, both ends nondecreasing; the
+    rows ``empty`` admit none."""
+
+    act: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    empty: np.ndarray
+
+    def masses(self, lognu):
+        """The column masses a chain DP over the rows needs.
+
+        Returns the log nu of the columns still unsettled after each slot's
+        last row (slot 0 is the empty chain, slot i + 1 the chain ending at
+        active row i), and an iterator that yields, for each active row i,
+        the log nu newly covered and newly left uncovered when row i
+        follows the last row of each slot 0..i.  Because lo and hi are
+        nondecreasing, after a chain whose span ends at hi_j, row i covers
+        (max(hi_j, lo_i - 1), hi_i] and leaves the gap (hi_j, lo_i - 1].
+        """
+        nu_suffix = np.append(np.logaddexp.accumulate(lognu[::-1])[::-1],
+                              -np.inf)
+        last_hi = np.concatenate([[-1], self.hi])
+        return nu_suffix[last_hi + 1], self._steps(lognu, last_hi)
+
+    def _steps(self, lognu, last_hi):
+        # span[t] = log nu(hi_i - t .. hi_i) and gap[t] = log nu(lo_i - 1 - t
+        # .. lo_i - 1) at step i; index -1 reads the empty sum
+        span = np.full(len(lognu) + 1, -np.inf)
+        gap = np.full(len(lognu) + 1, -np.inf)
+        for i in range(len(self.act)):
+            lo_i, hi_i = int(self.lo[i]), int(self.hi[i])
+            np.logaddexp.accumulate(lognu[lo_i:hi_i + 1][::-1],
+                                    out=span[:hi_i - lo_i + 1])
+            np.logaddexp.accumulate(lognu[:lo_i][::-1], out=gap[:lo_i])
+            prev = last_hi[:i + 1]
+            yield (span[np.minimum(hi_i - 1 - prev, hi_i - lo_i)],
+                   gap[np.maximum(lo_i - 2 - prev, -1)])
+
+    def covered(self, chain, size_nu: int) -> np.ndarray:
+        in_g = np.zeros(size_nu, dtype=bool)
+        in_g[_span_indices(_merge_spans(chain, self.lo, self.hi))] = True
+        return in_g
+
+
+def _banded_view(adm: np.ndarray):
+    """Interval structure of an admissibility table's rows, if it has one.
+
+    Returns ``(active_rows, lo, hi, empty_rows)`` when every row's admissible
+    set is a contiguous interval and the interval endpoints are nondecreasing
+    over the active rows; otherwise None.  Both conditions together are what
+    the cut DP needs to enumerate witness sets exactly.
+    """
+    spans = _row_spans(adm)
+    if spans is None:
+        return None
+    admits, first, last = spans
+    act = np.flatnonzero(admits)
+    if act.size == 0:
+        return None
+    first, last = first[act], last[act]
+    if np.any(np.diff(first) < 0) or np.any(np.diff(last) < 0):
+        return None
+    return _BandedView(act, first, last, np.flatnonzero(~admits))
+
+
+def _merge_spans(chain, lo, hi):
+    spans = []
+    for i in chain:
+        if spans and lo[i] <= spans[-1][1] + 1:
+            spans[-1][1] = max(spans[-1][1], hi[i])
+        else:
+            spans.append([int(lo[i]), int(hi[i])])
+    return spans
+
+
+def _span_indices(spans) -> np.ndarray:
+    if not spans:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate([np.arange(a, b + 1) for a, b in spans])
+
+
+def _lattice_ecp_banded(logmu, lognu, adm):
+    view_a, view_b = _banded_view(adm), _banded_view(adm.T)
+    if view_a is None or view_b is None:
+        return None
+    return _bounds(_side_candidates(logmu, lognu, view_a)
+                   + _side_candidates(lognu, logmu, view_b))
 
 
 def random_banded(gen, m, k, shift=0.0):
@@ -310,6 +431,17 @@ class TestBandedAgainstDense:
         assert compared >= 12
 
 
+def binary_tail_instances():
+    """The binary-tails benchmark's lattices: Bern(0.1) and Bern(0.5) under
+    Hamming cost at n = 50, 100 and 200, and the root-n window at 100."""
+    cases = [(n, alpha) for n in (50, 100, 200) for alpha in (0.2, 0.45)]
+    cases += [(100, 0.4 + d / 10) for d in (-1.5, -0.5, 0.0, 0.5, 1.5)]
+    for n, alpha in cases:
+        inst = nested_instance(B01, B05, HAMMING, n)
+        yield (inst.mu.logmass, inst.nu.logmass,
+               inst.inner_cost <= alpha + 1e-12)
+
+
 def two_letter_lattices(gen, count):
     """Random 2 x k and k x 2 lattices, k = 2..4, as (shape, logmu, lognu,
     adm): integer costs in {0, 1, 2}, so many costs tie, masses from
@@ -345,9 +477,126 @@ def random_intervals(gen, m, k, shift=0.0):
             np.log(gen.dirichlet(np.ones(k))) + shift, adm)
 
 
+def _best_and_end_value(logmu, lognu, view, scores, objective):
+    """The best objective over every chain of the runs of ``scores``, and
+    the best value read off their end states, in decimal."""
+    best = end_value = Decimal("-Infinity")
+    for score in scores:
+        parent, state = _dp_chains(logmu, lognu, view, score)
+        best = max(best, *(objective(_chain_members(parent, i))
+                           for i in range(-1, len(view.act))))
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            lpos, lneg = np.broadcast_arrays(*score(*state))
+            read = _signed_argmax(lpos, lneg)
+        end_value = max(end_value, Decimal(float(lpos[read])).exp()
+                        - Decimal(float(lneg[read])).exp())
+    return best, end_value
+
+
+# An exact oracle for lattices with a 2-letter side: the chain DP over the
+# interval table, in decimal, with the type masses of the decimal laws.
+
+DEEP_PX, DEEP_PY = (0.9, 0.1), (0.5, 0.45, 0.05)
+DEEP_COST = ((0, 1, 1), (1, 0, 1))
+
+
+def decimal_type_masses(mass, n):
+    """Multinomial type-class masses of the law with the printed ``mass``.
+
+    Built from Decimal(str(p)), which sums to 1: the floats 0.9 and 0.1
+    sum to 1 + 2.8e-17, which would offset every value by about 8e-16.
+    """
+    probs = [Decimal(str(v)) for v in mass]
+    out = []
+    for t in enum_types(n, len(mass)):
+        term = Decimal(math.factorial(n))
+        for q, c in zip(probs, t.counts):
+            term = term / math.factorial(c) * q ** c
+        out.append(term)
+    return out
+
+
+def decimal_interval_gain(mu, nu, adm):
+    """max over sets E of rows of mu(E) - nu(Gamma(E)), for a table whose
+    columns admit intervals of rows.
+
+    best[j + 1] is the best value of a set whose last row is j; row i
+    after row j newly covers the columns with j < lo_y <= i <= hi_y.
+    """
+    m = len(mu)
+    by_start = [[] for _ in range(m)]
+    for y, col in enumerate(adm.T):
+        rows = np.flatnonzero(col)
+        if rows.size:
+            assert rows[-1] - rows[0] + 1 == rows.size
+            by_start[rows[0]].append((rows[-1], nu[y]))
+    best = [Decimal(0)]
+    for i in range(m):
+        value, cover = None, Decimal(0)
+        for j in range(i - 1, -2, -1):
+            cover += sum((mass for last, mass in by_start[j + 1] if last >= i),
+                         Decimal(0))
+            cand = best[j + 1] + mu[i] - cover
+            value = cand if value is None else max(value, cand)
+        best.append(value)
+    return max(best)
+
+
+def deep_tail_instance(n, alpha):
+    px, py = Dist.from_mass(list(DEEP_PX)), Dist.from_mass(list(DEEP_PY))
+    c = CostMatrix.from_rows(DEEP_COST)
+    return px, py, c, nested_instance(px, py, c, n).inner_cost <= alpha + ADMISS_EPS
+
+
 class TestIntervalRoute:
     """The chain DP on lattices with a 2-letter side, whose columns each
     admit an interval of the 2-letter types."""
+
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_decimal_oracle_is_the_subset_maximum(self, n):
+        _, _, _, adm = deep_tail_instance(n, 0.5)
+        cols = [int("".join("1" if v else "0" for v in row[::-1]), 2)
+                for row in adm]
+        with localcontext() as ctx:
+            ctx.prec = 60
+            mu = decimal_type_masses(DEEP_PX, n)
+            nu = decimal_type_masses(DEEP_PY, n)
+            brute = Decimal(0)
+            for mask in range(1, 1 << len(mu)):
+                rows = [i for i in range(len(mu)) if mask >> i & 1]
+                hit = 0
+                for i in rows:
+                    hit |= cols[i]
+                brute = max(brute, sum(mu[i] for i in rows) - sum(
+                    (nu[y] for y in range(len(nu)) if hit >> y & 1),
+                    Decimal(0)))
+            assert brute > 0
+            got = decimal_interval_gain(mu, nu, adm)
+            assert abs(got - brute) <= brute * Decimal("1e-40")
+
+    @pytest.mark.parametrize("n,alpha", [(40, 0.5), (40, 0.55), (40, 0.6),
+                                         (80, 0.5), (120, 0.5)])
+    def test_deep_tails_match_decimal_oracle(self, n, alpha):
+        # G runs from 2.5e-17 down to 2.1e-46 here; without the complement
+        # run, chains of E on the 2-letter side give it 0.67% low, or 0.0
+        px, py, c, adm = deep_tail_instance(n, alpha)
+        with localcontext() as ctx:
+            ctx.prec = 120
+            g = decimal_interval_gain(decimal_type_masses(DEEP_PX, n),
+                                      decimal_type_masses(DEEP_PY, n), adm)
+            want = (float(g), float(1 - g))
+        ct = CostMatrix.from_rows(c.as_array().T.tolist())
+        for got in (gn_tails(px, py, c, alpha, n),
+                    gn_tails(py, px, ct, alpha, n)):
+            assert got[0] == pytest.approx(want[0], rel=1e-9, abs=0.0)
+            assert got[1] == pytest.approx(want[1], rel=1e-9, abs=0.0)
+
+    def test_agrees_with_the_banded_route_on_binary_tails(self):
+        for logmu, lognu, adm in binary_tail_instances():
+            got = _lattice_ecp_interval(logmu, lognu, adm)
+            want = _lattice_ecp_banded(logmu, lognu, adm)
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+            assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
 
     def test_agrees_with_dense_flow(self):
         gen = np.random.default_rng(31)
@@ -378,14 +627,21 @@ class TestIntervalRoute:
             g, comp = gn_tails(px, py, c, alpha, 20)
             assert (g, comp) == gn_tails(py, px, ct, alpha, 20)
             assert 0.0 < g < 1.0
+        # 2 x 2 takes the same route
+        for n in (50, 200):
+            for alpha in (0.2, 0.45):
+                g, comp = gn_tails(B01, B05, HAMMING, alpha, n)
+                assert 0.0 < g < 1.0
 
     @pytest.mark.parametrize("shift", [0.0, -1500.0])
-    @pytest.mark.parametrize("score", [_gain, _loss])
-    def test_chain_reaches_subset_maximum(self, score, shift):
+    @pytest.mark.parametrize("scores", [(_gain, _complement), (_loss,)],
+                             ids=["_gain", "_loss"])
+    def test_chain_reaches_subset_maximum(self, scores, shift):
         # brute force over all subsets E of the rows, summed in decimal,
         # also with every mass below exp(-1000): the best chain and the end
-        # state both reach the maximal gain mu(E) - nu(Gamma(E)), or the
-        # minimal loss nu(Gamma(E)) + mu(E^c)
+        # state both reach the maximal gain mu(E) - nu(Gamma(E)), over the
+        # runs of _gain and _complement, which split the sets E at
+        # mu(E) = 1/2, or the minimal loss nu(Gamma(E)) + mu(E^c)
         gen = np.random.default_rng(11)
         m, k = 11, 12
         banded = 0
@@ -406,7 +662,7 @@ class TestIntervalRoute:
                     gain = (sum((mu[i] for i in rows), Decimal(0))
                             - sum((nu[j] for j in range(k) if hit >> j & 1),
                                   Decimal(0)))
-                    return gain if score is _gain else gain - total
+                    return gain if _loss not in scores else gain - total
 
                 view = _interval_view(adm)
                 assert view is not None
@@ -414,17 +670,11 @@ class TestIntervalRoute:
                 brute = max(objective([i for i in range(m) if mask >> i & 1])
                             for mask in range(1 << m))
                 tol = abs(brute) * Decimal("1e-9")
-                parent, state = _dp_chains(logmu, lognu, view, score)
-                best = max(objective(list(view.act[_chain_members(parent, i)])
-                                     + list(view.empty))
-                           for i in range(-1, len(view.act)))
+                best, end_value = _best_and_end_value(
+                    logmu, lognu, view, scores,
+                    lambda chain: objective(list(view.act[chain])
+                                            + list(view.empty)))
                 assert best >= brute - tol
-                with np.errstate(invalid="ignore", divide="ignore",
-                                 over="ignore"):
-                    lpos, lneg = np.broadcast_arrays(*score(*state))
-                    read = _signed_argmax(lpos, lneg)
-                end_value = (Decimal(float(lpos[read])).exp()
-                             - Decimal(float(lneg[read])).exp())
                 assert abs(end_value - brute) <= tol
         assert banded < 12
 
@@ -556,7 +806,7 @@ def _mindp_chains(logmu_a: np.ndarray, lognu: np.ndarray, lo: np.ndarray,
 
 def _reference_dp_chains(logmu, lognu, view, score):
     act, lo, hi, _ = view
-    dp = _maxdp_chains if score is _gain else _mindp_chains
+    dp = _mindp_chains if score is _loss else _maxdp_chains
     return dp(logmu[act], lognu, lo, hi)
 
 
@@ -568,13 +818,13 @@ def _dp_parents(logmu, lognu, view, score):
 # state replaced, kept verbatim (with the DP as an argument) as the
 # reference of the tests below.
 
-def _side_candidates(logmu, lognu, adm, dp_chains):
+def _every_chain_candidate(logmu, lognu, adm, dp_chains):
     """(direct, complement-sum) of every DP chain of one orientation, or None."""
     view = _banded_view(adm)
     if view is None:
         return None
     chains = [[]]  # the empty-active-chain witness: only always-free rows
-    for score in (_gain, _loss):
+    for score in (_gain, _complement, _loss):
         parent = dp_chains(logmu, lognu, view, score)
         chains.extend(_chain_members(parent, i) for i in range(len(parent)))
     return [_witness_values(logmu, lognu,
@@ -583,8 +833,8 @@ def _side_candidates(logmu, lognu, adm, dp_chains):
 
 
 def _every_chain_ecp_banded(logmu, lognu, adm, dp_chains):
-    a = _side_candidates(logmu, lognu, adm, dp_chains)
-    b = _side_candidates(lognu, logmu, adm.T, dp_chains)
+    a = _every_chain_candidate(logmu, lognu, adm, dp_chains)
+    b = _every_chain_candidate(lognu, logmu, adm.T, dp_chains)
     if a is None or b is None:
         return None
     g = max(0.0, max(direct for direct, _ in a + b))
@@ -593,16 +843,8 @@ def _every_chain_ecp_banded(logmu, lognu, adm, dp_chains):
 
 
 class TestChainDp:
-    def binary_tail_instances(self):
-        cases = [(n, alpha) for n in (50, 100, 200) for alpha in (0.2, 0.45)]
-        cases += [(100, 0.4 + d / 10) for d in (-1.5, -0.5, 0.0, 0.5, 1.5)]
-        for n, alpha in cases:
-            inst = nested_instance(B01, B05, HAMMING, n)
-            yield (inst.mu.logmass, inst.nu.logmass,
-                   inst.inner_cost <= alpha + 1e-12)
-
     def instances(self, rng):
-        return (list(self.binary_tail_instances())
+        return (list(binary_tail_instances())
                 + list(banded_dense_instances(rng)))
 
     def test_same_results_as_the_two_replaced_dps(self, rng):
@@ -636,7 +878,8 @@ class TestChainDp:
         assert compared >= 23
 
     def test_only_the_winning_chains_are_evaluated(self, monkeypatch):
-        # two winners per orientation: the G chain and the 1 - G chain
+        # one winner per score, over the one orientation the interval
+        # route runs: two G chains (_gain, _complement) and the 1 - G chain
         calls = Counter()
 
         def counted(name):
@@ -650,7 +893,7 @@ class TestChainDp:
         counted("_chain_members")
         counted("_witness_values")
         gn_tails(B01, B05, HAMMING, 0.2, 200)
-        assert calls == {"_chain_members": 4, "_witness_values": 4}
+        assert calls == {"_chain_members": 3, "_witness_values": 3}
 
     @pytest.mark.parametrize("shift", [0.0, -1500.0])
     def test_gain_chain_reaches_subset_maximum(self, shift):
@@ -681,20 +924,14 @@ class TestChainDp:
 
                 view = _banded_view(adm)
                 assert max(gain(rows) for rows in subsets) > 0
-                for score, objective in ((_gain, gain), (_loss, minus_loss)):
+                for scores, objective in (((_gain, _complement), gain),
+                                          ((_loss,), minus_loss)):
                     brute = max(objective(rows) for rows in subsets)
                     tol = abs(brute) * Decimal("1e-9")
-                    parent, state = _dp_chains(logmu, lognu, view, score)
-                    best = max(
-                        objective(list(view[0][_chain_members(parent, i)]))
-                        for i in range(-1, m))
+                    best, end_value = _best_and_end_value(
+                        logmu, lognu, view, scores,
+                        lambda chain: objective(list(view[0][chain])))
                     assert best >= brute - tol
-                    with np.errstate(invalid="ignore", divide="ignore",
-                                     over="ignore"):
-                        lpos, lneg = np.broadcast_arrays(*score(*state))
-                        read = _signed_argmax(lpos, lneg)
-                    end_value = (Decimal(float(lpos[read])).exp()
-                                 - Decimal(float(lneg[read])).exp())
                     assert abs(end_value - brute) <= tol
 
 
