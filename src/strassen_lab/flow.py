@@ -67,8 +67,10 @@ class MaxFlowGraph:
         return self.level[t] >= 0
 
     def _dfs(self, u: int, t: int, pushed):
-        # Depth is at most 4 on the source/x/y/sink graphs used here, so
-        # recursion is safe.
+        # The recursion depth is the sink's level.  On the source/x/y/sink
+        # graphs used here, with m x and k y nodes, a shortest augmenting
+        # path alternates distinct x and y nodes, so that level is at most
+        # 2 * min(m, k) + 1 (39 on a 3x3 type lattice at n = 12).
         if u == t:
             return pushed
         while self.it[u] < len(self.adj[u]):

@@ -14,7 +14,8 @@ When one alphabet has 2 letters, its types lie on a line and the inner
 cost is convex along it, so every type of the other side admits an
 interval of them, with ends in any order (a convex bipartite graph).
 Witness sets E on the 2-letter side are then chains of its types, and
-one chain DP over that line finds them.  It runs with three scores, each
+one pass of a chain DP over that line finds them for three scores at
+once, one run per score, all fed by the same steps.  Each score is
 ranked on the masses a chain has settled itself, never on the masses
 every chain of a step shares, which would round away differences at the
 tail's scale: the gain mu(E) - nu(Gamma(E)) over sets with mu(E) <= 1/2,
@@ -22,11 +23,11 @@ the same value through the complement D = E^c, nu(F(D)) - mu(D), over
 sets with mu(D) <= 1/2, and the loss nu(Gamma(E)) + mu(E^c), minimised.
 So G gets a witness on the scale of E or of its complement, and 1 - G
 on its own.  Signed scores are ranked exactly in log space, by (sign,
-sign * log|value|).  The DP ends with every chain's four masses, so the
-winners are read off that end state, and only the three winning witness
-sets are evaluated exactly.  Lattices where both sides have 3 or more
-letters, or whose table rounding has broken an interval, go to a dense
-max-flow.
+sign * log|value|).  The DP ends with every chain's four masses in each
+run, so the winners are read off that end state, and only the three
+winning witness sets are evaluated exactly.  Lattices where both sides
+have 3 or more letters, or whose table rounding has broken an interval,
+go to a dense max-flow.
 
 Numerical posture: type masses are kept in log space end to end; every
 reported probability is assembled from sums of same-sign terms selected
@@ -380,63 +381,60 @@ def _interval_view(adm: np.ndarray):
 _LOG_HALF = math.log(0.5)
 
 
-# The scores of a chain, from the four masses it has settled (see
-# _dp_chains), as the logs of the plus and minus parts of its value.  A
-# chain outside a score's range scores -inf; mu(E) and mu(D) only grow
-# along a chain, so every prefix of a chain inside the range is inside it.
+def _scores(log_e, log_g, log_skip, log_gap):
+    """The scores of the chains of the three runs, from their settled masses.
 
+    Each argument stacks one of the four log-masses of ``_dp_chains``, one
+    row per run, and row s of each feeds score s.  Returns the logs of the
+    plus and minus parts of the scores, stacked in the same order:
 
-def _gain(log_e, log_g, log_skip, log_gap):
-    """Score mu(E) - nu(Gamma(E)) of a chain with mu(E) <= 1/2.
+    gain        mu(E) - nu(Gamma(E)), for chains with mu(E) <= 1/2.  Summed
+                directly, the bulk masses of a chain with mu(E) > 1/2 carry
+                the lattices' normalization error (TypeMeasure admits 1e-9)
+                and would outrank every deep-tail witness; the complement
+                scores those chains.
+    complement  nu(F(D)) - mu(D) of the skipped rows D = E^c, mu(D) <= 1/2.
+                F(D), the columns whose whole row interval lies inside D
+                plus those no row admits, is Gamma(E)^c, so at the end this
+                is the gain of E summed from the smaller masses.  Past
+                mu(D) = 1/2 the chain is left to the gain: D = all rows
+                would win on the normalization error alone.
+    loss        -(nu(Gamma(E)) + mu(E^c)), the chain's bound on 1 - G.
 
-    Summed directly, the bulk masses of a chain with mu(E) > 1/2 carry the
-    lattices' normalization error (TypeMeasure admits 1e-9) and would
-    outrank every deep-tail witness; ``_complement`` scores those chains.
+    A chain outside its run's range scores -inf; mu(E) and mu(D) only grow
+    along a chain, so every prefix of a chain inside the range is inside it.
     """
-    bulk = log_e > _LOG_HALF
-    return np.where(bulk, -np.inf, log_e), np.where(bulk, np.inf, log_g)
+    nothing = np.full_like(log_e[2], -np.inf)
+    bulk = np.stack([log_e[0], log_skip[1], nothing]) > _LOG_HALF
+    lpos = np.stack([log_e[0], log_gap[1], nothing])
+    lneg = np.stack([log_g[0], log_skip[1],
+                     np.logaddexp(log_g[2], log_skip[2])])
+    return np.where(bulk, -np.inf, lpos), np.where(bulk, np.inf, lneg)
 
 
-def _complement(log_e, log_g, log_skip, log_gap):
-    """Score nu(F(D)) - mu(D) of the skipped rows D = E^c, mu(D) <= 1/2.
-
-    F(D), the columns whose whole row interval lies inside D plus those no
-    row admits, is Gamma(E)^c, so at the end this is the gain of E summed
-    from the smaller masses.  Past mu(D) = 1/2 the chain is left to
-    ``_gain``: D = all rows would win on the normalization error alone.
-    """
-    bulk = log_skip > _LOG_HALF
-    return np.where(bulk, -np.inf, log_gap), np.where(bulk, np.inf, log_skip)
-
-
-def _loss(log_e, log_g, log_skip, log_gap):
-    """Score -(nu(Gamma(E)) + mu(E^c)), the chain's bound on 1 - G."""
-    return -np.inf, np.logaddexp(log_g, log_skip)
-
-
-def _signed_argmax(lpos, lneg) -> int:
-    """First index of the largest exp(lpos) - exp(lneg), compared exactly.
+def _signed_argmax(lpos, lneg) -> np.ndarray:
+    """First index of the largest exp(lpos) - exp(lneg) along the last
+    axis, compared exactly.
 
     Values are ranked by the pair (sign, sign * log|value|) in
     lexicographic order, so no offset ever mixes the sign into the
-    magnitude and relative precision survives at any depth.  The caller
-    silences the warnings of -inf - -inf (a zero value) and of the terms
-    outside the winning sign class, which are masked out.
+    magnitude and relative precision survives at any depth.  -inf - -inf is
+    a zero.  The caller silences the warnings of that difference and of the
+    magnitudes of the zeros, which are not used.
     """
     diff = lpos - lneg
-    pos = diff > 0.0
-    if pos.any():
-        logabs = lpos + np.log(-np.expm1(-diff))
-        return int(np.argmax(np.where(pos, logabs, -np.inf)))
-    zero = ~(diff < 0.0)
-    if zero.any():
-        return int(np.argmax(zero))
-    return int(np.argmin(lneg + np.log(-np.expm1(diff))))
+    pos, neg = diff > 0.0, diff < 0.0
+    sign = np.subtract(pos, neg, dtype=np.int8)
+    logabs = np.maximum(lpos, lneg) + np.log(-np.expm1(-np.abs(diff)))
+    key = np.where(pos, logabs, np.where(neg, -logabs, 0.0))
+    top = sign.max(axis=-1, keepdims=True)
+    return np.argmax(np.where(sign == top, key, -np.inf), axis=-1)
 
 
-def _dp_chains(logmu: np.ndarray, lognu: np.ndarray, view,
-               score) -> tuple[np.ndarray, tuple]:
-    """Best witness chain ending at each active row, and its end state.
+def _dp_chains(logmu: np.ndarray, lognu: np.ndarray,
+               view) -> tuple[np.ndarray, np.ndarray]:
+    """Best witness chain ending at each active row for each score, and
+    the end state.
 
     A chain is a set E of active rows, plus the always-free rows.  Every
     chain carries the same log-sum state over the rows up to its end and
@@ -447,42 +445,41 @@ def _dp_chains(logmu: np.ndarray, lognu: np.ndarray, view,
     last (``view.masses``); every chain that does not take row i adds mu_i
     to its skipped mass.  Slot 0 is the empty chain, so starting fresh is
     one more candidate and wins ties, ahead of the chains in row order.
-    ``score(log_e, log_g, log_skip, log_gap)`` ranks the candidates of
-    step i on these four masses alone.  As witness sets, all of them also
-    hold the rows after i in E^c and the columns starting after row i in
-    Gamma(E)^c; those masses are the same for every candidate, and added
-    in, they would round away the differences at the tail's scale.
+    Three runs, one per score of ``_scores``, share one pass over the
+    steps of the view; each ranks the candidates of step i on these four
+    masses alone.  As witness sets, all of them also hold the rows after i
+    in E^c and the columns starting after row i in Gamma(E)^c; those masses
+    are the same for every candidate, and added in, they would round away
+    the differences at the tail's scale.
 
-    Returns the parent pointers (the row before row i in its chain, or
-    -1) and the end state: the four log-masses above for slot 0 and for
-    the chain ending at each active row.  At the end every
-    row after a chain's last one is skipped, and every column it has not
-    settled is uncovered, so the state holds E^c and Gamma(E)^c whole, each
-    summed from same-sign terms.  G and 1 - G are read off this state;
-    only the winning witness sets are then evaluated exactly.
+    Returns the parent pointers, (3, m) (the row before row i in its
+    chain, or -1), and the end state, (4, 3, m + 1): the four log-masses
+    above for slot 0 and for the chain ending at each active row, per run.
+    At the end every row after a chain's last one is skipped, and every
+    column it has not settled is uncovered, so the state holds E^c and
+    Gamma(E)^c whole, each summed from same-sign terms.  G and 1 - G are
+    read off this state; only the winning witness sets are then evaluated
+    exactly.
     """
     logmu_a = logmu[view.act]
     m = len(logmu_a)
-    log_e = np.full(m + 1, -np.inf)
-    log_e[0] = _lse(logmu[view.empty])
-    log_g = np.full(m + 1, -np.inf)
-    log_skip = np.full(m + 1, -np.inf)
-    log_gap = np.full(m + 1, -np.inf)
-    parent = np.full(m, -1, dtype=np.int64)
+    state = np.full((4, 3, m + 1), -np.inf)
+    state[0, :, 0] = _lse(logmu[view.empty])
+    parent = np.full((3, m), -1, dtype=np.int64)
+    runs = np.arange(3)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         unsettled, steps = view.masses(lognu)
         for i, (cover, gap) in enumerate(steps):
-            skip = log_skip[:i + 1]
-            cand_e = np.logaddexp(log_e[:i + 1], logmu_a[i])
-            cand_g = np.logaddexp(log_g[:i + 1], cover)
-            cand_gap = np.logaddexp(log_gap[:i + 1], gap)
-            best = _signed_argmax(*score(cand_e, cand_g, skip, cand_gap))
-            parent[i] = best - 1
-            log_e[i + 1], log_g[i + 1] = cand_e[best], cand_g[best]
-            log_skip[i + 1], log_gap[i + 1] = skip[best], cand_gap[best]
-            log_skip[:i + 1] = np.logaddexp(skip, logmu_a[i])
-    log_gc = np.logaddexp(log_gap, unsettled)
-    return parent, (log_e, log_g, log_skip, log_gc)
+            log_e, log_g, log_skip, log_gap = state[:, :, :i + 1]
+            cand = np.stack([np.logaddexp(log_e, logmu_a[i]),
+                             np.logaddexp(log_g, cover), log_skip,
+                             np.logaddexp(log_gap, gap)])
+            best = _signed_argmax(*_scores(*cand))
+            parent[:, i] = best - 1
+            state[:, :, i + 1] = cand[:, runs, best]
+            np.logaddexp(log_skip, logmu_a[i], out=log_skip)
+    state[3] = np.logaddexp(state[3], unsettled)
+    return parent, state
 
 
 def _chain_members(parent: np.ndarray, i: int) -> list[int]:
@@ -542,23 +539,21 @@ def _witness_values(logmu, lognu, in_e, in_g):
 def _side_candidates(logmu, lognu, view):
     """(direct, complement-sum) of the best chain of each score.
 
-    The best G chain is the better of the ``_gain`` and ``_complement``
-    winners, the best 1 - G chain the ``_loss`` winner.  Every DP run ends
-    with every chain's four masses, so each winner is picked from the
-    state of all runs, and only the winners' witness sets are evaluated.
+    The best G chain is the better of the gain and complement winners, the
+    best 1 - G chain the loss winner.  The DP ends with every chain's four
+    masses, so each score picks its winner from the end states of all
+    three runs, the gain run's first, and only the winners' witness sets
+    are evaluated.  At the end a chain of one run can tie the winner of
+    another score's run, and tied witness sets can round 1 - G apart.
     """
-    scores = (_gain, _complement, _loss)
-    runs = [_dp_chains(logmu, lognu, view, score) for score in scores]
-    state = np.concatenate([end for _, end in runs], axis=1)
-    slots = state.shape[1] // len(runs)
-    out = []
-    for score in scores:
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            best = _signed_argmax(*score(*state))
-        chain = _chain_members(runs[best // slots][0], best % slots - 1)
-        out.append(_witness_values(
-            logmu, lognu, *_chain_masks(chain, view, len(logmu), len(lognu))))
-    return out
+    parent, state = _dp_chains(logmu, lognu, view)
+    every = np.repeat(state.reshape(4, 1, -1), len(parent), axis=1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        best = _signed_argmax(*_scores(*every))
+    return [_witness_values(logmu, lognu, *_chain_masks(
+                _chain_members(parent[run], slot - 1), view, len(logmu),
+                len(lognu)))
+            for run, slot in zip(*np.divmod(best, state.shape[2]))]
 
 
 def _bounds(candidates) -> tuple[float, float]:
@@ -586,10 +581,9 @@ def _lattice_ecp_dense(logmu, lognu, adm):
     mu_lin = np.exp(logmu)
     nu_lin = np.exp(lognu)
     _, _, witness = flow.bipartite_max_flow(mu_lin, nu_lin, adm)
-    rows = np.fromiter(witness, dtype=np.int64) if witness else np.empty(0, np.int64)
     in_e = np.zeros(len(logmu), dtype=bool)
-    in_e[rows] = True
-    in_g = adm[in_e].any(axis=0) if rows.size else np.zeros(len(lognu), bool)
+    in_e[list(witness)] = True
+    in_g = adm[in_e].any(axis=0)
     g, comp = _witness_values(logmu, lognu, in_e, in_g)
     return min(max(g, 0.0), 1.0), min(max(comp, 0.0), 1.0)
 

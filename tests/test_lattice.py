@@ -23,16 +23,14 @@ from strassen_lab.lattice import (
     _inner_cost_table,
     _chain_masks,
     _chain_members,
-    _complement,
     _dp_chains,
-    _gain,
     _interval_view,
     _lattice_ecp_dense,
     _lattice_ecp_interval,
     _log_factorials,
-    _loss,
     _lse,
     _row_spans,
+    _scores,
     _side_candidates,
     _signed_argmax,
     _witness_values,
@@ -477,19 +475,23 @@ def random_intervals(gen, m, k, shift=0.0):
             np.log(gen.dirichlet(np.ones(k))) + shift, adm)
 
 
-def _best_and_end_value(logmu, lognu, view, scores, objective):
-    """The best objective over every chain of the runs of ``scores``, and
-    the best value read off their end states, in decimal."""
+# The rows of _scores and of the DP's state, one per run.
+GAIN, COMPLEMENT, LOSS = range(3)
+
+
+def _best_and_end_value(logmu, lognu, view, runs, objective):
+    """The best objective over every chain of the ``runs``, and the best
+    value read off their end states, in decimal."""
+    parent, state = _dp_chains(logmu, lognu, view)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        lpos, lneg = _scores(*state)
+        read = _signed_argmax(lpos, lneg)
     best = end_value = Decimal("-Infinity")
-    for score in scores:
-        parent, state = _dp_chains(logmu, lognu, view, score)
-        best = max(best, *(objective(_chain_members(parent, i))
+    for s in runs:
+        best = max(best, *(objective(_chain_members(parent[s], i))
                            for i in range(-1, len(view.act))))
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            lpos, lneg = np.broadcast_arrays(*score(*state))
-            read = _signed_argmax(lpos, lneg)
-        end_value = max(end_value, Decimal(float(lpos[read])).exp()
-                        - Decimal(float(lneg[read])).exp())
+        end_value = max(end_value, Decimal(float(lpos[s, read[s]])).exp()
+                        - Decimal(float(lneg[s, read[s]])).exp())
     return best, end_value
 
 
@@ -634,14 +636,14 @@ class TestIntervalRoute:
                 assert 0.0 < g < 1.0
 
     @pytest.mark.parametrize("shift", [0.0, -1500.0])
-    @pytest.mark.parametrize("scores", [(_gain, _complement), (_loss,)],
+    @pytest.mark.parametrize("runs", [(GAIN, COMPLEMENT), (LOSS,)],
                              ids=["_gain", "_loss"])
-    def test_chain_reaches_subset_maximum(self, scores, shift):
+    def test_chain_reaches_subset_maximum(self, runs, shift):
         # brute force over all subsets E of the rows, summed in decimal,
         # also with every mass below exp(-1000): the best chain and the end
         # state both reach the maximal gain mu(E) - nu(Gamma(E)), over the
-        # runs of _gain and _complement, which split the sets E at
-        # mu(E) = 1/2, or the minimal loss nu(Gamma(E)) + mu(E^c)
+        # gain and complement runs, which split the sets E at mu(E) = 1/2,
+        # or the minimal loss nu(Gamma(E)) + mu(E^c)
         gen = np.random.default_rng(11)
         m, k = 11, 12
         banded = 0
@@ -662,7 +664,7 @@ class TestIntervalRoute:
                     gain = (sum((mu[i] for i in rows), Decimal(0))
                             - sum((nu[j] for j in range(k) if hit >> j & 1),
                                   Decimal(0)))
-                    return gain if _loss not in scores else gain - total
+                    return gain if LOSS not in runs else gain - total
 
                 view = _interval_view(adm)
                 assert view is not None
@@ -671,7 +673,7 @@ class TestIntervalRoute:
                             for mask in range(1 << m))
                 tol = abs(brute) * Decimal("1e-9")
                 best, end_value = _best_and_end_value(
-                    logmu, lognu, view, scores,
+                    logmu, lognu, view, runs,
                     lambda chain: objective(list(view.act[chain])
                                             + list(view.empty)))
                 assert best >= brute - tol
@@ -804,14 +806,16 @@ def _mindp_chains(logmu_a: np.ndarray, lognu: np.ndarray, lo: np.ndarray,
     return parent
 
 
-def _reference_dp_chains(logmu, lognu, view, score):
+def _reference_dp_chains(logmu, lognu, view):
+    """Parent pointers per run: the max-DP stands in for the gain and
+    complement runs, the min-DP for the loss run."""
     act, lo, hi, _ = view
-    dp = _mindp_chains if score is _loss else _maxdp_chains
-    return dp(logmu[act], lognu, lo, hi)
+    gain = _maxdp_chains(logmu[act], lognu, lo, hi)
+    return gain, gain, _mindp_chains(logmu[act], lognu, lo, hi)
 
 
-def _dp_parents(logmu, lognu, view, score):
-    return _dp_chains(logmu, lognu, view, score)[0]
+def _dp_parents(logmu, lognu, view):
+    return _dp_chains(logmu, lognu, view)[0]
 
 
 # The full evaluation of every DP chain that the readout of the DP's end
@@ -824,8 +828,7 @@ def _every_chain_candidate(logmu, lognu, adm, dp_chains):
     if view is None:
         return None
     chains = [[]]  # the empty-active-chain witness: only always-free rows
-    for score in (_gain, _complement, _loss):
-        parent = dp_chains(logmu, lognu, view, score)
+    for parent in dp_chains(logmu, lognu, view):
         chains.extend(_chain_members(parent, i) for i in range(len(parent)))
     return [_witness_values(logmu, lognu,
                             *_chain_masks(chain, view, len(logmu), len(lognu)))
@@ -840,6 +843,143 @@ def _every_chain_ecp_banded(logmu, lognu, adm, dp_chains):
     g = max(0.0, max(direct for direct, _ in a + b))
     comp = min(1.0, min(comp_sum for _, comp_sum in a + b))
     return min(g, 1.0), max(comp, 0.0)
+
+
+# The three chain DP runs, one per score, that the one pass of _dp_chains
+# replaced, and the readout that glued their end states together, kept
+# verbatim as the reference of the differential test below.
+
+_LOG_HALF = math.log(0.5)
+
+
+def _gain(log_e, log_g, log_skip, log_gap):
+    """Score mu(E) - nu(Gamma(E)) of a chain with mu(E) <= 1/2.
+
+    Summed directly, the bulk masses of a chain with mu(E) > 1/2 carry the
+    lattices' normalization error (TypeMeasure admits 1e-9) and would
+    outrank every deep-tail witness; ``_complement`` scores those chains.
+    """
+    bulk = log_e > _LOG_HALF
+    return np.where(bulk, -np.inf, log_e), np.where(bulk, np.inf, log_g)
+
+
+def _complement(log_e, log_g, log_skip, log_gap):
+    """Score nu(F(D)) - mu(D) of the skipped rows D = E^c, mu(D) <= 1/2.
+
+    F(D), the columns whose whole row interval lies inside D plus those no
+    row admits, is Gamma(E)^c, so at the end this is the gain of E summed
+    from the smaller masses.  Past mu(D) = 1/2 the chain is left to
+    ``_gain``: D = all rows would win on the normalization error alone.
+    """
+    bulk = log_skip > _LOG_HALF
+    return np.where(bulk, -np.inf, log_gap), np.where(bulk, np.inf, log_skip)
+
+
+def _loss(log_e, log_g, log_skip, log_gap):
+    """Score -(nu(Gamma(E)) + mu(E^c)), the chain's bound on 1 - G."""
+    return -np.inf, np.logaddexp(log_g, log_skip)
+
+
+def _signed_argmax_1d(lpos, lneg) -> int:
+    """First index of the largest exp(lpos) - exp(lneg), compared exactly.
+
+    Values are ranked by the pair (sign, sign * log|value|) in
+    lexicographic order, so no offset ever mixes the sign into the
+    magnitude and relative precision survives at any depth.  The caller
+    silences the warnings of -inf - -inf (a zero value) and of the terms
+    outside the winning sign class, which are masked out.
+    """
+    diff = lpos - lneg
+    pos = diff > 0.0
+    if pos.any():
+        logabs = lpos + np.log(-np.expm1(-diff))
+        return int(np.argmax(np.where(pos, logabs, -np.inf)))
+    zero = ~(diff < 0.0)
+    if zero.any():
+        return int(np.argmax(zero))
+    return int(np.argmin(lneg + np.log(-np.expm1(diff))))
+
+
+def _score_dp_chains(logmu: np.ndarray, lognu: np.ndarray, view,
+                     score) -> tuple[np.ndarray, tuple]:
+    """Best witness chain ending at each active row, and its end state.
+
+    A chain is a set E of active rows, plus the always-free rows.  Every
+    chain carries the same log-sum state over the rows up to its end and
+    the columns it has settled: mu(E), nu(Gamma(E)), mu of the rows it
+    skipped and nu of the columns it left uncovered for good.  Appending
+    row i to the chain ending at row j adds mu_i to the first, and the
+    view's newly covered and gap masses for (j, i) to the second and the
+    last (``view.masses``); every chain that does not take row i adds mu_i
+    to its skipped mass.  Slot 0 is the empty chain, so starting fresh is
+    one more candidate and wins ties, ahead of the chains in row order.
+    ``score(log_e, log_g, log_skip, log_gap)`` ranks the candidates of
+    step i on these four masses alone.  As witness sets, all of them also
+    hold the rows after i in E^c and the columns starting after row i in
+    Gamma(E)^c; those masses are the same for every candidate, and added
+    in, they would round away the differences at the tail's scale.
+
+    Returns the parent pointers (the row before row i in its chain, or
+    -1) and the end state: the four log-masses above for slot 0 and for
+    the chain ending at each active row.  At the end every
+    row after a chain's last one is skipped, and every column it has not
+    settled is uncovered, so the state holds E^c and Gamma(E)^c whole, each
+    summed from same-sign terms.  G and 1 - G are read off this state;
+    only the winning witness sets are then evaluated exactly.
+    """
+    logmu_a = logmu[view.act]
+    m = len(logmu_a)
+    log_e = np.full(m + 1, -np.inf)
+    log_e[0] = _lse(logmu[view.empty])
+    log_g = np.full(m + 1, -np.inf)
+    log_skip = np.full(m + 1, -np.inf)
+    log_gap = np.full(m + 1, -np.inf)
+    parent = np.full(m, -1, dtype=np.int64)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        unsettled, steps = view.masses(lognu)
+        for i, (cover, gap) in enumerate(steps):
+            skip = log_skip[:i + 1]
+            cand_e = np.logaddexp(log_e[:i + 1], logmu_a[i])
+            cand_g = np.logaddexp(log_g[:i + 1], cover)
+            cand_gap = np.logaddexp(log_gap[:i + 1], gap)
+            best = _signed_argmax_1d(*score(cand_e, cand_g, skip, cand_gap))
+            parent[i] = best - 1
+            log_e[i + 1], log_g[i + 1] = cand_e[best], cand_g[best]
+            log_skip[i + 1], log_gap[i + 1] = skip[best], cand_gap[best]
+            log_skip[:i + 1] = np.logaddexp(skip, logmu_a[i])
+    log_gc = np.logaddexp(log_gap, unsettled)
+    return parent, (log_e, log_g, log_skip, log_gc)
+
+
+def _three_run_side_candidates(logmu, lognu, view):
+    """(direct, complement-sum) of the best chain of each score.
+
+    The best G chain is the better of the ``_gain`` and ``_complement``
+    winners, the best 1 - G chain the ``_loss`` winner.  Every DP run ends
+    with every chain's four masses, so each winner is picked from the
+    state of all runs, and only the winners' witness sets are evaluated.
+    """
+    scores = (_gain, _complement, _loss)
+    runs = [_score_dp_chains(logmu, lognu, view, score) for score in scores]
+    state = np.concatenate([end for _, end in runs], axis=1)
+    slots = state.shape[1] // len(runs)
+    out = []
+    for score in scores:
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            best = _signed_argmax_1d(*score(*state))
+        chain = _chain_members(runs[best // slots][0], best % slots - 1)
+        out.append(_witness_values(
+            logmu, lognu, *_chain_masks(chain, view, len(logmu), len(lognu))))
+    return out
+
+
+def _views(logmu, lognu, adm):
+    """(logmu, lognu, view) for each orientation of a table and each of
+    the interval and banded views it has."""
+    for a, b, table in ((logmu, lognu, adm), (lognu, logmu, adm.T)):
+        for view in (_interval_view(table), _banded_view(table)):
+            if view is not None:
+                yield a, b, view
 
 
 class TestChainDp:
@@ -879,7 +1019,7 @@ class TestChainDp:
 
     def test_only_the_winning_chains_are_evaluated(self, monkeypatch):
         # one winner per score, over the one orientation the interval
-        # route runs: two G chains (_gain, _complement) and the 1 - G chain
+        # route runs: two G chains (gain, complement) and the 1 - G chain
         calls = Counter()
 
         def counted(name):
@@ -894,6 +1034,110 @@ class TestChainDp:
         counted("_witness_values")
         gn_tails(B01, B05, HAMMING, 0.2, 200)
         assert calls == {"_chain_members": 3, "_witness_values": 3}
+
+    def test_one_walk_over_the_steps(self, monkeypatch):
+        # the three runs share one call of view.masses and consume each of
+        # its steps once
+        calls = Counter()
+        real = lattice._IntervalView.masses
+
+        def counted(view, lognu):
+            calls["masses"] += 1
+            unsettled, steps = real(view, lognu)
+
+            def walk():
+                for step in steps:
+                    calls["steps"] += 1
+                    yield step
+            calls["rows"] += len(view.act)
+            return unsettled, walk()
+        monkeypatch.setattr(lattice._IntervalView, "masses", counted)
+        for n in (50, 200):
+            for alpha in (0.2, 0.45):
+                calls.clear()
+                gn_tails(B01, B05, HAMMING, alpha, n)
+                assert calls["masses"] == 1
+                assert calls["steps"] == calls["rows"] > 0
+
+    def test_one_pass_matches_the_three_runs(self, rng):
+        # the parents and all four end-state masses of each run equal those
+        # of its own per-score run, bit for bit, in both orientations and
+        # on interval and banded views, also with every mass below
+        # exp(-1000), and so do the witness values read off the end state.
+        # The lattices are those of test_agrees_with_dense_flow: on one of
+        # them a chain of the gain run ties the complement run's winner
+        lattices = two_letter_lattices(np.random.default_rng(31), 160)
+        gen = np.random.default_rng(12)
+        instances = (self.instances(rng) + [inst[1:] for inst in lattices]
+                     + [random_intervals(gen, int(gen.integers(2, 14)),
+                                         int(gen.integers(2, 14)), shift)
+                        for shift in (0.0, -1500.0) for _ in range(200)])
+        compared = 0
+        for inst in instances:
+            for logmu, lognu, view in _views(*inst):
+                parent, state = _dp_chains(logmu, lognu, view)
+                assert parent.shape == (3, len(view.act))
+                assert state.shape == (4, 3, len(view.act) + 1)
+                for s, score in enumerate((_gain, _complement, _loss)):
+                    want_parent, want_state = _score_dp_chains(
+                        logmu, lognu, view, score)
+                    assert np.array_equal(parent[s], want_parent)
+                    for got, want in zip(state[:, s], want_state):
+                        assert np.array_equal(got, want)
+                # each score still reads its winner off all three runs
+                assert _side_candidates(logmu, lognu, view) == (
+                    _three_run_side_candidates(logmu, lognu, view))
+                compared += 1
+        assert compared >= 800
+
+    def test_signed_argmax_ranks_rows_as_decimal(self):
+        # crafted rows, one (lpos, lneg) pair per entry, ranked row by row
+        # against exact decimal values; the first of tied values wins
+        inf, deep = np.inf, -1500.0
+        rows = [
+            # ties: the first of equal largest values, positive or negative
+            [(-1.0, -2.0), (-0.5, -3.0), (-1.0, -2.0), (-0.5, -3.0)],
+            [(-3.0, -1.0), (-4.0, -2.0), (-4.0, -2.0), (-3.0, -1.0)],
+            # zeros, as equal masses or as -inf - -inf, beat negatives
+            [(-2.0, -1.0), (-inf, -inf), (-3.0, -3.0), (-inf, -inf)],
+            [(-2.0, -1.0), (-4.0, -4.0), (-inf, -inf), (-inf, -3.0)],
+            [(-inf, -inf), (-inf, -inf), (-inf, -inf), (-inf, -inf)],
+            # all negative: the smallest magnitude wins
+            [(-5.0, -1.0), (-inf, -2.0), (-3.0, -2.5), (-inf, -10.0)],
+            [(-inf, -0.1), (-7.0, -6.9), (-inf, -30.0), (-2.0, -0.5)],
+            # bulk-masked entries lose to everything but each other
+            [(-inf, inf), (-inf, inf), (-inf, inf), (-inf, inf)],
+            [(-inf, inf), (-inf, -50.0), (-inf, inf), (-9.0, -1.0)],
+            [(-inf, inf), (-inf, inf), (-inf, -inf), (-inf, inf)],
+            [(-inf, inf), (-60.0, -70.0), (-inf, inf), (-61.0, -62.0)],
+            # magnitudes below exp(-1000), where a plain difference is 0
+            [(deep, deep - 1e-12), (deep, deep - 2e-12), (deep - 1.0, -inf),
+             (deep, deep)],
+            [(deep - 1e-12, deep), (deep - 2e-12, deep), (-inf, deep - 5.0),
+             (-inf, inf)],
+            [(deep, deep - 0.5), (deep + 1e-9, deep - 0.5), (-inf, inf),
+             (deep + 1e-9, deep - 0.5)],
+        ]
+        gen = np.random.default_rng(3)
+        for _ in range(60):
+            lpos = gen.choice([0.0, -5.0, deep], 4) + gen.uniform(-3, 0, 4)
+            lneg = lpos + gen.choice([-1e-10, 1e-10, -2.0, 2.0], 4)
+            lneg[gen.random(4) < 0.2] = -inf
+            lpos[gen.random(4) < 0.2] = -inf
+            masked = gen.random(4) < 0.2
+            lpos[masked], lneg[masked] = -inf, inf
+            rows.append(list(zip(lpos, lneg)))
+        lpos, lneg = np.array(rows).transpose(2, 0, 1)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            got = _signed_argmax(lpos, lneg)
+            assert got.shape == (len(rows),)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                for r, row in enumerate(rows):
+                    values = [Decimal(float(a)).exp() - Decimal(float(b)).exp()
+                              for a, b in row]
+                    assert got[r] == values.index(max(values)), row
+                    assert got[r] == _signed_argmax_1d(lpos[r], lneg[r])
 
     @pytest.mark.parametrize("shift", [0.0, -1500.0])
     def test_gain_chain_reaches_subset_maximum(self, shift):
@@ -924,12 +1168,12 @@ class TestChainDp:
 
                 view = _banded_view(adm)
                 assert max(gain(rows) for rows in subsets) > 0
-                for scores, objective in (((_gain, _complement), gain),
-                                          ((_loss,), minus_loss)):
+                for runs, objective in (((GAIN, COMPLEMENT), gain),
+                                        ((LOSS,), minus_loss)):
                     brute = max(objective(rows) for rows in subsets)
                     tol = abs(brute) * Decimal("1e-9")
                     best, end_value = _best_and_end_value(
-                        logmu, lognu, view, scores,
+                        logmu, lognu, view, runs,
                         lambda chain: objective(list(view[0][chain])))
                     assert best >= brute - tol
                     assert abs(end_value - brute) <= tol
