@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .measures import Dist, kl
+from .measures import Dist, relative_entropy
 from .transport import CostMatrix, dual_vertices, ot_value
 
 COST_EPS = 1e-12
@@ -78,14 +78,32 @@ class RateQuery:
             raise ValidationError("alpha must be finite")
 
 
+def _bernoulli_mass(p: float) -> tuple[float, ...]:
+    """The masses of Dist.bernoulli(p), built only where they need checks."""
+    if 0.0 < p < 1.0:  # then (p, 1 - p) passes every check Dist makes
+        return float(p), float(1.0 - p)
+    return Dist.bernoulli(p).mass
+
+
 def d_bern(x: float, y: float) -> float:
-    """KL divergence between Bernoulli(x) and Bernoulli(y)."""
-    return kl(Dist.bernoulli(x), Dist.bernoulli(y))
+    """KL divergence between Bernoulli(x) and Bernoulli(y): kl of the two
+    Dist.bernoulli laws, built only for parameters outside (0, 1)."""
+    return relative_entropy(_bernoulli_mass(x), _bernoulli_mass(y))
 
 
 # ---------------------------------------------------------------------------
 # Tilts and the dual ascent.
 # ---------------------------------------------------------------------------
+
+def _by_row(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m, each row of x multiplied on its own.
+
+    numpy sends a one-row product to another BLAS routine than a many-row
+    one, and the two round differently; a stack of one-row products gives
+    every row the same bits whatever rows share the call.
+    """
+    return (x[:, None, :] @ m)[:, 0]
+
 
 def _kl_rows(q: np.ndarray, logp: np.ndarray) -> np.ndarray:
     """KL(q || p) along the last axis; p > 0 everywhere."""
@@ -184,10 +202,11 @@ def _project(logp, a, beta, shrink, settled):
     Returns per row a certified lower bound on the least KL(q || p), the
     dual value at beta; an upper bound, the KL of the tilt if it meets
     a q <= beta, else inf; and the tilt.  settled(lower, upper) ends a row.
+    A row's results keep their bits whatever rows are solved beside it.
     """
     def oracle(lam):
-        lse, q = _tilt(logp, lam @ a)
-        grad = q @ a.T - beta + shrink
+        lse, q = _tilt(logp, _by_row(lam, a))
+        grad = _by_row(q, a.T) - beta + shrink
         return (-lse - np.sum(lam * (beta - shrink), axis=1), grad,
                 -_covariance(a, q), q)
 
@@ -373,10 +392,11 @@ def _exceed_test(carr: np.ndarray, bmass: np.ndarray, alpha: float):
     def exceeds(q: np.ndarray, level: np.ndarray) -> np.ndarray:
         # E(q) is 0 where bmass itself is within budget of q, and infinite
         # (its dual unbounded) where q's cheapest cells cost more
-        home = np.max(q @ f.T + g @ bmass, axis=1) <= budget
-        beyond = q @ carr.min(axis=1) > budget - shrink
+        qf = _by_row(q, f.T)
+        home = np.max(qf + g @ bmass, axis=1) <= budget
+        beyond = _by_row(q, carr.min(axis=1)) > budget - shrink
         _, upper, _ = _project(
-            logb, g, budget - q @ f.T, shrink,
+            logb, g, budget - qf, shrink,
             lambda lower, upper: (lower > level) | (upper <= level)
             | (level <= 0.0) | home | beyond)
         return (level > 0.0) & ~home & (beyond | (upper > level))
@@ -391,6 +411,9 @@ def _orientation_rate(pa: Dist, pb: Dist, carr_ab: np.ndarray,
 
     Returns the bracket the boundary walks close: the least divergence of a
     walk's first law that does not exceed, and of its last law that does.
+    Each walk halves its segment 45 times, and one exceed solve decides the
+    next five halvings at once, so the bracket is bit for bit the one that
+    halving one step at a time closes.
     """
     amass, bmass, carr = _supports(pa, pb, carr_ab)
     loga = np.log(amass)
@@ -412,14 +435,28 @@ def _orientation_rate(pa: Dist, pb: Dist, carr_ab: np.ndarray,
         return math.inf, math.inf
     # Walk the best few exceeding points toward the base law: the rate is
     # attained on the boundary where the neighbourhood stops being rarer.
+    # Each solve decides the 31 points lo_t + (j / 32)(hi_t - lo_t) that the
+    # next five halvings can visit, and the halvings read their answers off
+    # that table.  Every point is a multiple of 2^-45 in [0, 1], so it is
+    # exact and equals the midpoint a single halving would compute; the
+    # exceed test settles each row on its own, so the answers do not depend
+    # on the rows solved beside them.
     q = points[ok][np.argsort(levels[ok], kind="stable")[:3]]
     toward = amass - q
+    rows = np.arange(len(q))
+    fractions = np.arange(33) / 32.0
     lo_t, hi_t = np.zeros(len(q)), np.ones(len(q))
-    for _ in range(45):
-        mid = 0.5 * (lo_t + hi_t)
-        at = q + mid[:, None] * toward
-        ok = exceeds(at, _kl_rows(at, loga))
-        lo_t, hi_t = np.where(ok, mid, lo_t), np.where(ok, hi_t, mid)
+    for _ in range(9):
+        ts = lo_t[:, None] + fractions * (hi_t - lo_t)[:, None]
+        at = (q[:, None, :] + ts[:, 1:-1, None] * toward[:, None, :]
+              ).reshape(-1, k)
+        ok = exceeds(at, _kl_rows(at, loga)).reshape(len(q), 31)
+        lo_j, hi_j = np.zeros(len(q), dtype=int), np.full(len(q), 32)
+        for _ in range(5):
+            mid = (lo_j + hi_j) // 2
+            hit = ok[rows, mid - 1]
+            lo_j, hi_j = np.where(hit, mid, lo_j), np.where(hit, hi_j, mid)
+        lo_t, hi_t = ts[rows, lo_j], ts[rows, hi_j]
     return (float(_kl_rows(q + hi_t[:, None] * toward, loga).min()),
             float(_kl_rows(q + lo_t[:, None] * toward, loga).min()))
 

@@ -232,8 +232,13 @@ def kl(q: Dist, p: Dist) -> float:
     Conventions: 0*log(0/x) = 0, and q(x) > 0 with p(x) = 0 gives +inf.
     """
     _check_same_alphabet(q, p)
+    return relative_entropy(q.mass, p.mass)
+
+
+def relative_entropy(q: Sequence[float], p: Sequence[float]) -> float:
+    """kl on two checked mass sequences over one alphabet."""
     terms = []
-    for qm, pm in zip(q.mass, p.mass):
+    for qm, pm in zip(q, p):
         if qm == 0.0:
             continue
         if pm == 0.0:

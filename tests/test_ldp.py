@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -42,6 +43,37 @@ class TestDBern:
     def test_infinite_off_support(self):
         assert d_bern(0.5, 0.0) == math.inf
         assert d_bern(0.0, 0.5) < math.inf
+
+    def test_matches_kl_of_the_bernoulli_laws(self):
+        # values equal bit for bit, and the same ValidationError where a law
+        # is rejected: mass dust below 1e-12 is cleaned, more is refused
+        def outcome(fn, x, y):
+            try:
+                return fn(x, y)
+            except ValidationError as err:
+                return str(err)
+
+        def by_laws(x, y):
+            return kl(Dist.bernoulli(x), Dist.bernoulli(y))
+
+        edges = [0.0, -0.0, 1.0, 0.5, 1e-300, 5e-324, 1.0 - 2.0 ** -53,
+                 -1e-14, 1.0 + 1e-14, -0.9e-12, 1.0 + 0.9e-12, -2e-12,
+                 1.0 + 2e-12, -1.0, 2.0, math.nan, math.inf, -math.inf]
+        rng = np.random.default_rng(2024)
+        n = 50_000
+        spread = np.concatenate([
+            rng.uniform(0.0, 1.0, n),
+            10.0 ** rng.uniform(-320.0, 0.0, n),
+            1.0 - 10.0 ** rng.uniform(-17.0, 0.0, n),
+            rng.uniform(-3e-12, 3e-12, n),
+            1.0 + rng.uniform(-3e-12, 3e-12, n)])
+        xs = np.concatenate([spread, rng.choice(edges, n)])
+        ys = rng.permutation(xs)
+        pairs = [(x, y) for x in edges for y in edges]
+        pairs += zip(xs.tolist(), ys.tolist())
+        pairs += zip(xs[:1000], ys[:1000])  # numpy scalars, as linspace gives
+        for x, y in pairs:
+            assert outcome(d_bern, x, y) == outcome(by_laws, x, y), (x, y)
 
 
 class TestRateQuery:
@@ -483,9 +515,49 @@ def fw_exceed_test(carr, bmass, alpha):
     return exceeds
 
 
+def _halving_orientation_rate(pa, pb, carr_ab, alpha, grid):
+    """The walk ``ldp._orientation_rate`` replaced, one exceed solve per
+    halving, kept as the oracle of the batched walk (verbatim but for the
+    ``ldp.`` prefixes)."""
+    amass, bmass, carr = ldp._supports(pa, pb, carr_ab)
+    loga = np.log(amass)
+    k = len(amass)
+    exceeds = ldp._exceed_test(carr, bmass, alpha)
+    if k == 1:
+        points = np.ones((1, 1))
+    elif k == 2:
+        ts = np.linspace(0.0, 1.0, grid)
+        points = np.stack([ts, 1.0 - ts], axis=1)
+    else:
+        steps = max(2, int(round(math.sqrt(grid))) * 4)
+        points = np.array([[i / steps, j / steps, 1.0 - i / steps - j / steps]
+                           for i in range(steps + 1)
+                           for j in range(steps + 1 - i)])
+    levels = ldp._kl_rows(points, loga)
+    ok = exceeds(points, levels)
+    if not ok.any():
+        return math.inf, math.inf
+    # Walk the best few exceeding points toward the base law: the rate is
+    # attained on the boundary where the neighbourhood stops being rarer.
+    q = points[ok][np.argsort(levels[ok], kind="stable")[:3]]
+    toward = amass - q
+    lo_t, hi_t = np.zeros(len(q)), np.ones(len(q))
+    for _ in range(45):
+        mid = 0.5 * (lo_t + hi_t)
+        at = q + mid[:, None] * toward
+        ok = exceeds(at, ldp._kl_rows(at, loga))
+        lo_t, hi_t = np.where(ok, mid, lo_t), np.where(ok, hi_t, mid)
+    return (float(ldp._kl_rows(q + hi_t[:, None] * toward, loga).min()),
+            float(ldp._kl_rows(q + lo_t[:, None] * toward, loga).min()))
+
+
 def fw_rate_g(query, grid, monkeypatch):
-    """The old rate_g: the same grid and walks, with the old exceed test."""
+    """The old rate_g: the same grid and halving walks, with the old exceed
+    test.  That test decides row by row, so the halving walk keeps its cost
+    at one row per walk and step; the batched walk is tied to the halving
+    one by TestBoundaryWalk."""
     monkeypatch.setattr(ldp, "_exceed_test", fw_exceed_test)
+    monkeypatch.setattr(ldp, "_orientation_rate", _halving_orientation_rate)
     try:
         return rate_g(query, grid)
     finally:
@@ -571,3 +643,120 @@ class TestVertexDual:
         bracket = ldp._rate_g_bracket(query, grid=4)
         assert _near(0.11348544429699059, bracket, 1e-9)
         assert _near(fw_rate_g(query, 4, monkeypatch), bracket, 1e-9)
+
+
+def _random_rate_g_queries(seed, count):
+    """Random 2x2, 2x3 and 3x3 instances, alpha above the base cost."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        m, k = ((2, 2), (2, 3), (3, 3))[i % 3]
+        pa, pb = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(k))
+        cost = np.round(rng.uniform(0.0, 1.0, (m, k)), 3)
+        base = ot_value(pa, pb, cost)
+        alpha = base + 0.5 * rng.uniform() * (cost.max() - base)
+        out.append(RateQuery(Dist.from_mass(pa.tolist()),
+                             Dist.from_mass(pb.tolist()),
+                             CostMatrix.from_rows(cost.tolist()), alpha))
+    return out
+
+
+def _walk_cases(group):
+    """(query, grid) pairs whose rate_g walks the two walks must agree on."""
+    if group == "binary":
+        return [(binary_query(a, b, alpha), 201)
+                for a, b, alpha in RATE_TRIPLES]
+    if group == "theta":
+        px, py, c = THETA_INSTANCES[2]
+        base = ot_value(px.as_array(), py.as_array(), c.as_array())
+        return ([(RateQuery(px, py, c, base + eps), grid)
+                 for eps in (0.005, 0.01, 0.02, 0.05, 0.1)
+                 for grid in (4, 49, 201)]
+                + [(RateQuery(px, py, c, alpha), 201) for alpha in (0.27, 0.28)])
+    return [(query, 4) for query in _random_rate_g_queries(1313, 90)]
+
+
+def _rate_g_brackets(cases, monkeypatch, walk=None):
+    if walk is not None:
+        monkeypatch.setattr(ldp, "_orientation_rate", walk)
+    try:
+        return [ldp._rate_g_bracket(query, grid) for query, grid in cases]
+    finally:
+        monkeypatch.undo()
+
+
+class TestBoundaryWalk:
+    """The batched boundary walk against one-at-a-time halving."""
+
+    @pytest.mark.parametrize("group", ["binary", "theta", "random"])
+    def test_brackets_equal_the_halving_walk(self, group, monkeypatch):
+        cases = _walk_cases(group)
+        got = _rate_g_brackets(cases, monkeypatch)
+        want = _rate_g_brackets(cases, monkeypatch, _halving_orientation_rate)
+        assert got == want
+        assert any(0.0 < upper < math.inf for _, upper in got)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tree_reading_equals_halving_for_any_decisions(self, seed,
+                                                           monkeypatch):
+        # decisions that are a hash of each row's bits, so not monotone along
+        # a walk: reading five halvings off one table must still visit the
+        # points, and take the turns, that halving one step at a time does
+        def hashed_test(carr, bmass, alpha):
+            def exceeds(q, level):
+                return np.array([
+                    hashlib.blake2b(row.tobytes(), key=bytes([seed + 1]))
+                    .digest()[0] % 2 == 1 for row in q])
+            return exceeds
+
+        cases = _walk_cases("theta") + _walk_cases("random")[:30]
+        monkeypatch.setattr(ldp, "_exceed_test", hashed_test)
+        got = [ldp._rate_g_bracket(query, grid) for query, grid in cases]
+        monkeypatch.setattr(ldp, "_orientation_rate",
+                            _halving_orientation_rate)
+        want = [ldp._rate_g_bracket(query, grid) for query, grid in cases]
+        monkeypatch.undo()
+        assert got == want
+        assert sum(0.0 < upper < math.inf for _, upper in got) > len(got) // 2
+
+    @pytest.mark.parametrize("query, grid", [
+        pytest.param(_workload_alphas()[1][0], 4, id="theta-base+0.02"),
+        pytest.param(binary_query(0.1, 0.5, 0.45), 201, id="0.1-0.5-0.45"),
+    ])
+    def test_one_solve_per_five_halvings(self, query, grid, monkeypatch):
+        # the grid of each orientation, then 9 solves for one walk of 45
+        # halvings: 11 dual solves in all, where halving one step at a time
+        # makes 47
+        calls = []
+        project = ldp._project
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return project(*args)
+
+        monkeypatch.setattr(ldp, "_project", counting)
+        rate_g(query, grid)
+        assert len(calls) == 11
+
+    def test_exceed_decisions_ignore_the_rows_beside_them(self):
+        # the walk's equality with halving rests on this: a law's projection
+        # bounds, and so its decision, keep their bits whatever rows share
+        # the solve (numpy's one-row and many-row products round apart)
+        for seed, query in enumerate(_random_rate_g_queries(1313, 12)):
+            amass, bmass, carr = ldp._supports(query.p_x, query.p_y,
+                                               query.cost.as_array())
+            f, g, shrink = ldp._dual_of(carr)
+            q = np.random.default_rng(seed).dirichlet(np.ones(len(amass)),
+                                                      size=40)
+            level = ldp._kl_rows(q, np.log(amass))
+            beta = query.alpha + EXCEED_EPS - q @ f.T
+            logb = np.log(bmass)
+            batch = ldp._project(logb, g, beta, shrink, ldp._narrow)
+            for i in range(len(q)):
+                alone = ldp._project(logb, g, beta[i:i + 1], shrink,
+                                     ldp._narrow)
+                for many, one in zip(batch, alone):
+                    assert np.array_equal(many[i], one[0])
+            exceeds = ldp._exceed_test(carr, bmass, query.alpha)
+            assert np.array_equal(exceeds(q, level), np.concatenate(
+                [exceeds(q[i:i + 1], level[i:i + 1]) for i in range(len(q))]))
