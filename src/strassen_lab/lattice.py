@@ -13,6 +13,7 @@ coupling constructions used to realize the optimum.
 When one alphabet has 2 letters, its types lie on a line and the inner
 cost is convex along it, so every type of the other side admits an
 interval of them, with ends in any order (a convex bipartite graph).
+The ends come in closed form from the 2-source dual, with no inner table.
 Witness sets E on the 2-letter side are then chains of its types, and
 one pass of a chain DP over that line finds them for three scores at
 once, one run per score, all fed by the same steps.  Each score is
@@ -26,8 +27,7 @@ on its own.  Signed scores are ranked exactly in log space, by (sign,
 sign * log|value|).  The DP ends with every chain's four masses in each
 run, so the winners are read off that end state, and only the three
 winning witness sets are evaluated exactly.  Lattices where both sides
-have 3 or more letters, or whose table rounding has broken an interval,
-go to a dense max-flow.
+have 3 or more letters go to a dense max-flow over the inner table.
 
 Numerical posture: type masses are kept in log space end to end; every
 reported probability is assembled from sums of same-sign terms selected
@@ -275,9 +275,13 @@ def _inner_cost_table(c: CostMatrix, n: int) -> np.ndarray:
     return table
 
 
-def nested_instance(p_x: Dist, p_y: Dist, c: CostMatrix, n: int) -> NestedInstance:
+def _check_sizes(p_x: Dist, p_y: Dist, c: CostMatrix) -> None:
     if (len(p_x), len(p_y)) != c.shape:
         raise ValidationError("marginal sizes do not match the cost table")
+
+
+def nested_instance(p_x: Dist, p_y: Dist, c: CostMatrix, n: int) -> NestedInstance:
+    _check_sizes(p_x, p_y, c)
     mu = TypeMeasure.of(p_x, n)
     nu = TypeMeasure.of(p_y, n)
     return NestedInstance(mu=mu, nu=nu, inner_cost=_inner_cost_table(c, n),
@@ -287,18 +291,6 @@ def nested_instance(p_x: Dist, p_y: Dist, c: CostMatrix, n: int) -> NestedInstan
 # ---------------------------------------------------------------------------
 # Outer Strassen solve on the lattice.
 # ---------------------------------------------------------------------------
-
-def _row_spans(adm: np.ndarray):
-    """(admits, first, last) per row, or None if a row's admissible set has
-    a hole; first and last are its first and last admissible column."""
-    admits = adm.any(axis=1)
-    first = np.argmax(adm, axis=1)
-    last = adm.shape[1] - 1 - np.argmax(adm[:, ::-1], axis=1)
-    if not np.array_equal(adm.sum(axis=1)[admits],
-                          (last - first + 1)[admits]):
-        return None
-    return admits, first, last
-
 
 class _IntervalView(NamedTuple):
     """Column y is admitted by the active rows lo_y..hi_y, in any order of
@@ -354,28 +346,38 @@ class _IntervalView(NamedTuple):
         return rows[np.searchsorted(rows, self.lo)] <= self.hi
 
 
-def _interval_view(adm: np.ndarray):
-    """Interval structure of an admissibility table's columns, if it has one.
+def _line_view(carr: np.ndarray, alpha: float, n: int):
+    """The ``_IntervalView`` of a 2 x k cost at threshold alpha, from the
+    cost alone; None if no pair of types is admissible.
 
-    Returns an ``_IntervalView`` when every column's admissible rows are
-    contiguous, which holds whenever the rows are the types of a 2-letter
-    alphabet in line order: the inner cost is convex along that line.  The
-    ends may move in any direction.  Otherwise, or with nothing admissible,
-    None.
+    Row i is the type (i, n - i) of the 2-letter side, t = i / n.  With
+    s_j = c_1j - c_0j, the 2-source dual has the k candidate solutions
+    f = (0, s_j), g_j = min(c_0, c_1 - s_j), so OT((t, 1 - t), y) =
+    max_j s_j (1 - t) + g_j . y.  Each j therefore bounds t from one side:
+    with room_j = alpha + ADMISS_EPS - s_j - g_j . y, a column y admits
+    t >= -room_j / s_j where s_j > 0, t <= -room_j / s_j where s_j < 0, and
+    nothing at all where s_j = 0 and room_j < 0.
     """
-    spans = _row_spans(adm.T)
-    if spans is None:
+    s = carr[1] - carr[0]
+    g = np.minimum(carr[0], carr[1] - s[:, None])
+    room = alpha + ADMISS_EPS - s - (_counts_matrix(n, len(s)) / n) @ g.T
+    pos, neg = s > 0.0, s < 0.0
+    lo = np.ceil(n * (-room[:, pos] / s[pos]).max(axis=1, initial=0.0))
+    hi = np.floor(n * (-room[:, neg] / s[neg]).min(axis=1, initial=1.0))
+    admits = (lo <= hi) & (room[:, s == 0.0] >= 0.0).all(axis=1)
+    if not admits.any():
         return None
-    admits, first, last = spans
-    any_row = adm.any(axis=1)
-    act = np.flatnonzero(any_row)
-    if act.size == 0:
-        return None
+    lo = lo[admits].astype(np.int64)
+    hi = hi[admits].astype(np.int64)
     # every row inside a column's interval admits it, so is active
+    any_row = np.cumsum(np.bincount(lo, minlength=n + 2)
+                        - np.bincount(hi + 1, minlength=n + 2))[:n + 1] > 0
+    act = np.flatnonzero(any_row)
     rank = np.cumsum(any_row) - 1
-    return _IntervalView(act, np.where(admits, rank[first], act.size),
-                         np.where(admits, rank[last], -1),
-                         np.flatnonzero(~any_row))
+    first = np.full(len(admits), act.size)
+    last = np.full(len(admits), -1)
+    first[admits], last[admits] = rank[lo], rank[hi]
+    return _IntervalView(act, first, last, np.flatnonzero(~any_row))
 
 
 _LOG_HALF = math.log(0.5)
@@ -563,21 +565,9 @@ def _bounds(candidates) -> tuple[float, float]:
     return min(g, 1.0), max(comp, 0.0)
 
 
-def _lattice_ecp_interval(logmu, lognu, adm):
-    """The outer solve with E on the rows, when every column admits an
-    interval of rows; None otherwise."""
-    view = _interval_view(adm)
-    if view is None:
-        return None
-    return _bounds(_side_candidates(logmu, lognu, view))
-
-
 def _lattice_ecp_dense(logmu, lognu, adm):
     if adm.size > DENSE_GUARD:
-        raise SizeGuardError(
-            f"dense outer flow needs {adm.size} cells and no side has "
-            "2 letters whose types admit intervals"
-        )
+        raise SizeGuardError(f"dense outer flow needs {adm.size} cells")
     mu_lin = np.exp(logmu)
     nu_lin = np.exp(lognu)
     _, _, witness = flow.bipartite_max_flow(mu_lin, nu_lin, adm)
@@ -595,19 +585,23 @@ def gn_tails(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
     The pair is computed from dual witnesses rather than from each other, so
     both stay meaningful when one of them is at the 1e-300 scale.
     """
-    inst = nested_instance(p_x, p_y, c, n)
-    adm = inst.inner_cost <= alpha + ADMISS_EPS
-    if not adm.any():
-        return 1.0, 0.0
-    logmu, lognu = inst.mu.logmass, inst.nu.logmass
-    # the types of a 2-letter side lie on a line, so the chain runs there
     kx, ky = c.shape
-    if kx == 2 or ky == 2:
-        interval = (_lattice_ecp_interval(logmu, lognu, adm) if kx == 2
-                    else _lattice_ecp_interval(lognu, logmu, adm.T))
-        if interval is not None:
-            return interval
-    return _lattice_ecp_dense(logmu, lognu, adm)
+    if kx != 2 and ky != 2:
+        inst = nested_instance(p_x, p_y, c, n)
+        adm = inst.inner_cost <= alpha + ADMISS_EPS
+        if not adm.any():
+            return 1.0, 0.0
+        return _lattice_ecp_dense(inst.mu.logmass, inst.nu.logmass, adm)
+    _check_sizes(p_x, p_y, c)
+    # the types of a 2-letter side lie on a line, so the chain runs there
+    carr = c.as_array()
+    if kx != 2:
+        p_x, p_y, carr = p_y, p_x, carr.T
+    view = _line_view(carr, alpha, n)
+    if view is None:
+        return 1.0, 0.0
+    return _bounds(_side_candidates(TypeMeasure.of(p_x, n).logmass,
+                                    TypeMeasure.of(p_y, n).logmass, view))
 
 
 def exact_gn(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float, n: int) -> float:

@@ -337,6 +337,18 @@ def rate_f(query: RateQuery) -> float:
     return 0.5 * (lower + upper)
 
 
+def _bisect(phi, inside: float, outside: float) -> tuple[float, float]:
+    """Halve the segment between a point where phi > 0 and one where it is
+    not, 60 times; returns its last (inside, outside) ends."""
+    for _ in range(60):
+        mid = 0.5 * (inside + outside)
+        if phi(mid) > 0.0:
+            inside = mid
+        else:
+            outside = mid
+    return inside, outside
+
+
 def rate_f_binary(a: float, b: float, alpha: float) -> float:
     """Closed form of rate_f for Bernoulli marginals and Hamming cost.
 
@@ -363,17 +375,11 @@ def rate_f_binary(a: float, b: float, alpha: float) -> float:
         return d_bern(alpha, a)
     if b == 1.0:
         return d_bern(1.0 - alpha, a)
-    lo, hi = a, b - alpha
 
     def phi(q: float) -> float:
         return d_bern(q + alpha, b) - d_bern(q, a)
 
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(phi, a, b - alpha)
     root = 0.5 * (lo + hi)
     return max(d_bern(root, a), d_bern(root + alpha, b))
 
@@ -504,16 +510,6 @@ def rate_g_binary(a: float, b: float, alpha: float) -> float:
             partner = min(max(other, t - alpha), t + alpha)
             return d_bern(partner, other) - d_bern(t, base)
 
-        def edge(inside: float, outside: float) -> float:
-            # last point with phi > 0 on the way from 'inside' to 'outside'
-            for _ in range(60):
-                mid = 0.5 * (inside + outside)
-                if phi(mid) > 0.0:
-                    inside = mid
-                else:
-                    outside = mid
-            return inside
-
         ts = np.linspace(0.0, 1.0, 2001)
         vals = [phi(t) for t in ts]
         best = math.inf
@@ -528,8 +524,10 @@ def rate_g_binary(a: float, b: float, alpha: float) -> float:
             # A run whose margin stays within rounding of zero is no region:
             # with a == b both divergences agree up to a few ulps.
             if max(vals[i:j + 1]) > COST_EPS:
-                lo_t = edge(ts[i], ts[i - 1]) if i > 0 else ts[i]
-                hi_t = edge(ts[j], ts[j + 1]) if j + 1 < len(ts) else ts[j]
+                # the last points with phi > 0 toward either neighbour
+                lo_t = _bisect(phi, ts[i], ts[i - 1])[0] if i > 0 else ts[i]
+                hi_t = (_bisect(phi, ts[j], ts[j + 1])[0]
+                        if j + 1 < len(ts) else ts[j])
                 best = min(best, d_bern(lo_t, base), d_bern(hi_t, base),
                            *(d_bern(t, base) for t in ts[i:j + 1]))
             i = j + 1

@@ -227,6 +227,32 @@ class TestExactGnCommand:
         assert all(b <= a for a, b in zip(gs, gs[1:]))
         assert gs[0] > 0.99 and gs[-1] < 0.01
 
+    def test_two_by_three_past_the_old_table_guard(self, capsys, tmp_path):
+        # 201 x 20,301 type pairs: more than the inner table takes, while
+        # the interval ends come from the cost
+        path = tmp_path / "two_by_three.json"
+        path.write_text(json.dumps(TWO_BY_THREE))
+        code, out, err = run(capsys, "exact-gn", str(path), "--n", "200",
+                             "--format", "json")
+        assert code == 0, err
+        _, n, g, comp = json.loads(out)["rows"][0]
+        assert n == 200
+        assert 0.0 < g < 1.0
+        assert abs(g + comp - 1.0) <= 1e-9
+
+    def test_three_by_three_past_the_dense_guard(self, capsys, tmp_path):
+        # 861 x 861 lattice cells and no 2-letter side: the dense flow
+        # refuses them
+        inst = dict(TWO_BY_THREE, px={"labels": [0, 1, 2],
+                                      "mass": [0.2, 0.3, 0.5]},
+                    cost=[[0.0, 0.6, 1.0], [0.8, 0.2, 0.5], [1.0, 0.4, 0.1]])
+        path = tmp_path / "three_by_three.json"
+        path.write_text(json.dumps(inst))
+        code, out, err = run(capsys, "exact-gn", str(path), "--n", "40")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("refused:")
+
 
 class TestLdpRateCommand:
     def test_both_kinds(self, capsys, binary_path):

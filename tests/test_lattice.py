@@ -24,12 +24,11 @@ from strassen_lab.lattice import (
     _chain_masks,
     _chain_members,
     _dp_chains,
-    _interval_view,
+    _IntervalView,
     _lattice_ecp_dense,
-    _lattice_ecp_interval,
+    _line_view,
     _log_factorials,
     _lse,
-    _row_spans,
     _scores,
     _side_candidates,
     _signed_argmax,
@@ -46,7 +45,7 @@ from strassen_lab.lattice import (
     type_log_prob,
 )
 from strassen_lab.measures import Dist
-from strassen_lab.transport import ADMISS_EPS, CostMatrix, ecp
+from strassen_lab.transport import ADMISS_EPS, CostMatrix, ecp, ot_value
 
 from conftest import random_cost, random_dist
 
@@ -291,6 +290,74 @@ class TestExactGn:
 
 
 # ---------------------------------------------------------------------------
+# The interval route as it ran before the interval ends came from the cost:
+# it read each column's interval off the admissible cells of the inner
+# table, and a column whose cells had a hole sent the lattice to the dense
+# flow.  Kept verbatim as the oracle of the line view, and as the views of
+# the DP tests on random interval tables.
+
+def _row_spans(adm: np.ndarray):
+    """(admits, first, last) per row, or None if a row's admissible set has
+    a hole; first and last are its first and last admissible column."""
+    admits = adm.any(axis=1)
+    first = np.argmax(adm, axis=1)
+    last = adm.shape[1] - 1 - np.argmax(adm[:, ::-1], axis=1)
+    if not np.array_equal(adm.sum(axis=1)[admits],
+                          (last - first + 1)[admits]):
+        return None
+    return admits, first, last
+
+
+def _interval_view(adm: np.ndarray):
+    """Interval structure of an admissibility table's columns, if it has one.
+
+    Returns an ``_IntervalView`` when every column's admissible rows are
+    contiguous, which holds whenever the rows are the types of a 2-letter
+    alphabet in line order: the inner cost is convex along that line.  The
+    ends may move in any direction.  Otherwise, or with nothing admissible,
+    None.
+    """
+    spans = _row_spans(adm.T)
+    if spans is None:
+        return None
+    admits, first, last = spans
+    any_row = adm.any(axis=1)
+    act = np.flatnonzero(any_row)
+    if act.size == 0:
+        return None
+    # every row inside a column's interval admits it, so is active
+    rank = np.cumsum(any_row) - 1
+    return _IntervalView(act, np.where(admits, rank[first], act.size),
+                         np.where(admits, rank[last], -1),
+                         np.flatnonzero(~any_row))
+
+
+def _lattice_ecp_interval(logmu, lognu, adm):
+    """The outer solve with E on the rows, when every column admits an
+    interval of rows; None otherwise."""
+    view = _interval_view(adm)
+    if view is None:
+        return None
+    return _bounds(_side_candidates(logmu, lognu, view))
+
+
+def _table_gn_tails(p_x, p_y, c, alpha, n):
+    """gn_tails through the inner cost table and its interval view."""
+    inst = nested_instance(p_x, p_y, c, n)
+    adm = inst.inner_cost <= alpha + ADMISS_EPS
+    if not adm.any():
+        return 1.0, 0.0
+    logmu, lognu = inst.mu.logmass, inst.nu.logmass
+    kx, ky = c.shape
+    if kx == 2 or ky == 2:
+        interval = (_lattice_ecp_interval(logmu, lognu, adm) if kx == 2
+                    else _lattice_ecp_interval(lognu, logmu, adm.T))
+        if interval is not None:
+            return interval
+    return _lattice_ecp_dense(logmu, lognu, adm)
+
+
+# ---------------------------------------------------------------------------
 # The banded route, which solved lattices whose rows admit intervals with
 # nondecreasing ends in both orientations (binary Hamming among them)
 # before the interval route took every lattice with a 2-letter side; kept
@@ -440,9 +507,9 @@ def binary_tail_instances():
                inst.inner_cost <= alpha + 1e-12)
 
 
-def two_letter_lattices(gen, count):
-    """Random 2 x k and k x 2 lattices, k = 2..4, as (shape, logmu, lognu,
-    adm): integer costs in {0, 1, 2}, so many costs tie, masses from
+def two_letter_instances(gen, count, kmax=4):
+    """Random 2 x k and k x 2 instances, k = 2..kmax, as (p_x, p_y, nested
+    instance, alpha): integer costs in {0, 1, 2}, so many costs tie, masses from
     integer weights that are sometimes 0, and alpha on a cost of the
     inner table, so cells tie with the threshold too."""
     def dist(k):
@@ -450,17 +517,21 @@ def two_letter_lattices(gen, count):
         w[gen.integers(k)] += 1.0
         return Dist.from_mass((w / w.sum()).tolist())
 
-    out = []
-    while len(out) < count:
-        k = int(gen.integers(2, 5))
+    for _ in range(count):
+        k = int(gen.integers(2, kmax + 1))
         shape = (2, k) if gen.random() < 0.5 else (k, 2)
         c = CostMatrix.from_rows(gen.integers(0, 3, size=shape).tolist())
-        inst = nested_instance(dist(shape[0]), dist(shape[1]), c,
-                               int(gen.integers(1, 9)))
-        alpha = float(gen.choice(np.unique(inst.inner_cost)))
-        adm = inst.inner_cost <= alpha + ADMISS_EPS
-        out.append((shape, inst.mu.logmass, inst.nu.logmass, adm))
-    return out
+        px, py = dist(shape[0]), dist(shape[1])
+        inst = nested_instance(px, py, c, int(gen.integers(1, 9)))
+        yield px, py, inst, float(gen.choice(np.unique(inst.inner_cost)))
+
+
+def two_letter_lattices(gen, count):
+    """The lattices of ``two_letter_instances`` as (shape, logmu, lognu,
+    adm)."""
+    return [(inst.cost.shape, inst.mu.logmass, inst.nu.logmass,
+             inst.inner_cost <= alpha + ADMISS_EPS)
+            for _, _, inst, alpha in two_letter_instances(gen, count)]
 
 
 def random_intervals(gen, m, k, shift=0.0):
@@ -680,30 +751,162 @@ class TestIntervalRoute:
                 assert abs(end_value - brute) <= tol
         assert banded < 12
 
-    def test_broken_interval_reaches_dense_flow(self, monkeypatch):
-        # a hand-made 2 x 3 inner table at n = 2: the first column of types
-        # is admitted by the types (0, 2) and (2, 0) but not by (1, 1), a
-        # hole that convexity rules out and rounding could still make
-        table = np.array([[0.1, 0.9, 0.9, 0.9, 0.9, 0.1],
-                          [0.9, 0.1, 0.1, 0.9, 0.9, 0.9],
-                          [0.1, 0.9, 0.9, 0.1, 0.1, 0.9]])
-        monkeypatch.setattr(lattice, "_inner_cost_table", lambda c, n: table)
-        calls = Counter()
-        real = flow.bipartite_max_flow
+    def test_two_letter_sides_build_no_table(self, monkeypatch):
+        # the interval ends come from the cost, so a 2-letter side needs
+        # neither the inner table nor the nested instance nor a flow
+        px, py, c, _ = deep_tail_instance(40, 0.5)
+        ct = CostMatrix.from_rows(c.as_array().T.tolist())
+        want = _table_gn_tails(px, py, c, 0.5, 40)
 
-        def counted(*args):
-            calls["flow"] += 1
-            return real(*args)
-        monkeypatch.setattr(flow, "bipartite_max_flow", counted)
-        px, py = Dist.from_mass([0.4, 0.6]), Dist.from_mass([0.2, 0.3, 0.5])
-        c = CostMatrix.from_rows([[0.0, 0.6, 1.0], [0.8, 0.2, 0.5]])
-        inst = nested_instance(px, py, c, 2)
-        adm = table <= 0.5 + ADMISS_EPS
-        assert _interval_view(adm) is None
-        got = gn_tails(px, py, c, 0.5, 2)
-        assert calls["flow"] == 1
-        assert got == _lattice_ecp_dense(inst.mu.logmass, inst.nu.logmass, adm)
-        assert 0.0 < got[0] < 1.0
+        def refuse(*args):
+            raise AssertionError("a 2-letter lattice reached the table route")
+        for owner, name in ((lattice, "_inner_cost_table"),
+                            (lattice, "nested_instance"),
+                            (flow, "bipartite_max_flow")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert gn_tails(px, py, c, 0.5, 40) == want
+        assert gn_tails(py, px, ct, 0.5, 40) == want
+        g, comp = gn_tails(B01, B05, HAMMING, 0.45, 1600)
+        assert g == pytest.approx(1.057712e-37, rel=1e-5, abs=0.0)
+        assert g + comp == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("sizes,shape", [((2, 3), (2, 2)),
+                                             ((3, 3), (3, 2)),
+                                             ((3, 4), (3, 3))],
+                             ids=["line", "line-transposed", "dense"])
+    def test_mismatched_marginal_sizes_raise(self, sizes, shape):
+        px, py = (Dist.from_mass([1.0 / k] * k) for k in sizes)
+        c = CostMatrix.from_rows(np.ones(shape).tolist())
+        with pytest.raises(ValidationError):
+            gn_tails(px, py, c, 0.5, 4)
+
+
+def template_two_by_three(seed):
+    """The lattice-dense benchmark's 2 x 3 instance at one seed, with its
+    alpha sweep around the base cost at n = 24."""
+    rng = np.random.default_rng(seed)
+    template = np.array([[0.0, 0.6, 1.0], [0.8, 0.2, 0.5]])
+    carr = np.maximum(template + rng.integers(-5, 6, size=(2, 3)) / 100.0,
+                      0.0)
+    px, py = Dist.from_mass([0.4, 0.6]), Dist.from_mass([0.2, 0.3, 0.5])
+    base = ot_value(np.array(px.mass), np.array(py.mass), carr)
+    scale = (carr.max() - carr.min()) / math.sqrt(24)
+    alphas = [float(base + t * scale)
+              for t in (0.0, *np.linspace(-1.2, 1.2, 8))]
+    return px, py, CostMatrix.from_rows(carr.tolist()), alphas
+
+
+def _hex(pair) -> list:
+    return [float(v).hex() for v in pair]
+
+
+class TestLineView:
+    """The interval ends read off the cost against the admissible cells of
+    the inner table, which the interval route read them from before."""
+
+    @staticmethod
+    def same_as_table(c, alpha, n, table=None):
+        if table is None:
+            table = _inner_cost_table(c, n)
+        adm = table <= alpha + ADMISS_EPS
+        carr = c.as_array()
+        if c.shape[0] == 2:
+            got, want = _line_view(carr, alpha, n), _interval_view(adm)
+        else:
+            got, want = _line_view(carr.T, alpha, n), _interval_view(adm.T)
+        if got is None or want is None:
+            return got is None and want is None and not adm.any()
+        return all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_ends_match_the_table(self):
+        compared = 0
+        for n in (50, 100, 200):
+            for alpha in (0.01, 0.2, 0.25, 0.35, 0.4, 0.45, 0.55):
+                assert self.same_as_table(HAMMING, alpha, n)
+                compared += 1
+        for seed in range(60):
+            _, _, c, alphas = template_two_by_three(seed)
+            for alpha in alphas:
+                assert self.same_as_table(c, alpha, 24)
+                compared += 1
+        # ties: integer costs, and alpha on an entry of the table
+        for _, _, inst, alpha in two_letter_instances(
+                np.random.default_rng(8), 150):
+            assert self.same_as_table(inst.cost, alpha, inst.n,
+                                      inst.inner_cost)
+            compared += 1
+        # costs up to 100 times larger, and alpha anywhere
+        gen = np.random.default_rng(9)
+        for _ in range(150):
+            k = int(gen.integers(2, 5))
+            shape = (2, k) if gen.random() < 0.5 else (k, 2)
+            scale = float(gen.choice([1.0, 7.3, 100.0]))
+            c = CostMatrix.from_rows((np.round(gen.random(shape) * 4, 3)
+                                      * scale).tolist())
+            n = int(gen.integers(1, 30))
+            table = _inner_cost_table(c, n)
+            alpha = (float(gen.choice(np.unique(table))) if gen.random() < 0.5
+                     else float(gen.random() * table.max()))
+            assert self.same_as_table(c, alpha, n, table)
+            compared += 1
+        assert compared == 21 + 540 + 300
+
+    def test_ends_match_the_ssp_table_past_the_vertex_kernel(self):
+        # 2 x 5 and 2 x 6 costs, whose tables have no dual-vertex kernel:
+        # the per-pair SSP table
+        gen = np.random.default_rng(10)
+        for _ in range(24):
+            k = int(gen.integers(5, 7))
+            shape = (2, k) if gen.random() < 0.5 else (k, 2)
+            values = (gen.integers(0, 3, size=shape) if gen.random() < 0.5
+                      else np.round(gen.random(shape) * 4, 3))
+            c = CostMatrix.from_rows(values.tolist())
+            n = int(gen.integers(1, 5))
+            table = _ssp_inner_cost_table(c, n)
+            alpha = float(gen.choice(np.unique(table)))
+            assert self.same_as_table(c, alpha, n, table)
+
+    def test_gn_tails_bit_for_bit_as_the_table_route(self):
+        cases = [(B01, B05, HAMMING, alpha, n) for n in (100, 400)
+                 for alpha in (0.01, 0.05, 0.2, 0.45)]
+        cases += [(B01, B05, HAMMING, 0.01, 800),
+                  (B01, B05, HAMMING, 0.45, 1600)]
+        for n in (40, 80):
+            for alpha in (0.5, 0.55, 0.6):
+                px, py, c, _ = deep_tail_instance(n, alpha)
+                ct = CostMatrix.from_rows(c.as_array().T.tolist())
+                cases += [(px, py, c, alpha, n), (py, px, ct, alpha, n)]
+        for seed in range(4):
+            px, py, c, alphas = template_two_by_three(seed)
+            cases += [(px, py, c, alpha, 24) for alpha in alphas]
+        # zero masses and ties, up to 2 x 5 and 5 x 2
+        cases += [(px, py, inst.cost, alpha, inst.n)
+                  for px, py, inst, alpha in two_letter_instances(
+                      np.random.default_rng(13), 40, kmax=5)]
+        for case in cases:
+            assert _hex(gn_tails(*case)) == _hex(_table_gn_tails(*case))
+
+    def test_past_the_old_table_guard(self, monkeypatch):
+        # 2 x 3 at n = 160 and 2 x 4 at n = 60, each just past the size at
+        # which PAIR_GUARD refuses the table; lifted for the oracle only
+        px = Dist.from_mass([0.4, 0.6])
+        cases = []
+        for py, rows, n in (((0.2, 0.3, 0.5),
+                             ((0.0, 0.6, 1.0), (0.8, 0.2, 0.5)), 160),
+                            ((0.1, 0.2, 0.3, 0.4),
+                             ((0.0, 0.6, 1.0, 0.3), (0.8, 0.2, 0.5, 0.9)), 60)):
+            py, c = Dist.from_mass(list(py)), CostMatrix.from_rows(rows)
+            ct = CostMatrix.from_rows(c.as_array().T.tolist())
+            for alpha in (0.3, 0.45):
+                cases += [(px, py, c, alpha, n), (py, px, ct, alpha, n)]
+        got = [gn_tails(*case) for case in cases]
+        assert all(0.0 < g < 1.0 for g, _ in got)
+        monkeypatch.setattr(lattice, "PAIR_GUARD", 10 * lattice.PAIR_GUARD)
+        try:
+            assert [_hex(pair) for pair in got] == [
+                _hex(_table_gn_tails(*case)) for case in cases]
+        finally:
+            _inner_cost_table.cache_clear()
 
 
 # The two chain DPs that _dp_chains replaced, kept verbatim as the
