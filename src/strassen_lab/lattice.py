@@ -41,7 +41,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -82,26 +82,10 @@ class TypeVector:
         return tuple(v / self.n for v in self.counts)
 
 
-@lru_cache(maxsize=64)
 def enum_types(n: int, k: int) -> tuple[TypeVector, ...]:
-    """All compositions of n into k nonnegative parts, lexicographic."""
-    if n < 1 or k < 1:
-        raise ValidationError("need n >= 1 and k >= 1")
-    count = math.comb(n + k - 1, k - 1)
-    if count > ENUM_GUARD:
-        raise SizeGuardError(
-            f"type lattice has {count} points, beyond the {ENUM_GUARD} guard"
-        )
-    return tuple(TypeVector(c, n) for c in _compositions(n, k))
-
-
-def _compositions(n: int, k: int):
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+    """All compositions of n into k nonnegative parts, lexicographic: one
+    ``TypeVector`` per row of ``_counts_matrix(n, k)``, with its checks."""
+    return tuple(TypeVector(row, n) for row in _counts_matrix(n, k).tolist())
 
 
 # cephes lgam, the routine behind scipy.special.gammaln: log(sqrt(2 pi)) and
@@ -146,7 +130,20 @@ def _log_factorials(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _counts_matrix(n: int, k: int) -> np.ndarray:
-    arr = np.array([t.counts for t in enum_types(n, k)], dtype=np.int64)
+    """Every type of n over k letters, one read-only int64 row each, in
+    lexicographic order: the one enumeration of a lattice.  Stars and bars:
+    each choice of k - 1 bars among n + k - 1 slots is one composition."""
+    if n < 1 or k < 1:
+        raise ValidationError("need n >= 1 and k >= 1")
+    count = math.comb(n + k - 1, k - 1)
+    if count > ENUM_GUARD:
+        raise SizeGuardError(
+            f"type lattice has {count} points, beyond the {ENUM_GUARD} guard"
+        )
+    combos = itertools.combinations(range(n + k - 1), k - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(combos), np.int64,
+                       count * (k - 1)).reshape(count, k - 1)
+    arr = np.diff(bars, axis=1, prepend=-1, append=n + k - 1) - 1
     arr.setflags(write=False)
     return arr
 
@@ -178,16 +175,18 @@ def type_log_prob(t: TypeVector, p: Dist) -> float:
 
 @dataclass(frozen=True, eq=False)
 class TypeMeasure:
-    """A type lattice with the log-probabilities its base law induces."""
+    """A type lattice, one type per row of ``counts``, with the log masses
+    its base law induces.  ``lattice`` builds the rows' ``TypeVector``s on
+    first read; the solvers read only the two arrays."""
 
-    lattice: tuple
+    counts: np.ndarray
     logmass: np.ndarray
 
     def __post_init__(self) -> None:
         lm = np.asarray(self.logmass, dtype=float)
         lm.setflags(write=False)
         object.__setattr__(self, "logmass", lm)
-        if len(self.lattice) != len(lm):
+        if len(self.counts) != len(lm):
             raise ValidationError("lattice and logmass must align")
         total = _lse(lm)
         if abs(total) > 1e-9:
@@ -197,12 +196,16 @@ class TypeMeasure:
 
     @classmethod
     def of(cls, p: Dist, n: int) -> "TypeMeasure":
-        k = len(p)
-        logmass = _log_type_masses(_counts_matrix(n, k), p, n)
-        return cls(lattice=enum_types(n, k), logmass=logmass)
+        counts = _counts_matrix(n, len(p))
+        return cls(counts=counts, logmass=_log_type_masses(counts, p, n))
+
+    @cached_property
+    def lattice(self) -> tuple[TypeVector, ...]:
+        n = int(self.counts[0].sum())
+        return tuple(TypeVector(row, n) for row in self.counts.tolist())
 
     def __len__(self) -> int:
-        return len(self.lattice)
+        return len(self.logmass)
 
     def mass(self) -> np.ndarray:
         return np.exp(self.logmass)
@@ -217,7 +220,7 @@ class TypeMeasure:
         """The lattice as a plain Dist (masses renormalized from log space)."""
         m = self.mass()
         m = m / math.fsum(m)
-        return Dist.from_mass(m, labels=tuple(t.counts for t in self.lattice))
+        return Dist.from_mass(m, labels=tuple(map(tuple, self.counts.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,10 +247,9 @@ def _inner_cost_table(c: CostMatrix, n: int) -> np.ndarray:
     small scratch block and no full-size temporary.  Alphabets past the
     vertex kernel solve each pair by min-cost flow.
     """
-    kx, ky = c.shape
-    fx = _counts_matrix(n, kx) / n
-    fy = _counts_matrix(n, ky) / n
-    if (kx, ky) != (2, 2) and len(fx) * len(fy) > PAIR_GUARD:
+    fx = _counts_matrix(n, c.shape[0]) / n
+    fy = _counts_matrix(n, c.shape[1]) / n
+    if len(fx) * len(fy) > PAIR_GUARD:
         raise SizeGuardError(
             f"inner cost table would have {len(fx) * len(fy)} entries"
         )
@@ -282,10 +284,9 @@ def _check_sizes(p_x: Dist, p_y: Dist, c: CostMatrix) -> None:
 
 def nested_instance(p_x: Dist, p_y: Dist, c: CostMatrix, n: int) -> NestedInstance:
     _check_sizes(p_x, p_y, c)
-    mu = TypeMeasure.of(p_x, n)
-    nu = TypeMeasure.of(p_y, n)
-    return NestedInstance(mu=mu, nu=nu, inner_cost=_inner_cost_table(c, n),
-                          cost=c, n=n)
+    return NestedInstance(mu=TypeMeasure.of(p_x, n),
+                          nu=TypeMeasure.of(p_y, n),
+                          inner_cost=_inner_cost_table(c, n), cost=c, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +341,7 @@ class _IntervalView(NamedTuple):
             at = p - 1 - start[:i + 1]
             yield cover[at], gap[at]
 
-    def covered(self, chain, size_nu: int) -> np.ndarray:
+    def covered(self, chain) -> np.ndarray:
         # the first chain row at or after lo_y, or the sentinel len(act)
         rows = np.append(np.asarray(chain, dtype=np.int64), len(self.act))
         return rows[np.searchsorted(rows, self.lo)] <= self.hi
@@ -512,12 +513,12 @@ def _lse(logs: np.ndarray) -> float:
     return float(np.log1p(s / m) + np.log(m) + top)
 
 
-def _chain_masks(chain, view, size_mu: int, size_nu: int):
+def _chain_masks(chain, view, size_mu: int):
     """Masks of the witness set E of one chain and of its enlargement."""
     in_e = np.zeros(size_mu, dtype=bool)
     in_e[view.act[chain]] = True
     in_e[view.empty] = True
-    return in_e, view.covered(chain, size_nu)
+    return in_e, view.covered(chain)
 
 
 def _witness_values(logmu, lognu, in_e, in_g):
@@ -553,8 +554,7 @@ def _side_candidates(logmu, lognu, view):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         best = _signed_argmax(*_scores(*every))
     return [_witness_values(logmu, lognu, *_chain_masks(
-                _chain_members(parent[run], slot - 1), view, len(logmu),
-                len(lognu)))
+                _chain_members(parent[run], slot - 1), view, len(logmu)))
             for run, slot in zip(*np.divmod(best, state.shape[2]))]
 
 
@@ -746,8 +746,8 @@ def lift_coupling(pi: JointDist, instance: NestedInstance) -> TypeClassSampler:
     trips = []
     mat = pi.as_array()
     for i, j in np.argwhere(mat > 0.0):
-        tx = instance.mu.lattice[int(i)].counts
-        ty = instance.nu.lattice[int(j)].counts
+        tx = tuple(instance.mu.counts[i].tolist())
+        ty = tuple(instance.nu.counts[j].tolist())
         joint = _optimal_joint_type(tx, ty, instance.cost)
         trips.append((float(mat[i, j]), joint))
     return TypeClassSampler(trips, instance.n)

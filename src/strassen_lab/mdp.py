@@ -208,9 +208,7 @@ def theta_plan(beta_x: SignedVec, beta_y: SignedVec, s: SupportSet,
     return float(res.fun), SignedMatrix(tuple(map(tuple, mat)), s)
 
 
-@lru_cache(maxsize=256)
-def support_of(p_x: Dist, p_y: Dist, c: CostMatrix) -> SupportSet:
-    return optimal_support(p_x, p_y, c, tol=1e-9)
+support_of = lru_cache(maxsize=256)(optimal_support)
 
 
 def _guard_sizes(p_x: Dist, p_y: Dist) -> None:

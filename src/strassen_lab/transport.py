@@ -51,6 +51,9 @@ VERTEX_MAX = 4
 #: few costs, so their rounding error is orders of magnitude below it.
 VERTEX_TOL = 1e-12
 
+#: Reduced costs up to this multiple of the cost scale count as tight.
+TIGHT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class CostMatrix:
@@ -175,10 +178,10 @@ def gamma_enlarge(a_set, c: CostMatrix, alpha: float) -> frozenset:
     return frozenset(out)
 
 
-def tight_cells(cost: np.ndarray, f, g, tol: float = 1e-9) -> np.ndarray:
-    """Cells tight against (f, g), up to ``tol`` times the cost scale."""
+def tight_cells(cost: np.ndarray, f, g) -> np.ndarray:
+    """Cells tight against (f, g), up to ``TIGHT_TOL`` times the cost scale."""
     scale = max(1.0, float(np.abs(cost).max()))
-    return cost - f[:, None] - g[None, :] <= tol * scale
+    return cost - f[:, None] - g[None, :] <= TIGHT_TOL * scale
 
 
 def vertex_tol(cost: np.ndarray) -> float:
@@ -394,8 +397,7 @@ def kantorovich_certificate(p_x: Dist, p_y: Dist, c: CostMatrix,
     return tuple(float(v) for v in f), tuple(float(v) for v in g), gap
 
 
-def optimal_support(p_x: Dist, p_y: Dist, c: CostMatrix,
-                    tol: float = 1e-9) -> SupportSet:
+def optimal_support(p_x: Dist, p_y: Dist, c: CostMatrix) -> SupportSet:
     """Union of supports over all optimal couplings.
 
     One optimal plan and its potentials pin down the whole optimal face: a
@@ -405,7 +407,7 @@ def optimal_support(p_x: Dist, p_y: Dist, c: CostMatrix,
     an alternating cycle (gain on tight cells, give back on cells the base
     plan uses).  Membership is thus decided by graph reachability rather
     than by thresholding a per-cell LP, which would also admit slack cells
-    whose reduced cost is smaller than the mass budget lets on.  ``tol``
+    whose reduced cost is smaller than the mass budget lets on.  TIGHT_TOL
     only separates tight from slack reduced costs (relative to the cost
     scale); plan mass counts above the flow's own dust, ``FLOW_EPS``.
     """
@@ -414,7 +416,7 @@ def optimal_support(p_x: Dist, p_y: Dist, c: CostMatrix,
     cost = c.as_array()
     plan, f, g, _ = flow.transport_min_cost(p_x.as_array(), p_y.as_array(),
                                             cost)
-    tight = tight_cells(cost, f, g, tol)
+    tight = tight_cells(cost, f, g)
     used = plan > flow.FLOW_EPS
     # Symbol digraph: x -> y along any tight cell (mass may be added there),
     # y -> x along any used cell (the base plan can give mass back).  A cell

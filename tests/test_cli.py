@@ -364,6 +364,15 @@ class TestSampleCommand:
         code, _, _ = run(capsys, "sample", binary_path)
         assert code == 2
 
+    def test_binary_past_the_table_guard(self, capsys, binary_path):
+        # the binary inner table at n = 1414 has 1415^2 entries, past
+        # PAIR_GUARD
+        code, out, err = run(capsys, "sample", binary_path, "--n", "1414",
+                             "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("refused:")
+
     def test_tied_costs_pinned(self, capsys, tmp_path):
         # x = 0 costs nothing against a or b, so many inner joint types have
         # several optima; the lexicographically least one is drawn

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from decimal import Decimal, localcontext
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -16,6 +17,7 @@ from strassen_lab import flow, lattice
 from strassen_lab.curves import RateCurve
 from strassen_lab.errors import SizeGuardError, ValidationError
 from strassen_lab.lattice import (
+    ENUM_GUARD,
     TypeMeasure,
     TypeVector,
     _bounds,
@@ -44,7 +46,7 @@ from strassen_lab.lattice import (
     splitting_coupling,
     type_log_prob,
 )
-from strassen_lab.measures import Dist
+from strassen_lab.measures import Dist, JointDist
 from strassen_lab.transport import ADMISS_EPS, CostMatrix, ecp, ot_value
 
 from conftest import random_cost, random_dist
@@ -99,6 +101,112 @@ class TestTypes:
         tm = TypeMeasure.of(B05, 3)
         # P(at most one head in 3 tosses) = 4/8 under Bern(0.5)
         assert tm.prob([0, 1]) == pytest.approx(0.5, abs=1e-12)
+
+
+# The recursive enumeration that _counts_matrix replaced, kept verbatim
+# (apart from the name of enum_types) as the oracle of the tests below.
+
+@lru_cache(maxsize=64)
+def _recursive_enum_types(n: int, k: int) -> tuple[TypeVector, ...]:
+    """All compositions of n into k nonnegative parts, lexicographic."""
+    if n < 1 or k < 1:
+        raise ValidationError("need n >= 1 and k >= 1")
+    count = math.comb(n + k - 1, k - 1)
+    if count > ENUM_GUARD:
+        raise SizeGuardError(
+            f"type lattice has {count} points, beyond the {ENUM_GUARD} guard"
+        )
+    return tuple(TypeVector(c, n) for c in _compositions(n, k))
+
+
+def _compositions(n: int, k: int):
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
+def _oracle_counts(n: int, k: int) -> np.ndarray:
+    return np.array([t.counts for t in _recursive_enum_types(n, k)],
+                    dtype=np.int64)
+
+
+def _raised(fn, *args):
+    with pytest.raises((ValidationError, SizeGuardError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestEnumeration:
+    """The stars-and-bars counts matrix against the recursive enumeration."""
+
+    SIZES = [(n, k) for n in range(1, 31) for k in range(1, 6)]
+    SIZES += [(300, 3), (80, 4)]
+
+    def test_counts_matrix_is_the_recursive_enumeration(self):
+        for n, k in self.SIZES:
+            got, want = _counts_matrix(n, k), _oracle_counts(n, k)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert np.array_equal(got, want), (n, k)
+
+    def test_enum_types_is_the_recursive_enumeration(self):
+        for n, k in self.SIZES[::7]:
+            got = enum_types(n, k)
+            assert got == _recursive_enum_types(n, k), (n, k)
+            assert all(type(v) is int for t in got for v in t.counts)
+
+    @pytest.mark.parametrize("n,k", [(0, 2), (-3, 2), (4, 0), (0, 0),
+                                     (5000, 3)])
+    def test_bad_sizes_raise_as_before(self, n, k):
+        want = _raised(_recursive_enum_types, n, k)
+        assert _raised(_counts_matrix, n, k) == want
+        assert _raised(enum_types, n, k) == want
+
+    def test_solves_build_no_type_vectors(self, monkeypatch):
+        # every solve route reads only the counts matrix; start cold, so
+        # no cached lattice of an earlier call can hide a TypeVector
+        def refuse(self):
+            raise AssertionError("a solve built a TypeVector")
+        for fn in vars(lattice).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        monkeypatch.setattr(TypeVector, "__post_init__", refuse)
+        g, comp = gn_tails(B01, B05, HAMMING, 0.45, 1600)
+        assert 0.0 < g < 1e-30 and g + comp == pytest.approx(1.0, abs=1e-9)
+        px, py, c, alphas = template_two_by_three(0)
+        ct = CostMatrix.from_rows(c.as_array().T.tolist())
+        assert gn_tails(px, py, c, alphas[0], 24) == gn_tails(
+            py, px, ct, alphas[0], 24)
+        mx, my, rows, n = TestInnerCostTable.CASES[1]
+        c = CostMatrix.from_rows(rows)
+        px, py = Dist.from_mass(list(mx)), Dist.from_mass(list(my))
+        alpha = ot_value(np.array(mx), np.array(my), c.as_array())
+        g, comp = gn_tails(px, py, c, alpha, n)
+        assert 0.0 < g < 1.0 and g + comp == pytest.approx(1.0, abs=1e-9)
+
+    def test_type_vectors_on_demand_are_the_recursive_ones(self):
+        for p, n in ((B01, 7), (Dist.from_mass([0.2, 0.3, 0.5]), 6),
+                     (Dist.from_mass([0.1, 0.2, 0.3, 0.4]), 4)):
+            tm = TypeMeasure.of(p, n)
+            want = _recursive_enum_types(n, len(p))
+            assert len(tm) == len(want)
+            assert tm.lattice == want
+            assert tm.as_dist().labels == tuple(t.counts for t in want)
+
+    def test_lifted_trips_are_the_recursive_ones(self):
+        px, py = Dist.from_mass([0.37, 0.63]), Dist.from_mass([0.17, 0.29,
+                                                               0.54])
+        c = CostMatrix.from_rows([[0.0, 0.6, 1.0], [0.8, 0.2, 0.5]])
+        inst = nested_instance(px, py, c, 6)
+        mat = optimal_outer_plan(inst, 0.37).as_array()
+        lx, ly = _recursive_enum_types(6, 2), _recursive_enum_types(6, 3)
+        want = [(float(mat[i, j]),
+                 lattice._optimal_joint_type(lx[i].counts, ly[j].counts, c))
+                for i, j in np.argwhere(mat > 0.0)]
+        got = lift_coupling(JointDist.from_array(mat), inst)._trips
+        assert got == want and len(got) > 1
 
 
 def _bits(values) -> bytes:
@@ -361,16 +469,18 @@ def _table_gn_tails(p_x, p_y, c, alpha, n):
 # The banded route, which solved lattices whose rows admit intervals with
 # nondecreasing ends in both orientations (binary Hamming among them)
 # before the interval route took every lattice with a 2-letter side; kept
-# verbatim as the oracle of the tests below.
+# as the oracle of the tests below.  Its view also records its column
+# count, since ``covered`` takes the chain alone, as the interval view's does.
 
 class _BandedView(NamedTuple):
     """Rows ``act`` admit the columns lo..hi, both ends nondecreasing; the
-    rows ``empty`` admit none."""
+    rows ``empty`` admit none.  There are ``columns`` columns."""
 
     act: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     empty: np.ndarray
+    columns: int
 
     def masses(self, lognu):
         """The column masses a chain DP over the rows needs.
@@ -402,8 +512,8 @@ class _BandedView(NamedTuple):
             yield (span[np.minimum(hi_i - 1 - prev, hi_i - lo_i)],
                    gap[np.maximum(lo_i - 2 - prev, -1)])
 
-    def covered(self, chain, size_nu: int) -> np.ndarray:
-        in_g = np.zeros(size_nu, dtype=bool)
+    def covered(self, chain) -> np.ndarray:
+        in_g = np.zeros(self.columns, dtype=bool)
         in_g[_span_indices(_merge_spans(chain, self.lo, self.hi))] = True
         return in_g
 
@@ -426,7 +536,8 @@ def _banded_view(adm: np.ndarray):
     first, last = first[act], last[act]
     if np.any(np.diff(first) < 0) or np.any(np.diff(last) < 0):
         return None
-    return _BandedView(act, first, last, np.flatnonzero(~admits))
+    return _BandedView(act, first, last, np.flatnonzero(~admits),
+                       adm.shape[1])
 
 
 def _merge_spans(chain, lo, hi):
@@ -866,11 +977,10 @@ class TestLineView:
             alpha = float(gen.choice(np.unique(table)))
             assert self.same_as_table(c, alpha, n, table)
 
-    def test_gn_tails_bit_for_bit_as_the_table_route(self):
+    def test_gn_tails_bit_for_bit_as_the_table_route(self, monkeypatch):
         cases = [(B01, B05, HAMMING, alpha, n) for n in (100, 400)
                  for alpha in (0.01, 0.05, 0.2, 0.45)]
-        cases += [(B01, B05, HAMMING, 0.01, 800),
-                  (B01, B05, HAMMING, 0.45, 1600)]
+        cases += [(B01, B05, HAMMING, 0.01, 800)]
         for n in (40, 80):
             for alpha in (0.5, 0.55, 0.6):
                 px, py, c, _ = deep_tail_instance(n, alpha)
@@ -885,6 +995,15 @@ class TestLineView:
                       np.random.default_rng(13), 40, kmax=5)]
         for case in cases:
             assert _hex(gn_tails(*case)) == _hex(_table_gn_tails(*case))
+        # binary n = 1600, whose table PAIR_GUARD refuses; lifted for the
+        # oracle only
+        case = (B01, B05, HAMMING, 0.45, 1600)
+        got = gn_tails(*case)
+        monkeypatch.setattr(lattice, "PAIR_GUARD", 10 * lattice.PAIR_GUARD)
+        try:
+            assert _hex(got) == _hex(_table_gn_tails(*case))
+        finally:
+            _inner_cost_table.cache_clear()
 
     def test_past_the_old_table_guard(self, monkeypatch):
         # 2 x 3 at n = 160 and 2 x 4 at n = 60, each just past the size at
@@ -1012,7 +1131,7 @@ def _mindp_chains(logmu_a: np.ndarray, lognu: np.ndarray, lo: np.ndarray,
 def _reference_dp_chains(logmu, lognu, view):
     """Parent pointers per run: the max-DP stands in for the gain and
     complement runs, the min-DP for the loss run."""
-    act, lo, hi, _ = view
+    act, lo, hi = view[:3]
     gain = _maxdp_chains(logmu[act], lognu, lo, hi)
     return gain, gain, _mindp_chains(logmu[act], lognu, lo, hi)
 
@@ -1034,7 +1153,7 @@ def _every_chain_candidate(logmu, lognu, adm, dp_chains):
     for parent in dp_chains(logmu, lognu, view):
         chains.extend(_chain_members(parent, i) for i in range(len(parent)))
     return [_witness_values(logmu, lognu,
-                            *_chain_masks(chain, view, len(logmu), len(lognu)))
+                            *_chain_masks(chain, view, len(logmu)))
             for chain in chains]
 
 
@@ -1172,7 +1291,7 @@ def _three_run_side_candidates(logmu, lognu, view):
             best = _signed_argmax_1d(*score(*state))
         chain = _chain_members(runs[best // slots][0], best % slots - 1)
         out.append(_witness_values(
-            logmu, lognu, *_chain_masks(chain, view, len(logmu), len(lognu))))
+            logmu, lognu, *_chain_masks(chain, view, len(logmu))))
     return out
 
 
@@ -1587,3 +1706,14 @@ class TestGuards:
     def test_direct_oracle_guard(self):
         with pytest.raises(SizeGuardError):
             direct_gn_oracle(B01, B05, HAMMING, 0.2, 12)
+
+    def test_binary_table_guard(self):
+        # 1415^2 = 2,002,225 entries is past PAIR_GUARD, 1414^2 is not;
+        # binary tables get no exemption
+        with pytest.raises(SizeGuardError, match="2002225 entries"):
+            nested_instance(B01, B05, HAMMING, 1414)
+        try:
+            inst = nested_instance(B01, B05, HAMMING, 1413)
+            assert inst.inner_cost.shape == (1414, 1414)
+        finally:
+            _inner_cost_table.cache_clear()
