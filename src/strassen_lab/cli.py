@@ -236,7 +236,7 @@ def cmd_ot(args) -> int:
 def cmd_ecp(args) -> int:
     inst = load_instance(args.instance)
     alpha = _need(inst.alpha, args.alpha, "alpha")
-    res = ecp(inst.px, inst.py, inst.cost, alpha, exact=args.exact)
+    res = ecp(inst.px, inst.py, inst.cost, alpha)
     columns = ["alpha", "value", "complement"]
     row = [alpha, res.value, res.complement]
     if args.oracle:
@@ -361,7 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--alpha", type=float)
     p.add_argument("--exact", action="store_true",
-                   help="big-integer max-flow on lifted rationals")
+                   help="ignored; kept so existing command lines still run "
+                        "(the max-flow is always big-integer exact)")
     p.add_argument("--oracle", action="store_true",
                    help="attach the subset-enumeration dual value")
     p.set_defaults(func=cmd_ecp)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +83,10 @@ def crossing_points(inst: BinaryCltInstance) -> list:
     phi_Y(t + delta) agree.
 
     Equal variances give the single midpoint -delta/2; otherwise the log
-    ratio is a genuine quadratic with two roots (its discriminant is a sum
-    of two same-signed terms, so emptiness is flagged, never expected).
+    ratio is a genuine quadratic with two roots.  Its discriminant
+    delta^2 + (sigma_x^2 - sigma_y^2) log(sigma_x^2 / sigma_y^2) is >= 0 in
+    floats too: a correctly rounded quotient x / y of x > y is >= 1, so the
+    two factors share a sign.
     Where sigma_x^2 * delta and the root are close in size, one of
     (-sigma_x^2 * delta -+ root) cancels, badly so for nearly equal
     variances; there the larger-magnitude root comes from q, whose two terms
@@ -96,12 +97,6 @@ def crossing_points(inst: BinaryCltInstance) -> list:
     if sx2 == sy2:
         return [-d / 2.0]
     disc = d * d + 2.0 * (sx2 - sy2) * 0.5 * math.log(sx2 / sy2)
-    if disc < 0.0:
-        warnings.warn(
-            "density crossings vanished (negative discriminant); this "
-            "cannot happen for binary variance pairs", RuntimeWarning,
-        )
-        return []
     prod = sx2 * sy2 * disc
     # below the normal range the product sheds digits; take roots first
     root = (math.sqrt(prod) if prod >= sys.float_info.min
@@ -168,10 +163,7 @@ def lambda_binary(a: float, b: float, delta: float) -> float:
         # X fluctuation is a point mass; the best threshold is its atom.
         return min(1.0, max(0.0, _tail(delta, sy2)))
     inst = BinaryCltInstance(sigma_x2=sx2, sigma_y2=sy2, delta=delta)
-    roots = crossing_points(inst)
-    if not roots:
-        return 0.0
-    a2 = roots[-1]
+    a2 = crossing_points(inst)[-1]
     return min(1.0, max(0.0, _dual_objective(a2, sx2, sy2, delta)))
 
 

@@ -36,6 +36,3 @@ class RateCurve:
 
     def __len__(self) -> int:
         return len(self.params)
-
-    def points(self):
-        return zip(self.params, self.values)

@@ -6,7 +6,9 @@ of the package needs two things generic solvers do not expose:
 * terminating node potentials that are dual-feasible on *every* cell,
   including cells incident to zero-supply nodes (the Kantorovich certificate
   depends on this), and
-* an exact big-integer max-flow mode used to pin down borderline cuts.
+* an exact big-integer max-flow mode.  Every one-pair excess-cost solve
+  (``transport.ecp``) runs in it; the float mode serves the type lattices
+  and the product-space oracle, whose masses are already rounded.
 
 Graphs here are tiny bipartite networks (alphabets or type lattices), so the
 implementations favor clarity over asymptotic heroics: Dinic for max-flow,
@@ -27,11 +29,12 @@ FLOW_EPS = 1e-15
 
 
 class MaxFlowGraph:
-    """Dinic's algorithm on an explicit residual graph.
+    """An explicit residual graph, with Dinic's algorithm for max-flow.
 
     Capacities may be floats or Python ints; with ints every intermediate
     value stays exact.  Edges are stored as parallel arrays with the reverse
-    edge at ``index ^ 1``.
+    edge at ``index ^ 1``; the min-cost solver keeps its edge costs in one
+    more array beside them.
     """
 
     def __init__(self, n_nodes: int):
@@ -172,14 +175,15 @@ def bipartite_max_flow_exact(supply: Sequence[float], demand: Sequence[float],
                              admissible: np.ndarray):
     """Integer-arithmetic variant of :func:`bipartite_max_flow`.
 
-    Returns ``(flow_fraction, flow_matrix, witness)`` with the flow value as
-    an exact :class:`fractions.Fraction` and the matrix already divided back
+    Returns ``(flow_fraction, unrouted_fraction, flow_matrix, witness)``:
+    the flow value and the supply it leaves unrouted as exact
+    :class:`fractions.Fraction` values, and the matrix already divided back
     to floats.
     """
     (sup, dem), den = exact_scaled_masses(supply, demand)
     value, flow, witness = _bipartite_flow(sup, dem, admissible,
                                            sum(sup) + 1, den)
-    return Fraction(value, den), flow, witness
+    return Fraction(value, den), Fraction(sum(sup) - value, den), flow, witness
 
 
 def lex_min_coupling(supply, demand, allowed: np.ndarray) -> list[list]:
@@ -227,19 +231,12 @@ def transport_min_cost(supply: Sequence[float], demand: Sequence[float],
         raise ValueError("supply/demand lengths do not match the cost shape")
     n = m + k + 2
     s, t = m + k, m + k + 1
-    # Adjacency as parallel edge arrays (reverse edge at idx ^ 1).
-    eto: list[int] = []
-    ecap: list[float] = []
-    ecost: list[float] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
+    graph = MaxFlowGraph(n)
+    ecost: list[float] = []  # per edge, parallel to graph.to and graph.cap
 
     def add(u, v, cap, w):
-        idx = len(eto)
-        eto.append(v); ecap.append(float(cap)); ecost.append(float(w))
-        adj[u].append(idx)
-        eto.append(u); ecap.append(0.0); ecost.append(-float(w))
-        adj[v].append(idx + 1)
-        return idx
+        ecost.extend((float(w), -float(w)))
+        return graph.add_edge(u, v, float(cap))
 
     for i in range(m):
         add(s, i, supply[i], 0.0)
@@ -249,6 +246,7 @@ def transport_min_cost(supply: Sequence[float], demand: Sequence[float],
     for i in range(m):
         for j in range(k):
             cell_edge[i, j] = add(i, m + j, math.inf, cost[i, j])
+    adj, eto, ecap = graph.adj, graph.to, graph.cap
 
     pot = [0.0] * n
     while True:
@@ -273,15 +271,14 @@ def transport_min_cost(supply: Sequence[float], demand: Sequence[float],
             break
         for v in range(n):
             pot[v] += min(dist[v], dist[t])
-        # Bottleneck along the shortest path.
+        # Bottleneck along the shortest path; Dijkstra crossed only edges
+        # with more than FLOW_EPS left, so it exceeds FLOW_EPS.
         push = math.inf
         v = t
         while v != s:
             e = par_edge[v]
             push = min(push, ecap[e])
             v = eto[e ^ 1]
-        if push <= FLOW_EPS:
-            break
         v = t
         while v != s:
             e = par_edge[v]
@@ -292,7 +289,7 @@ def transport_min_cost(supply: Sequence[float], demand: Sequence[float],
     plan = np.zeros((m, k))
     for i in range(m):
         for j in range(k):
-            plan[i, j] = ecap[cell_edge[i, j] ^ 1]
+            plan[i, j] = graph.flow_on(cell_edge[i, j])
     f = np.array([-pot[i] for i in range(m)])
     g = np.array([pot[m + j] for j in range(k)])
     objective = float(np.sum(plan * cost))

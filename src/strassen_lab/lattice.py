@@ -50,8 +50,8 @@ from . import flow
 from .curves import RateCurve
 from .errors import SizeGuardError, ValidationError
 from .measures import Dist, JointDist
-from .transport import (ADMISS_EPS, CostMatrix, dual_vertices, ecp, ot_value,
-                        tight_cells)
+from .transport import (ADMISS_EPS, CostMatrix, _complete_plan, dual_vertices,
+                        ot_value, tight_cells)
 
 ENUM_GUARD = 10_000_000
 DENSE_GUARD = 300_000
@@ -216,11 +216,15 @@ class TypeMeasure:
             return 0.0
         return float(np.exp(_lse(self.logmass[idx])))
 
+    def normalized_mass(self) -> list[float]:
+        """The type masses renormalized from log space to sum to 1."""
+        m = self.mass()
+        return (m / math.fsum(m)).tolist()
+
     def as_dist(self) -> Dist:
         """The lattice as a plain Dist (masses renormalized from log space)."""
-        m = self.mass()
-        m = m / math.fsum(m)
-        return Dist.from_mass(m, labels=tuple(map(tuple, self.counts.tolist())))
+        return Dist.from_mass(self.normalized_mass(),
+                              labels=tuple(map(tuple, self.counts.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -630,9 +634,12 @@ def direct_gn_oracle(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
 
 
 def optimal_outer_plan(instance: NestedInstance, alpha: float) -> JointDist:
-    """An optimal coupling of the two type laws for the outer problem."""
-    inner = CostMatrix.from_rows(instance.inner_cost)
-    return ecp(instance.mu.as_dist(), instance.nu.as_dist(), inner, alpha).plan
+    """An optimal coupling of the two type laws for the outer problem: a
+    float max-flow over the admissible type pairs, completed off them."""
+    mu, nu = instance.mu.normalized_mass(), instance.nu.normalized_mass()
+    adm = instance.inner_cost <= alpha + ADMISS_EPS
+    _, flow_mat, _ = flow.bipartite_max_flow(mu, nu, adm)
+    return JointDist.from_array(_complete_plan(flow_mat, mu, nu))
 
 
 # ---------------------------------------------------------------------------

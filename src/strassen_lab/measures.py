@@ -7,7 +7,6 @@ diverge.  Equality checks on masses use absolute tolerance 1e-12.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -93,19 +92,6 @@ class Dist:
 
     def to_dict(self) -> dict:
         return {"labels": list(self.labels), "mass": list(self.mass)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Dist":
-        if not isinstance(obj, dict) or set(obj) != {"labels", "mass"}:
-            raise ValidationError("expected an object with fields 'labels' and 'mass'")
-        return cls(tuple(obj["labels"]), tuple(obj["mass"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Dist":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -203,22 +189,6 @@ class JointDist:
     def marginal_y(self) -> tuple[float, ...]:
         k = self.shape[1]
         return tuple(math.fsum(row[j] for row in self.matrix) for j in range(k))
-
-    def to_dict(self) -> dict:
-        return {"matrix": [list(row) for row in self.matrix]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "JointDist":
-        if not isinstance(obj, dict) or set(obj) != {"matrix"}:
-            raise ValidationError("expected an object with field 'matrix'")
-        return cls(tuple(tuple(row) for row in obj["matrix"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "JointDist":
-        return cls.from_dict(json.loads(text))
 
 
 def _check_same_alphabet(p: Dist, q: Dist) -> None:

@@ -5,7 +5,8 @@ The two primal problems live on the same bipartite geometry:
 * ``ot_cost`` minimizes expected cost over couplings (min-cost flow, then a
   lexicographic max-flow for a vertex plan);
 * ``ecp`` minimizes the probability of exceeding a cost level ``alpha``
-  (max-flow over the admissible cells, by Strassen duality).
+  (max-flow over the admissible cells, by Strassen duality), in exact
+  big-integer arithmetic on the marginals' binary rationals.
 
 Duals come along for free: Kantorovich potentials from the terminating flow
 potentials, and a maximizing witness set E from the min cut.
@@ -122,10 +123,11 @@ class TransportPlan:
 class EcpResult:
     """Outcome of a Strassen excess-cost problem.
 
-    ``value`` is G_alpha, ``complement`` is 1 - G_alpha computed on its own
-    (never by subtraction, so tiny tails keep full precision), ``plan`` is an
-    optimal coupling and ``witness`` a maximizing dual set E of x indices with
-    value = P_X(E) - P_Y(Gamma(E)).
+    ``value`` is G_alpha and ``complement`` the max-flow value, capped at 1;
+    each is one exact rational rounded once, never one minus the other, so
+    tiny tails keep full precision.  ``plan`` is an optimal coupling and
+    ``witness`` a maximizing dual set E of x indices with value =
+    P_X(E) - P_Y(Gamma(E)), exactly for the float masses given.
     """
 
     value: float
@@ -268,34 +270,27 @@ def ot_cost(p_x: Dist, p_y: Dist, c: CostMatrix) -> TransportPlan:
                          potentials=(f, g))
 
 
-def ecp(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
-        exact: bool = False) -> EcpResult:
-    """Strassen's optimal excess-cost probability G_alpha.
+def ecp(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float) -> EcpResult:
+    """Strassen's optimal excess-cost probability G_alpha, exactly rounded.
 
-    Computed as 1 - maxflow on the bipartite graph whose uncapacitated edges
-    are exactly the admissible cells.  With ``exact=True`` the marginals are
-    lifted to integers over a common denominator (their float values read as
-    exact binary rationals) and the flow runs in big-integer arithmetic.
+    The marginals are lifted to integers over a common denominator (their
+    float values read as exact binary rationals), and a big-integer
+    max-flow runs on the bipartite graph whose uncapacitated edges are
+    exactly the admissible cells.  G is the total supply less that flow,
+    one exact rational rounded once: it equals P_X(E) - P_Y(Gamma(E)) for
+    the min-cut witness E, with no rounding from the marginals' own sum.
     """
     _check_dims(p_x, p_y, c)
-    adm = admissible_mask(c, alpha)
-    if exact:
-        flow_frac, flow_mat, witness = flow.bipartite_max_flow_exact(
-            p_x.mass, p_y.mass, adm)
-        value = float(max(Fraction(0), 1 - flow_frac))
-        complement = float(min(Fraction(1), flow_frac))
-    else:
-        flow_val, flow_mat, witness = flow.bipartite_max_flow(
-            p_x.mass, p_y.mass, adm)
-        value = max(0.0, 1.0 - flow_val)
-        complement = min(1.0, flow_val)
-    plan = _complete_plan(flow_mat, p_x, p_y)
+    routed, unrouted, flow_mat, witness = flow.bipartite_max_flow_exact(
+        p_x.mass, p_y.mass, admissible_mask(c, alpha))
+    value, complement = float(unrouted), float(min(Fraction(1), routed))
+    plan = _complete_plan(flow_mat, p_x.mass, p_y.mass)
     return EcpResult(value=value, complement=complement,
                      plan=JointDist.from_array(plan),
                      witness=frozenset(witness))
 
 
-def _complete_plan(flow_mat: np.ndarray, p_x: Dist, p_y: Dist) -> np.ndarray:
+def _complete_plan(flow_mat: np.ndarray, px, py) -> np.ndarray:
     """Route leftover marginal mass by the northwest-corner rule.
 
     After a maximal admissible flow, no (x, y) pair with residual mass on
@@ -303,8 +298,8 @@ def _complete_plan(flow_mat: np.ndarray, p_x: Dist, p_y: Dist) -> np.ndarray:
     completion lands on inadmissible cells and every completion is optimal.
     """
     plan = flow_mat.copy()
-    rx = [max(0.0, pm - s) for pm, s in zip(p_x.mass, plan.sum(axis=1))]
-    ry = [max(0.0, pm - s) for pm, s in zip(p_y.mass, plan.sum(axis=0))]
+    rx = [max(0.0, pm - s) for pm, s in zip(px, plan.sum(axis=1))]
+    ry = [max(0.0, pm - s) for pm, s in zip(py, plan.sum(axis=0))]
     i = j = 0
     m, k = plan.shape
     while i < m and j < k:

@@ -174,6 +174,11 @@ class TestEcpCommand:
         assert header[-1] == "oracle"
         assert float(rows[0][1]) == pytest.approx(float(rows[0][3]), abs=1e-12)
 
+    def test_exact_flag_is_accepted_and_ignored(self, capsys, binary_path):
+        for extra in ((), ("--format", "json")):
+            plain = run(capsys, "ecp", binary_path, *extra)
+            assert run(capsys, "ecp", binary_path, "--exact", *extra) == plain
+
     def test_json_payload_echoes_instance(self, capsys, binary_path):
         code, out, _ = run(capsys, "ecp", binary_path, "--format", "json")
         assert code == 0

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.special import gammaln, logsumexp
 
-from strassen_lab import flow, lattice
+from strassen_lab import flow, lattice, transport
 from strassen_lab.curves import RateCurve
 from strassen_lab.errors import SizeGuardError, ValidationError
 from strassen_lab.lattice import (
@@ -1638,6 +1638,30 @@ class TestCouplings:
         for xs, prob in x_marg.items():
             want = math.prod(px.mass[s] for s in xs)
             assert prob == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("px, py, c, n, alpha", [
+        (Dist.bernoulli(0.3), Dist.bernoulli(0.6), HAMMING, 8, 0.2),
+        (Dist.from_mass([0.37, 0.63]), Dist.from_mass([0.17, 0.29, 0.54]),
+         CostMatrix.from_rows([[0.0, 0.6, 1.0], [0.8, 0.2, 0.5]]), 6, 0.37),
+    ], ids=["binary-8", "2x3-6"])
+    def test_outer_plan_builds_no_one_pair_problem(self, px, py, c, n,
+                                                   alpha, monkeypatch):
+        # sample's route: the lattice's own float flow, with neither the
+        # one-pair solver nor a CostMatrix over the inner table
+        inst = nested_instance(px, py, c, n)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("outer plan built a one-pair problem")
+
+        monkeypatch.setattr(transport, "ecp", refuse)
+        monkeypatch.setattr(CostMatrix, "__post_init__", refuse)
+        plan = optimal_outer_plan(inst, alpha)
+        sampler = lift_coupling(plan, inst)
+        sampler.sample(random.Random(1))
+        mat = plan.as_array()
+        exceed = mat[inst.inner_cost > alpha + ADMISS_EPS].sum()
+        assert exceed == pytest.approx(gn_tails(px, py, c, alpha, n)[0],
+                                       abs=1e-12)
 
     def test_sampler_is_seed_deterministic(self):
         px, py = Dist.bernoulli(0.3), Dist.bernoulli(0.6)

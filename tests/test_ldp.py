@@ -23,7 +23,7 @@ from strassen_lab.ldp import (
 )
 from strassen_lab.measures import Dist, kl
 from strassen_lab.transport import CostMatrix, ot_value
-from test_acceptance import RATE_TRIPLES, THETA_INSTANCES
+from test_acceptance import RATE_TRIPLES, THETA_INSTANCES, _rates_agree
 
 HAMMING = CostMatrix.hamming(2)
 
@@ -187,10 +187,24 @@ class TestGeneralSolvers:
         c = CostMatrix.from_rows([[0.5, 1.0], [1.0, 0.5]])
         q = RateQuery(Dist.bernoulli(0.1), Dist.bernoulli(0.5), c, 0.1)
         assert rate_f(q) == math.inf
+        assert rate_f(binary_query(0.1, 0.5, -0.1)) == math.inf
 
     def test_rate_g_zero_and_infinite_branches(self):
         assert rate_g(binary_query(0.1, 0.5, 0.3)) == 0.0
         assert rate_g(binary_query(0.1, 0.5, 1.2)) == math.inf
+
+    @pytest.mark.parametrize("a, b, alpha", [
+        (1.0, 0.9, 0.2), (0.0, 0.2, 0.3), (1.0, 0.5, 0.6)])
+    def test_rate_g_point_mass_marginal(self, a, b, alpha):
+        # the point mass's own orientation walks a one-letter simplex
+        assert _rates_agree(rate_g(binary_query(a, b, alpha)),
+                            rate_g_binary(a, b, alpha), 1e-4)
+
+    @pytest.mark.parametrize("a, b, alpha", [
+        (1.0, 0.3, 0.2), (0.2, 0.0, 0.05), (0.2, 1.0, 0.05), (0.0, 0.6, 0.1)])
+    def test_rate_f_point_mass_marginal(self, a, b, alpha):
+        assert _rates_agree(rate_f(binary_query(a, b, alpha)),
+                            rate_f_binary(a, b, alpha), 1e-4)
 
     def test_rate_f_three_letter_upper_bounded_by_grid(self):
         px = Dist.from_mass([0.2, 0.5, 0.3])

@@ -1,5 +1,8 @@
+import heapq
 import itertools
 import math
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -7,11 +10,15 @@ from hypothesis import given, settings
 from scipy.optimize import linprog
 
 from strassen_lab import flow
-from strassen_lab.errors import SizeGuardError, ValidationError
-from strassen_lab.measures import Dist, tv
+from strassen_lab.errors import (DimensionMismatchError, InfeasibleError,
+                                 SizeGuardError, ValidationError)
+from strassen_lab.flow import FLOW_EPS
+from strassen_lab.measures import Dist, JointDist, tv
 from strassen_lab.transport import (
     CostMatrix,
     SupportSet,
+    TransportPlan,
+    admissible_mask,
     dual_vertices,
     ecp,
     ecp_dual_bruteforce,
@@ -296,6 +303,127 @@ class TestLexMinCoupling:
             assert abs(got.objective - want) <= 1e-15 * scale
 
 
+# The solver as it stood before it moved onto flow.MaxFlowGraph, verbatim
+# but for its name: the oracle the rebuilt one must match bit for bit.
+def edge_array_transport_min_cost(supply: Sequence[float],
+                                  demand: Sequence[float], cost: np.ndarray):
+    """Balanced transportation problem by successive shortest paths.
+
+    Returns ``(plan, f, g, objective)`` where ``f`` and ``g`` are dual
+    potentials satisfying f(x) + g(y) <= c(x, y) on every cell (not just the
+    support), derived from the terminating node potentials.
+
+    Potential updates are capped at the sink distance, which keeps the duals
+    feasible at nodes the last Dijkstra never reached — in particular at
+    zero-supply symbols, which are deliberately retained.
+    """
+    m, k = cost.shape
+    if len(supply) != m or len(demand) != k:
+        raise ValueError("supply/demand lengths do not match the cost shape")
+    n = m + k + 2
+    s, t = m + k, m + k + 1
+    # Adjacency as parallel edge arrays (reverse edge at idx ^ 1).
+    eto: list[int] = []
+    ecap: list[float] = []
+    ecost: list[float] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
+
+    def add(u, v, cap, w):
+        idx = len(eto)
+        eto.append(v); ecap.append(float(cap)); ecost.append(float(w))
+        adj[u].append(idx)
+        eto.append(u); ecap.append(0.0); ecost.append(-float(w))
+        adj[v].append(idx + 1)
+        return idx
+
+    for i in range(m):
+        add(s, i, supply[i], 0.0)
+    for j in range(k):
+        add(m + j, t, demand[j], 0.0)
+    cell_edge = np.empty((m, k), dtype=int)
+    for i in range(m):
+        for j in range(k):
+            cell_edge[i, j] = add(i, m + j, math.inf, cost[i, j])
+
+    pot = [0.0] * n
+    while True:
+        dist = [math.inf] * n
+        dist[s] = 0.0
+        par_edge = [-1] * n
+        heap = [(0.0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u] + 1e-15:
+                continue
+            for e in adj[u]:
+                if ecap[e] <= FLOW_EPS:
+                    continue
+                v = eto[e]
+                nd = d + ecost[e] + pot[u] - pot[v]
+                if nd < dist[v] - 1e-15:
+                    dist[v] = nd
+                    par_edge[v] = e
+                    heapq.heappush(heap, (nd, v))
+        if not math.isfinite(dist[t]):
+            break
+        for v in range(n):
+            pot[v] += min(dist[v], dist[t])
+        # Bottleneck along the shortest path.
+        push = math.inf
+        v = t
+        while v != s:
+            e = par_edge[v]
+            push = min(push, ecap[e])
+            v = eto[e ^ 1]
+        if push <= FLOW_EPS:
+            break
+        v = t
+        while v != s:
+            e = par_edge[v]
+            ecap[e] -= push
+            ecap[e ^ 1] += push
+            v = eto[e ^ 1]
+
+    plan = np.zeros((m, k))
+    for i in range(m):
+        for j in range(k):
+            plan[i, j] = ecap[cell_edge[i, j] ^ 1]
+    f = np.array([-pot[i] for i in range(m)])
+    g = np.array([pot[m + j] for j in range(k)])
+    objective = float(np.sum(plan * cost))
+    return plan, f, g, objective
+
+
+class TestTransportMinCost:
+    def test_bit_for_bit_as_its_own_edge_arrays(self):
+        rng = np.random.default_rng(1617)
+        for trial in range(3000):
+            m, k = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            px, py = random_dist(rng, m), random_dist(rng, k)
+            if trial % 2:  # tied integer costs
+                cost = rng.integers(0, 3, (m, k)).astype(float)
+            else:
+                cost = random_cost(rng, m, k).as_array()
+            got = flow.transport_min_cost(px.mass, py.mass, cost)
+            want = edge_array_transport_min_cost(px.mass, py.mass, cost)
+            for a, b in zip(got[:3], want[:3]):
+                assert a.tobytes() == b.tobytes()
+            assert got[3].hex() == want[3].hex()
+
+
+def exact_strassen_dual(px, py, adm: np.ndarray) -> Fraction:
+    """max over subsets E of P_X(E) - P_Y(Gamma(E)), in exact rationals."""
+    m = len(px)
+    best = Fraction(0)
+    for mask in range(1, 1 << m):
+        rows = [i for i in range(m) if mask >> i & 1]
+        cols = np.nonzero(adm[rows].any(axis=0))[0]
+        val = (sum(Fraction(px[i]) for i in rows)
+               - sum(Fraction(py[j]) for j in cols))
+        best = max(best, val)
+    return best
+
+
 class TestEcp:
     def test_tv_case(self):
         res = ecp(Dist.bernoulli(0.1), Dist.bernoulli(0.5), HAMMING, 0.0)
@@ -339,15 +467,48 @@ class TestEcp:
             exceed = float(mat[c.as_array() > alpha + 1e-12].sum())
             assert exceed == pytest.approx(res.value, abs=1e-9)
 
-    def test_exact_mode_agrees(self, rng):
-        for _ in range(10):
-            px = random_dist(rng, 3)
-            py = random_dist(rng, 3)
-            c = random_cost(rng, 3, 3)
-            alpha = float(rng.random() * c.max())
-            a = ecp(px, py, c, alpha).value
-            b = ecp(px, py, c, alpha, exact=True).value
-            assert a == pytest.approx(b, abs=1e-12)
+    def test_value_is_the_rounded_exact_optimum(self):
+        # G = max_E P_X(E) - P_Y(Gamma(E)) as an exact rational over the
+        # float masses as given, and max-flow = sum P_X - G by duality
+        rng = np.random.default_rng(1616)
+        for _ in range(1000):
+            m, k = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            px, py = random_dist(rng, m), random_dist(rng, k)
+            c = CostMatrix.from_rows(
+                np.round(rng.random((m, k)) * 4.0, 1).tolist())
+            alpha = float(np.round(rng.random() * 4.0, 1))
+            res = ecp(px, py, c, alpha)
+            want = exact_strassen_dual(px.mass, py.mass,
+                                       admissible_mask(c, alpha))
+            assert res.value == float(want)
+            total = sum(map(Fraction, px.mass))
+            assert res.complement == float(min(Fraction(1), total - want))
+            gamma = gamma_enlarge(res.witness, c, alpha)
+            assert (sum(Fraction(px.mass[i]) for i in res.witness)
+                    - sum(Fraction(py.mass[j]) for j in gamma)) == want
+
+    def test_tail_below_the_rounding_of_the_masses(self):
+        # the masses sum to 1 - 5.6e-17, so one minus the flow would be
+        # 6e-4 relative too high
+        px = Dist.from_mass([0.3, 0.7])
+        py = Dist.from_mass([0.3 - 1e-13, 0.7 + 1e-13])
+        assert ecp(px, py, HAMMING, 0.0).value == 9.997558336749535e-14
+
+    def test_tail_below_the_other_mass(self):
+        px, py = Dist.from_mass([1e-20, 1.0]), Dist.from_mass([0.5, 0.5])
+        c = CostMatrix.from_rows([[1.0, 1.0], [0.0, 0.0]])
+        res = ecp(px, py, c, 0.5)
+        assert res.value == 1e-20 and res.witness == frozenset({0})
+        assert res.complement == 1.0
+
+    def test_runs_no_float_flow(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("float max-flow called")
+
+        monkeypatch.setattr(flow, "bipartite_max_flow", refuse)
+        px, py = random_dist(rng, 4), random_dist(rng, 3)
+        c = random_cost(rng, 4, 3)
+        ecp(px, py, c, 1.0)
 
     def test_alpha_monotone(self, rng):
         for _ in range(20):
@@ -409,6 +570,41 @@ class TestKantorovichCertificate:
         plan = ot_cost(p, p, c)
         f, g, gap = kantorovich_certificate(p, p, c, plan)
         assert gap == pytest.approx(0.0, abs=1e-12)
+
+    def test_plan_without_potentials_solves_once(self, rng, monkeypatch):
+        calls = []
+        real = flow.transport_min_cost
+        monkeypatch.setattr(flow, "transport_min_cost",
+                            lambda *a: calls.append(1) or real(*a))
+        for _ in range(10):
+            px, py = random_dist(rng, 3), random_dist(rng, 4)
+            c = random_cost(rng, 3, 4)
+            made = ot_cost(px, py, c)
+            bare = TransportPlan(plan=made.plan, objective=made.objective)
+            calls.clear()
+            _, _, gap = kantorovich_certificate(px, py, c, bare)
+            assert len(calls) == 1 and abs(gap) <= 1e-12
+
+    def test_product_coupling_gap_is_its_excess(self, rng):
+        for _ in range(10):
+            px, py = random_dist(rng, 3), random_dist(rng, 4)
+            c = random_cost(rng, 3, 4)
+            prod = JointDist.product(px, py)
+            objective = float(np.sum(prod.as_array() * c.as_array()))
+            plan = TransportPlan(plan=prod, objective=objective)
+            _, _, gap = kantorovich_certificate(px, py, c, plan)
+            want = objective - ot_cost(px, py, c).objective
+            assert gap == pytest.approx(want, abs=1e-12)
+
+    def test_bad_plans_raise(self):
+        px, py = Dist.bernoulli(0.3), Dist.bernoulli(0.6)
+        off = TransportPlan(plan=JointDist.product(py, py), objective=0.0)
+        with pytest.raises(InfeasibleError):
+            kantorovich_certificate(px, py, HAMMING, off)
+        wide = TransportPlan(plan=JointDist.product(px, Dist.uniform(3)),
+                             objective=0.0)
+        with pytest.raises(DimensionMismatchError):
+            kantorovich_certificate(px, py, HAMMING, wide)
 
 
 class TestOptimalSupport:
