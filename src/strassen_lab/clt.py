@@ -139,10 +139,12 @@ def _dual_objective(ap: float, sx2: float, sy2: float, d: float) -> float:
 def lambda_binary(a: float, b: float, delta: float) -> float:
     """Closed-form limit curve of the binary excess-cost probability.
 
-    Requires 0 <= a <= b <= 1/2.  Equal parameters use the midpoint
-    threshold with the positive-shift cutoff; otherwise the optimal
-    threshold is the larger density crossing.  Zero-variance edges (a = 0)
-    degenerate to step CDFs and are evaluated as such.
+    Requires 0 <= a <= b <= 1/2.  The optimal threshold is the larger
+    density crossing; for equal parameters that is the midpoint -delta/2,
+    where the objective F(-delta/2) - F(delta/2) is <= 0 for delta > 0, so
+    the final clamp gives the positive-shift cutoff.  Zero-variance edges
+    degenerate to step CDFs: a = b = 0 is 1 exactly when delta < 0, and
+    a = 0 < b takes its threshold at the atom.
     """
     if not (0.0 <= a <= b <= 0.5):
         raise ValidationError(
@@ -150,15 +152,8 @@ def lambda_binary(a: float, b: float, delta: float) -> float:
         )
     sx2 = a * (1.0 - a)
     sy2 = b * (1.0 - b)
-    if a == b:
-        if delta > 0.0:
-            return 0.0
-        if sx2 == 0.0:
-            val = _step_cdf(-delta / 2.0) - _step_cdf(delta / 2.0)
-        else:
-            val = (normal_cdf(-delta / 2.0, sx2)
-                   - normal_cdf(delta / 2.0, sy2))
-        return min(1.0, max(0.0, val))
+    if sy2 == 0.0:
+        return 1.0 if delta < 0.0 else 0.0
     if sx2 == 0.0:
         # X fluctuation is a point mass; the best threshold is its atom.
         return min(1.0, max(0.0, _tail(delta, sy2)))

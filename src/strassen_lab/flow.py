@@ -8,7 +8,11 @@ of the package needs two things generic solvers do not expose:
   depends on this), and
 * an exact big-integer max-flow mode.  Every one-pair excess-cost solve
   (``transport.ecp``) runs in it; the float mode serves the type lattices
-  and the product-space oracle, whose masses are already rounded.
+  and the product-space oracle, whose masses are already rounded.  The
+  capacities alone pick the mode.
+
+The Strassen witness is the source side of a minimum cut, read off the
+level graph of Dinic's last search.
 
 Graphs here are tiny bipartite networks (alphabets or type lattices), so the
 implementations favor clarity over asymptotic heroics: Dinic for max-flow,
@@ -31,10 +35,10 @@ FLOW_EPS = 1e-15
 class MaxFlowGraph:
     """An explicit residual graph, with Dinic's algorithm for max-flow.
 
-    Capacities may be floats or Python ints; with ints every intermediate
-    value stays exact.  Edges are stored as parallel arrays with the reverse
-    edge at ``index ^ 1``; the min-cost solver keeps its edge costs in one
-    more array beside them.
+    Capacities may be floats, ints or ``math.inf``; reverse residuals start
+    at the int 0, so int graphs stay exact.  Edges are stored as parallel
+    arrays with the reverse edge at ``index ^ 1``; the min-cost solver
+    keeps its edge costs in one more array beside them.
     """
 
     def __init__(self, n_nodes: int):
@@ -50,7 +54,7 @@ class MaxFlowGraph:
         self.cap.append(cap)
         self.adj[v].append(idx + 1)
         self.to.append(u)
-        self.cap.append(0.0 if isinstance(cap, float) else 0)
+        self.cap.append(0)
         return idx
 
     def flow_on(self, idx: int):
@@ -101,26 +105,14 @@ class MaxFlowGraph:
                 total += pushed
         return total
 
-    def source_side_cut(self, s: int) -> set[int]:
-        """Nodes reachable from ``s`` in the residual graph after max_flow."""
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for e in self.adj[u]:
-                v = self.to[e]
-                if self.cap[e] > FLOW_EPS and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
 
-
-def _bipartite_flow(supply, demand, admissible: np.ndarray, cell_cap,
-                    scale=1):
+def _bipartite_flow(supply, demand, admissible: np.ndarray, scale=1):
     """Max-flow from supplies to demands through the admissible cells.
 
     Returns ``(flow_value, flow_matrix, source_side_x)``; the flow matrix is
     divided by ``scale`` and ``source_side_x`` is the set of x indices on
-    the source side of a minimum cut.
+    the source side of a minimum cut: the nodes that the last, failed
+    search of ``max_flow`` levelled, for its walk never stops early.
     """
     m, k = admissible.shape
     s, t = m + k, m + k + 1
@@ -134,13 +126,12 @@ def _bipartite_flow(supply, demand, admissible: np.ndarray, cell_cap,
         row = admissible[i]
         for j in range(k):
             if row[j]:
-                cell_edges[(i, j)] = g.add_edge(i, m + j, cell_cap)
+                cell_edges[(i, j)] = g.add_edge(i, m + j, math.inf)
     value = g.max_flow(s, t)
     flow = np.zeros((m, k))
     for (i, j), e in cell_edges.items():
         flow[i, j] = g.flow_on(e) / scale
-    cut = g.source_side_cut(s)
-    witness = {i for i in range(m) if i in cut}
+    witness = {i for i in range(m) if g.level[i] >= 0}
     return value, flow, witness
 
 
@@ -153,22 +144,7 @@ def bipartite_max_flow(supply: Sequence[float], demand: Sequence[float],
     cut — a maximizing witness set for the Strassen dual.
     """
     return _bipartite_flow([float(v) for v in supply],
-                           [float(v) for v in demand], admissible, math.inf)
-
-
-def exact_scaled_masses(*mass_lists: Sequence[float]) -> tuple[list[list[int]], int]:
-    """Lift float masses to integers over one common denominator, exactly.
-
-    ``Fraction(float)`` is exact and every denominator is a power of two, so
-    the common denominator is their lcm and no rounding occurs anywhere.
-    """
-    fracs = [[Fraction(v) for v in lst] for lst in mass_lists]
-    den = 1
-    for lst in fracs:
-        for f in lst:
-            den = math.lcm(den, f.denominator)
-    nums = [[f.numerator * (den // f.denominator) for f in lst] for lst in fracs]
-    return nums, den
+                           [float(v) for v in demand], admissible)
 
 
 def bipartite_max_flow_exact(supply: Sequence[float], demand: Sequence[float],
@@ -178,11 +154,14 @@ def bipartite_max_flow_exact(supply: Sequence[float], demand: Sequence[float],
     Returns ``(flow_fraction, unrouted_fraction, flow_matrix, witness)``:
     the flow value and the supply it leaves unrouted as exact
     :class:`fractions.Fraction` values, and the matrix already divided back
-    to floats.
+    to floats.  ``Fraction(float)`` is exact with a power-of-two
+    denominator, so the masses lift to integers over their lcm unrounded.
     """
-    (sup, dem), den = exact_scaled_masses(supply, demand)
-    value, flow, witness = _bipartite_flow(sup, dem, admissible,
-                                           sum(sup) + 1, den)
+    sup, dem = [Fraction(v) for v in supply], [Fraction(v) for v in demand]
+    den = math.lcm(*(f.denominator for f in sup + dem))
+    sup, dem = ([f.numerator * (den // f.denominator) for f in lst]
+                for lst in (sup, dem))
+    value, flow, witness = _bipartite_flow(sup, dem, admissible, den)
     return Fraction(value, den), Fraction(sum(sup) - value, den), flow, witness
 
 
@@ -196,12 +175,11 @@ def lex_min_coupling(supply, demand, allowed: np.ndarray) -> list[list]:
     """
     sup, dem = list(supply), list(demand)
     m, k = allowed.shape
-    cell_cap = sum(sup) + 1 if isinstance(sum(sup), int) else math.inf
     plan = [[0] * k for _ in range(m)]
     later = np.array(allowed, dtype=bool)
     for i, j in np.argwhere(allowed):
         later[i, j] = False
-        routed, _, _ = _bipartite_flow(sup, dem, later, cell_cap)
+        routed, _, _ = _bipartite_flow(sup, dem, later)
         need = sum(sup) - routed
         if need <= FLOW_EPS:
             continue

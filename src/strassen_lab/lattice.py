@@ -238,18 +238,14 @@ class NestedInstance:
     n: int
 
 
-#: Entries of one scratch block in ``_inner_cost_table`` (8 MB of floats).
-_TABLE_BLOCK = 1 << 20
-
-
 @lru_cache(maxsize=16)
 def _inner_cost_table(c: CostMatrix, n: int) -> np.ndarray:
     """OT values between every pair of induced type laws, clipped at 0.
 
     Each entry is the best dual vertex of c, max_v F_v . x + G_v . y, so
-    the table is filled block by block, one vertex at a time, with one
-    small scratch block and no full-size temporary.  Alphabets past the
-    vertex kernel solve each pair by min-cost flow.
+    the table is one outer sum per vertex, folded in by a running maximum;
+    ``PAIR_GUARD`` keeps the table and its one temporary at 16 MB each.
+    Alphabets past the vertex kernel solve each pair by min-cost flow.
     """
     fx = _counts_matrix(n, c.shape[0]) / n
     fy = _counts_matrix(n, c.shape[1]) / n
@@ -267,15 +263,10 @@ def _inner_cost_table(c: CostMatrix, n: int) -> np.ndarray:
     else:
         f, g = verts
         row_part, col_part = fx @ f.T, fy @ g.T
-        step = max(1, _TABLE_BLOCK // len(fy))
-        scratch = np.empty((min(step, len(fx)), len(fy)))
-        for lo in range(0, len(fx), step):
-            block = table[lo:lo + step]
-            tmp = scratch[:len(block)]
-            np.add.outer(row_part[lo:lo + step, 0], col_part[:, 0], out=block)
-            for v in range(1, len(f)):
-                np.add.outer(row_part[lo:lo + step, v], col_part[:, v], out=tmp)
-                np.maximum(block, tmp, out=block)
+        np.add.outer(row_part[:, 0], col_part[:, 0], out=table)
+        for v in range(1, len(f)):
+            np.maximum(table, np.add.outer(row_part[:, v], col_part[:, v]),
+                       out=table)
     np.maximum(table, 0.0, out=table)
     table.setflags(write=False)
     return table
@@ -578,8 +569,7 @@ def _lattice_ecp_dense(logmu, lognu, adm):
     in_e = np.zeros(len(logmu), dtype=bool)
     in_e[list(witness)] = True
     in_g = adm[in_e].any(axis=0)
-    g, comp = _witness_values(logmu, lognu, in_e, in_g)
-    return min(max(g, 0.0), 1.0), min(max(comp, 0.0), 1.0)
+    return _bounds([_witness_values(logmu, lognu, in_e, in_g)])
 
 
 def gn_tails(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,

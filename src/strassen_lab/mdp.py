@@ -228,17 +228,15 @@ def _face_spreads(p_x: Dist, p_y: Dist, c: CostMatrix):
     """The optimal face's vertices as spread rows under p_x and p_y.
 
     Zero-mass symbols are dropped first: the chi-square term pins a
-    perturbation to zero there, and S has no cell on them.
+    perturbation to zero there.  S is solved on what is left and loses no
+    cell: it is the union of the optimal couplings' supports, and no
+    coupling puts mass on a zero-mass symbol.
     """
     px, py = p_x.as_array(), p_y.as_array()
     rows, cols = np.flatnonzero(px > 0.0), np.flatnonzero(py > 0.0)
-    at_row = {int(i): a for a, i in enumerate(rows)}
-    at_col = {int(j): b for b, j in enumerate(cols)}
-    cells = frozenset((at_row[i], at_col[j])
-                      for i, j in support_of(p_x, p_y, c).cells
-                      if i in at_row and j in at_col)
+    sub_x, sub_y = Dist.from_mass(px[rows]), Dist.from_mass(py[cols])
     sub = CostMatrix(tuple(map(tuple, c.as_array()[np.ix_(rows, cols)])))
-    face = _optimal_face(SupportSet(cells), sub)
+    face = _optimal_face(support_of(sub_x, sub_y, sub), sub)
     if face is None:
         raise ValidationError("the optimal dual face is empty or unbounded")
     spreads = _spread_rows(face[0], px[rows]), _spread_rows(face[1], py[cols])

@@ -123,10 +123,11 @@ class TransportPlan:
 class EcpResult:
     """Outcome of a Strassen excess-cost problem.
 
-    ``value`` is G_alpha and ``complement`` the max-flow value, capped at 1;
-    each is one exact rational rounded once, never one minus the other, so
-    tiny tails keep full precision.  ``plan`` is an optimal coupling and
-    ``witness`` a maximizing dual set E of x indices with value =
+    ``value`` is G_alpha and ``complement`` the max-flow value, each
+    capped at 1 (``Dist`` lets masses sum to 1 + 1e-12); each is one exact
+    rational rounded once, never one minus the other, so tiny tails keep
+    full precision.  ``plan`` is an optimal coupling and ``witness`` a
+    maximizing dual set E of x indices: below the cap, value =
     P_X(E) - P_Y(Gamma(E)), exactly for the float masses given.
     """
 
@@ -277,13 +278,15 @@ def ecp(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float) -> EcpResult:
     float values read as exact binary rationals), and a big-integer
     max-flow runs on the bipartite graph whose uncapacitated edges are
     exactly the admissible cells.  G is the total supply less that flow,
-    one exact rational rounded once: it equals P_X(E) - P_Y(Gamma(E)) for
-    the min-cut witness E, with no rounding from the marginals' own sum.
+    one exact rational rounded once and capped at 1: below the cap it
+    equals P_X(E) - P_Y(Gamma(E)) for the min-cut witness E, with no
+    rounding from the marginals' own sum.
     """
     _check_dims(p_x, p_y, c)
     routed, unrouted, flow_mat, witness = flow.bipartite_max_flow_exact(
         p_x.mass, p_y.mass, admissible_mask(c, alpha))
-    value, complement = float(unrouted), float(min(Fraction(1), routed))
+    value = float(min(Fraction(1), unrouted))
+    complement = float(min(Fraction(1), routed))
     plan = _complete_plan(flow_mat, p_x.mass, p_y.mass)
     return EcpResult(value=value, complement=complement,
                      plan=JointDist.from_array(plan),

@@ -6,7 +6,7 @@ import pytest
 
 from strassen_lab import flow
 from strassen_lab.cli import (Instance, instance_to_dict, main, parse_instance,
-                              _parse_grid, _parse_ns)
+                              _fmt, _json_cell, _parse_grid, _parse_ns)
 from strassen_lab.errors import ValidationError
 from strassen_lab.ldp import rate_g_binary
 from strassen_lab.clt import lambda_binary
@@ -130,6 +130,28 @@ class TestGridParsers:
             _parse_ns("4:16:zig")
         with pytest.raises(ValidationError, match="bad range"):
             _parse_ns("16:4:doubling")
+
+    def test_ns_rejects_non_integers(self):
+        with pytest.raises(ValidationError, match="bad n value 'a'"):
+            _parse_ns("a")
+        with pytest.raises(ValidationError, match="non-integer bounds"):
+            _parse_ns("5:x:3")
+
+    def test_ns_count_one_is_the_low_end(self):
+        assert _parse_ns("5:9:1") == [5]
+
+
+class TestCells:
+    def test_csv_cells(self):
+        assert [_fmt(v) for v in (True, False, 3, "f", 0.25)] == [
+            "1", "0", "3", "f", "0.25"]
+        assert [_fmt(v) for v in (math.nan, math.inf, -math.inf)] == [
+            "nan", "inf", "-inf"]
+
+    def test_json_cells_spell_out_non_finite_values(self):
+        assert [_json_cell(v) for v in (math.nan, math.inf, -math.inf)] == [
+            "nan", "inf", "-inf"]
+        assert [_json_cell(v) for v in (0.25, 3, "f")] == [0.25, 3, "f"]
 
 
 class TestOtCommand:
@@ -271,6 +293,12 @@ class TestLdpRateCommand:
         assert by_kind["g"] == pytest.approx(
             rate_g_binary(0.3, 0.6, 0.4), abs=1e-4)
 
+    def test_infinite_rate_in_json(self, capsys, binary_path):
+        code, out, _ = run(capsys, "ldp-rate", binary_path, "--kind", "f",
+                           "--alpha", "-0.1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"] == [["f", -0.1, "inf"]]
+
     def test_single_kind(self, capsys, binary_path):
         code, out, _ = run(capsys, "ldp-rate", binary_path, "--kind", "f")
         assert code == 0
@@ -301,6 +329,16 @@ class TestMdpRateCommand:
         sy = math.sqrt(0.24)
         assert float(rows[0][2]) == pytest.approx(
             0.25 / (2.0 * (sx + sy) ** 2), rel=1e-5)
+
+    def test_json_echoes_the_instance_delta(self, capsys, tmp_path):
+        p = tmp_path / "delta.json"
+        p.write_text(json.dumps(dict(BINARY, delta=-1.0)))
+        code, out, _ = run(capsys, "mdp-rate", str(p), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rows"][0][:2] == ["lower", -1.0]
+        assert payload["instance"]["delta"] == -1.0
+        assert parse_instance(payload["instance"]).delta == -1.0
 
     def test_zero_delta_rejected(self, capsys, binary_path):
         code, _, err = run(capsys, "mdp-rate", binary_path, "--delta", "0")

@@ -1626,6 +1626,14 @@ class TestCouplings:
             assert event == pytest.approx(
                 exact_gn(px, py, HAMMING, alpha, n), abs=1e-9)
 
+    def test_lift_refuses_a_coupling_of_other_laws(self):
+        inst = nested_instance(Dist.bernoulli(0.3), Dist.bernoulli(0.6),
+                               HAMMING, 3)
+        with pytest.raises(ValidationError, match=r"coupling is \(3, 4\)"):
+            lift_coupling(JointDist.from_array(np.full((3, 4), 1 / 12)), inst)
+        with pytest.raises(ValidationError, match="marginals do not match"):
+            lift_coupling(JointDist.from_array(np.full((4, 4), 1 / 16)), inst)
+
     def test_lifted_law_has_product_marginals(self):
         px, py = Dist.bernoulli(0.3), Dist.bernoulli(0.6)
         n = 3

@@ -659,6 +659,47 @@ class TestVertexDual:
         assert _near(fw_rate_g(query, 4, monkeypatch), bracket, 1e-9)
 
 
+def _random_rate_f_queries(seed, count):
+    """Random 2- to 4-letter instances, alpha at 0.2 to 0.9 of the base cost."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        m, k = (int(v) for v in rng.integers(2, 5, 2))
+        pa, pb = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(k))
+        cost = np.round(rng.uniform(0.0, 1.0, (m, k)), 3)
+        alpha = rng.uniform(0.2, 0.9) * ot_value(pa, pb, cost)
+        out.append(RateQuery(Dist.from_mass(pa.tolist()),
+                             Dist.from_mass(pb.tolist()),
+                             CostMatrix.from_rows(cost.tolist()), alpha))
+    return out
+
+
+class TestRateFBracketCutShort:
+    """A Newton search stopped after a few steps still brackets the rate.
+
+    Short budgets reach the branch that steps mu back halfway when its
+    inner ascent has not converged."""
+
+    def test_bracket_holds_the_full_solve(self, monkeypatch):
+        px, py, c = THETA_INSTANCES[2]
+        queries = [RateQuery(px, py, c, alpha)
+                   for alpha in (0.05, 0.1, 0.2, 0.3)]
+        queries += _random_rate_f_queries(1919, 40)
+        full = [rate_f(query) for query in queries]
+        for steps in (1, 2, 3, 5, 6, 8, 12, 20):
+            monkeypatch.setattr(ldp, "STEPS", steps)
+            for query, mid in zip(queries, full):
+                lower, upper = ldp._rate_f_bracket(query)
+                if math.isinf(mid):
+                    assert upper == math.inf
+                    continue
+                tol = 1e-12 * mid
+                assert lower - tol <= mid <= upper + tol, (steps, query)
+
+    def test_binary_point_masses_apart(self):
+        assert rate_f_binary(0.0, 1.0, 0.5) == math.inf
+
+
 def _random_rate_g_queries(seed, count):
     """Random 2x2, 2x3 and 3x3 instances, alpha above the base cost."""
     rng = np.random.default_rng(seed)

@@ -480,7 +480,7 @@ class TestEcp:
             res = ecp(px, py, c, alpha)
             want = exact_strassen_dual(px.mass, py.mass,
                                        admissible_mask(c, alpha))
-            assert res.value == float(want)
+            assert res.value == float(min(Fraction(1), want))
             total = sum(map(Fraction, px.mass))
             assert res.complement == float(min(Fraction(1), total - want))
             gamma = gamma_enlarge(res.witness, c, alpha)
@@ -500,6 +500,14 @@ class TestEcp:
         res = ecp(px, py, c, 0.5)
         assert res.value == 1e-20 and res.witness == frozenset({0})
         assert res.complement == 1.0
+
+    def test_value_capped_at_one(self):
+        # the masses sum to 1 + 5e-13, inside Dist's tolerance, and with
+        # nothing admissible the unrouted supply is all of it
+        px = Dist.from_mass([0.5, 0.5 + 5e-13])
+        res = ecp(px, Dist.from_mass([0.5, 0.5]), HAMMING, -1.0)
+        assert res.value == 1.0 and res.complement == 0.0
+        assert res.witness == frozenset({0, 1})
 
     def test_runs_no_float_flow(self, rng, monkeypatch):
         def refuse(*args):
