@@ -14,10 +14,11 @@ of the package needs two things generic solvers do not expose:
 The Strassen witness is the source side of a minimum cut, read off the
 level graph of Dinic's last search.
 
-Graphs here are tiny bipartite networks (alphabets or type lattices), so the
-implementations favor clarity over asymptotic heroics: Dinic for max-flow,
-successive shortest paths with Dijkstra for min-cost flow, and a
-lexicographic max-flow for vertex couplings.
+Graphs here are bipartite networks over alphabets or type lattices, up to
+a few hundred nodes a side: Dinic for max-flow (on a residual graph built
+in bulk from the admissible cells), successive shortest paths with
+Dijkstra for min-cost flow, and a lexicographic max-flow for vertex
+couplings.
 """
 from __future__ import annotations
 
@@ -61,48 +62,73 @@ class MaxFlowGraph:
         """Flow pushed through the forward edge created as ``idx``."""
         return self.cap[idx ^ 1]
 
+    @classmethod
+    def from_edges(cls, n_nodes: int, tails, heads, caps) -> "MaxFlowGraph":
+        """The graph ``add_edge`` builds from these edges in order, in bulk:
+        edge ``idx`` belongs to node ``to[idx ^ 1]``, and a stable sort by
+        owner lists each node's edges in creation order.  ``caps``: a list."""
+        g = cls(n_nodes)
+        owner = np.column_stack([tails, heads]).ravel()
+        order = np.argsort(owner, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(owner, minlength=n_nodes)).tolist()
+        g.adj = [order[a:b] for a, b in zip([0] + ends, ends)]
+        g.to = owner.reshape(-1, 2)[:, ::-1].ravel().tolist()
+        g.cap = [0] * len(g.to)
+        g.cap[::2] = caps
+        return g
+
     def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
+        # stops at t, for no other node at or past its level is on a
+        # shortest path; a failed search levels all that s reaches
+        adj, to, cap, eps = self.adj, self.to, self.cap, FLOW_EPS
+        level = self.level = [-1] * self.n
+        level[s] = 0
         queue = [s]
         for u in queue:
-            for e in self.adj[u]:
-                v = self.to[e]
-                if self.cap[e] > FLOW_EPS and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
+            up = level[u] + 1
+            for e in adj[u]:
+                v = to[e]
+                if cap[e] > eps and level[v] < 0:
+                    level[v] = up
+                    if v == t:
+                        return True
                     queue.append(v)
-        return self.level[t] >= 0
-
-    def _dfs(self, u: int, t: int, pushed):
-        # The recursion depth is the sink's level.  On the source/x/y/sink
-        # graphs used here, with m x and k y nodes, a shortest augmenting
-        # path alternates distinct x and y nodes, so that level is at most
-        # 2 * min(m, k) + 1 (39 on a 3x3 type lattice at n = 12).
-        if u == t:
-            return pushed
-        while self.it[u] < len(self.adj[u]):
-            e = self.adj[u][self.it[u]]
-            v = self.to[e]
-            if self.cap[e] > FLOW_EPS and self.level[v] == self.level[u] + 1:
-                got = self._dfs(v, t, min(pushed, self.cap[e]))
-                if got > FLOW_EPS:
-                    self.cap[e] -= got
-                    self.cap[e ^ 1] += got
-                    return got
-            self.it[u] += 1
-        return 0
+        return False
 
     def max_flow(self, s: int, t: int):
+        """Dinic's algorithm, each search a depth-first walk on an explicit
+        stack, so a path of any length fits (a staircase of m rows needs one
+        through every row).  A node resumes at its current arc, a dead end
+        advances its parent's, and a path pushes its least residual, so
+        integer graphs stay exact."""
+        adj, to, cap, eps = self.adj, self.to, self.cap, FLOW_EPS
         total = 0
         while self._bfs(s, t):
-            self.it = [0] * self.n
+            level, it = self.level, [0] * self.n
+            path, u = [], s
             while True:
-                # min() against the first finite capacity keeps integer
-                # graphs in exact integer arithmetic.
-                pushed = self._dfs(s, t, math.inf)
-                if pushed <= FLOW_EPS:
-                    break
-                total += pushed
+                if u == t:
+                    got = min([cap[e] for e in path])
+                    for e in path:
+                        cap[e] -= got
+                        cap[e ^ 1] += got
+                    total += got
+                    path, u = [], s
+                edges, up = adj[u], level[u] + 1
+                for a in range(it[u], len(edges)):
+                    e = edges[a]
+                    if cap[e] > eps and level[to[e]] == up:
+                        break
+                else:
+                    it[u] = len(edges)
+                    if not path:
+                        break
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                    continue
+                it[u] = a
+                path.append(e)
+                u = to[e]
         return total
 
 
@@ -112,25 +138,19 @@ def _bipartite_flow(supply, demand, admissible: np.ndarray, scale=1):
     Returns ``(flow_value, flow_matrix, source_side_x)``; the flow matrix is
     divided by ``scale`` and ``source_side_x`` is the set of x indices on
     the source side of a minimum cut: the nodes that the last, failed
-    search of ``max_flow`` levelled, for its walk never stops early.
+    search of ``max_flow`` levelled, for its walk never stops early.  The
+    edges are the source's, the sink's, then the cells' in row-major order.
     """
     m, k = admissible.shape
     s, t = m + k, m + k + 1
-    g = MaxFlowGraph(m + k + 2)
-    for i in range(m):
-        g.add_edge(s, i, supply[i])
-    for j in range(k):
-        g.add_edge(m + j, t, demand[j])
-    cell_edges = {}
-    for i in range(m):
-        row = admissible[i]
-        for j in range(k):
-            if row[j]:
-                cell_edges[(i, j)] = g.add_edge(i, m + j, math.inf)
+    rows, cols = np.nonzero(admissible)
+    g = MaxFlowGraph.from_edges(
+        m + k + 2, np.concatenate([np.full(m, s), m + np.arange(k), rows]),
+        np.concatenate([np.arange(m), np.full(k, t), m + cols]),
+        [*supply, *demand] + [math.inf] * len(rows))
     value = g.max_flow(s, t)
     flow = np.zeros((m, k))
-    for (i, j), e in cell_edges.items():
-        flow[i, j] = g.flow_on(e) / scale
+    flow[rows, cols] = [v / scale for v in g.cap[2 * (m + k) + 1::2]]
     witness = {i for i in range(m) if g.level[i] >= 0}
     return value, flow, witness
 

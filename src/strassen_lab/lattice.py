@@ -379,12 +379,11 @@ def _line_view(carr: np.ndarray, alpha: float, n: int):
 _LOG_HALF = math.log(0.5)
 
 
-def _scores(log_e, log_g, log_skip, log_gap):
-    """The scores of the chains of the three runs, from their settled masses.
-
-    Each argument stacks one of the four log-masses of ``_dp_chains``, one
-    row per run, and row s of each feeds score s.  Returns the logs of the
-    plus and minus parts of the scores, stacked in the same order:
+def _scores(log_e, log_g, log_skip, log_gap, loss_g, loss_skip, lpos, lneg):
+    """Write the logs of the plus and minus parts of the three scores into
+    rows 0-2 of lpos and lneg, from the only masses they read: the gain
+    run's mu(E) and nu(Gamma(E)), the complement run's skipped and gap
+    masses, and the loss run's nu(Gamma(E)) and skipped mass.
 
     gain        mu(E) - nu(Gamma(E)), for chains with mu(E) <= 1/2.  Summed
                 directly, the bulk masses of a chain with mu(E) > 1/2 carry
@@ -402,12 +401,12 @@ def _scores(log_e, log_g, log_skip, log_gap):
     A chain outside its run's range scores -inf; mu(E) and mu(D) only grow
     along a chain, so every prefix of a chain inside the range is inside it.
     """
-    nothing = np.full_like(log_e[2], -np.inf)
-    bulk = np.stack([log_e[0], log_skip[1], nothing]) > _LOG_HALF
-    lpos = np.stack([log_e[0], log_gap[1], nothing])
-    lneg = np.stack([log_g[0], log_skip[1],
-                     np.logaddexp(log_g[2], log_skip[2])])
-    return np.where(bulk, -np.inf, lpos), np.where(bulk, np.inf, lneg)
+    bulk = np.greater([log_e, log_skip], _LOG_HALF)
+    lpos[0], lpos[1], lpos[2] = log_e, log_gap, -np.inf
+    lneg[0], lneg[1] = log_g, log_skip
+    np.logaddexp(loss_g, loss_skip, out=lneg[2])
+    np.copyto(lpos[:2], -np.inf, where=bulk)
+    np.copyto(lneg[:2], np.inf, where=bulk)
 
 
 def _signed_argmax(lpos, lneg) -> np.ndarray:
@@ -445,10 +444,13 @@ def _dp_chains(logmu: np.ndarray, lognu: np.ndarray,
     one more candidate and wins ties, ahead of the chains in row order.
     Three runs, one per score of ``_scores``, share one pass over the
     steps of the view; each ranks the candidates of step i on these four
-    masses alone.  As witness sets, all of them also hold the rows after i
-    in E^c and the columns starting after row i in Gamma(E)^c; those masses
-    are the same for every candidate, and added in, they would round away
-    the differences at the tail's scale.
+    masses alone.  A step computes only the two masses per run that its
+    score reads, and then the four masses of each run's winning slot: the
+    losers are dropped, so any other mass of theirs would be wasted work.
+    As witness sets, all of them also hold the rows after i in E^c and the
+    columns starting after row i in Gamma(E)^c; those masses are the same
+    for every candidate, and added in, they would round away the
+    differences at the tail's scale.
 
     Returns the parent pointers, (3, m) (the row before row i in its
     chain, or -1), and the end state, (4, 3, m + 1): the four log-masses
@@ -465,16 +467,22 @@ def _dp_chains(logmu: np.ndarray, lognu: np.ndarray,
     state[0, :, 0] = _lse(logmu[view.empty])
     parent = np.full((3, m), -1, dtype=np.int64)
     runs = np.arange(3)
+    lpos, lneg = np.empty((2, 3, m + 1))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         unsettled, steps = view.masses(lognu)
         for i, (cover, gap) in enumerate(steps):
             log_e, log_g, log_skip, log_gap = state[:, :, :i + 1]
-            cand = np.stack([np.logaddexp(log_e, logmu_a[i]),
-                             np.logaddexp(log_g, cover), log_skip,
-                             np.logaddexp(log_gap, gap)])
-            best = _signed_argmax(*_scores(*cand))
+            covered = np.logaddexp(log_g[::2], cover)  # the gain and loss runs
+            _scores(np.logaddexp(log_e[0], logmu_a[i]), covered[0],
+                    log_skip[1], np.logaddexp(log_gap[1], gap), covered[1],
+                    log_skip[2], lpos[:, :i + 1], lneg[:, :i + 1])
+            best = _signed_argmax(lpos[:, :i + 1], lneg[:, :i + 1])
             parent[:, i] = best - 1
-            state[:, :, i + 1] = cand[:, runs, best]
+            won = state[:, runs, best]
+            np.logaddexp(won[0], logmu_a[i], out=won[0])
+            np.logaddexp(won[1], cover[best], out=won[1])
+            np.logaddexp(won[3], gap[best], out=won[3])
+            state[:, :, i + 1] = won
             np.logaddexp(log_skip, logmu_a[i], out=log_skip)
     state[3] = np.logaddexp(state[3], unsettled)
     return parent, state
@@ -545,9 +553,11 @@ def _side_candidates(logmu, lognu, view):
     another score's run, and tied witness sets can round 1 - G apart.
     """
     parent, state = _dp_chains(logmu, lognu, view)
-    every = np.repeat(state.reshape(4, 1, -1), len(parent), axis=1)
+    log_e, log_g, log_skip, log_gap = state.reshape(4, -1)
+    lpos, lneg = np.empty((2, 3, log_e.size))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        best = _signed_argmax(*_scores(*every))
+        _scores(log_e, log_g, log_skip, log_gap, log_g, log_skip, lpos, lneg)
+        best = _signed_argmax(lpos, lneg)
     return [_witness_values(logmu, lognu, *_chain_masks(
                 _chain_members(parent[run], slot - 1), view, len(logmu)))
             for run, slot in zip(*np.divmod(best, state.shape[2]))]

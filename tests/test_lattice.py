@@ -664,9 +664,11 @@ GAIN, COMPLEMENT, LOSS = range(3)
 def _best_and_end_value(logmu, lognu, view, runs, objective):
     """The best objective over every chain of the ``runs``, and the best
     value read off their end states, in decimal."""
-    parent, state = _dp_chains(logmu, lognu, view)
+    parent, (log_e, log_g, log_skip, log_gap) = _dp_chains(logmu, lognu, view)
+    lpos, lneg = np.empty((2, *log_e.shape))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        lpos, lneg = _scores(*state)
+        _scores(log_e[GAIN], log_g[GAIN], log_skip[COMPLEMENT],
+                log_gap[COMPLEMENT], log_g[LOSS], log_skip[LOSS], lpos, lneg)
         read = _signed_argmax(lpos, lneg)
     best = end_value = Decimal("-Infinity")
     for s in runs:
