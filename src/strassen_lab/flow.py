@@ -6,10 +6,11 @@ of the package needs two things generic solvers do not expose:
 * terminating node potentials that are dual-feasible on *every* cell,
   including cells incident to zero-supply nodes (the Kantorovich certificate
   depends on this), and
-* an exact big-integer max-flow mode.  Every one-pair excess-cost solve
-  (``transport.ecp``) runs in it; the float mode serves the type lattices
-  and the product-space oracle, whose masses are already rounded.  The
-  capacities alone pick the mode.
+* an exact max-flow.  Every Strassen value, witness and outer plan
+  (``transport.ecp``, the type lattices' dense route, the product-space
+  oracle and ``sample``'s outer plan) runs it on the masses lifted to big
+  integers.  Only the lexicographic coupling on float marginals keeps
+  float capacities; the capacities alone pick the arithmetic.
 
 The Strassen witness is the source side of a minimum cut, read off the
 level graph of Dinic's last search.
@@ -36,10 +37,11 @@ FLOW_EPS = 1e-15
 class MaxFlowGraph:
     """An explicit residual graph, with Dinic's algorithm for max-flow.
 
-    Capacities may be floats, ints or ``math.inf``; reverse residuals start
-    at the int 0, so int graphs stay exact.  Edges are stored as parallel
-    arrays with the reverse edge at ``index ^ 1``; the min-cost solver
-    keeps its edge costs in one more array beside them.
+    Capacities are floats (the min-cost solver's cells are ``math.inf``)
+    or ints; reverse residuals start at the int 0, so int graphs stay
+    exact.  Edges are stored as parallel arrays with the reverse edge at
+    ``index ^ 1``; the min-cost solver keeps its edge costs in one more
+    array beside them.
     """
 
     def __init__(self, n_nodes: int):
@@ -140,6 +142,9 @@ def _bipartite_flow(supply, demand, admissible: np.ndarray, scale=1):
     the source side of a minimum cut: the nodes that the last, failed
     search of ``max_flow`` levelled, for its walk never stops early.  The
     edges are the source's, the sink's, then the cells' in row-major order.
+    A cell never carries more than the total supply, so that is its
+    capacity: the graph holds only ints or only floats, and a big int never
+    meets ``math.inf``.
     """
     m, k = admissible.shape
     s, t = m + k, m + k + 1
@@ -147,7 +152,7 @@ def _bipartite_flow(supply, demand, admissible: np.ndarray, scale=1):
     g = MaxFlowGraph.from_edges(
         m + k + 2, np.concatenate([np.full(m, s), m + np.arange(k), rows]),
         np.concatenate([np.arange(m), np.full(k, t), m + cols]),
-        [*supply, *demand] + [math.inf] * len(rows))
+        [*supply, *demand] + [sum(supply)] * len(rows))
     value = g.max_flow(s, t)
     flow = np.zeros((m, k))
     flow[rows, cols] = [v / scale for v in g.cap[2 * (m + k) + 1::2]]
@@ -157,30 +162,20 @@ def _bipartite_flow(supply, demand, admissible: np.ndarray, scale=1):
 
 def bipartite_max_flow(supply: Sequence[float], demand: Sequence[float],
                        admissible: np.ndarray):
-    """Max-flow from supplies to demands along admissible cells (floats).
-
-    Returns ``(flow_value, flow_matrix, source_side_x)`` where
-    ``source_side_x`` is the set of x indices on the source side of a minimum
-    cut — a maximizing witness set for the Strassen dual.
-    """
-    return _bipartite_flow([float(v) for v in supply],
-                           [float(v) for v in demand], admissible)
-
-
-def bipartite_max_flow_exact(supply: Sequence[float], demand: Sequence[float],
-                             admissible: np.ndarray):
-    """Integer-arithmetic variant of :func:`bipartite_max_flow`.
+    """Max-flow from supplies to demands along admissible cells, exactly.
 
     Returns ``(flow_fraction, unrouted_fraction, flow_matrix, witness)``:
     the flow value and the supply it leaves unrouted as exact
-    :class:`fractions.Fraction` values, and the matrix already divided back
-    to floats.  ``Fraction(float)`` is exact with a power-of-two
-    denominator, so the masses lift to integers over their lcm unrounded.
+    :class:`fractions.Fraction` values, the matrix divided back to floats,
+    and the x indices on the source side of a minimum cut, a maximizing
+    witness set for the Strassen dual.  A float is an exact binary rational
+    whose denominator is a power of two, so the masses lift to integers
+    over the largest denominator unrounded.
     """
-    sup, dem = [Fraction(v) for v in supply], [Fraction(v) for v in demand]
-    den = math.lcm(*(f.denominator for f in sup + dem))
-    sup, dem = ([f.numerator * (den // f.denominator) for f in lst]
-                for lst in (sup, dem))
+    ratios = [float(v).as_integer_ratio() for v in [*supply, *demand]]
+    den = max(d for _, d in ratios)
+    lifted = [num * (den // d) for num, d in ratios]
+    sup, dem = lifted[:len(supply)], lifted[len(supply):]
     value, flow, witness = _bipartite_flow(sup, dem, admissible, den)
     return Fraction(value, den), Fraction(sum(sup) - value, den), flow, witness
 

@@ -27,7 +27,8 @@ on its own.  Signed scores are ranked exactly in log space, by (sign,
 sign * log|value|).  The DP ends with every chain's four masses in each
 run, so the winners are read off that end state, and only the three
 winning witness sets are evaluated exactly.  Lattices where both sides
-have 3 or more letters go to a dense max-flow over the inner table.
+have 3 or more letters go to the exact max-flow over the inner table,
+on the float type masses; its min cut is the witness set.
 
 Numerical posture: type masses are kept in log space end to end; every
 reported probability is assembled from sums of same-sign terms selected
@@ -573,9 +574,7 @@ def _bounds(candidates) -> tuple[float, float]:
 def _lattice_ecp_dense(logmu, lognu, adm):
     if adm.size > DENSE_GUARD:
         raise SizeGuardError(f"dense outer flow needs {adm.size} cells")
-    mu_lin = np.exp(logmu)
-    nu_lin = np.exp(lognu)
-    _, _, witness = flow.bipartite_max_flow(mu_lin, nu_lin, adm)
+    *_, witness = flow.bipartite_max_flow(np.exp(logmu), np.exp(lognu), adm)
     in_e = np.zeros(len(logmu), dtype=bool)
     in_e[list(witness)] = True
     in_g = adm[in_e].any(axis=0)
@@ -615,7 +614,9 @@ def exact_gn(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float, n: int) -> float
 
 def direct_gn_oracle(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
                      n: int) -> float:
-    """The same probability solved on the raw product space (tests only)."""
+    """The same probability solved on the raw product space (tests only):
+    the supply the exact max-flow leaves unrouted, capped at 1, as ``ecp``
+    reads it."""
     kx, ky = c.shape
     if kx ** n * ky ** n > 1_000_000:
         raise SizeGuardError(
@@ -629,16 +630,16 @@ def direct_gn_oracle(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
     cost = np.array([[sum(carr[a, b] for a, b in zip(sx, sy)) / n
                       for sy in ys] for sx in xs])
     adm = cost <= alpha + ADMISS_EPS
-    value, _, _ = flow.bipartite_max_flow(px, py, adm)
-    return max(0.0, 1.0 - value)
+    _, unrouted, _, _ = flow.bipartite_max_flow(px, py, adm)
+    return float(min(1, unrouted))
 
 
 def optimal_outer_plan(instance: NestedInstance, alpha: float) -> JointDist:
-    """An optimal coupling of the two type laws for the outer problem: a
-    float max-flow over the admissible type pairs, completed off them."""
+    """An optimal coupling of the two type laws for the outer problem: the
+    exact max-flow over the admissible type pairs, completed off them."""
     mu, nu = instance.mu.normalized_mass(), instance.nu.normalized_mass()
     adm = instance.inner_cost <= alpha + ADMISS_EPS
-    _, flow_mat, _ = flow.bipartite_max_flow(mu, nu, adm)
+    _, _, flow_mat, _ = flow.bipartite_max_flow(mu, nu, adm)
     return JointDist.from_array(_complete_plan(flow_mat, mu, nu))
 
 

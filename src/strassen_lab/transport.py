@@ -276,14 +276,14 @@ def ecp(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float) -> EcpResult:
 
     The marginals are lifted to integers over a common denominator (their
     float values read as exact binary rationals), and a big-integer
-    max-flow runs on the bipartite graph whose uncapacitated edges are
-    exactly the admissible cells.  G is the total supply less that flow,
+    max-flow runs on the bipartite graph whose cell edges are exactly the
+    admissible cells.  G is the total supply less that flow,
     one exact rational rounded once and capped at 1: below the cap it
     equals P_X(E) - P_Y(Gamma(E)) for the min-cut witness E, with no
     rounding from the marginals' own sum.
     """
     _check_dims(p_x, p_y, c)
-    routed, unrouted, flow_mat, witness = flow.bipartite_max_flow_exact(
+    routed, unrouted, flow_mat, witness = flow.bipartite_max_flow(
         p_x.mass, p_y.mass, admissible_mask(c, alpha))
     value = float(min(Fraction(1), unrouted))
     complement = float(min(Fraction(1), routed))

@@ -201,6 +201,18 @@ class TestEcpCommand:
             plain = run(capsys, "ecp", binary_path, *extra)
             assert run(capsys, "ecp", binary_path, "--exact", *extra) == plain
 
+    def test_tiny_mass_exits_cleanly(self, capsys, tmp_path):
+        # the exact flow raised OverflowError here, and the command exited 1
+        p = tmp_path / "tiny.json"
+        p.write_text(json.dumps({**BINARY, "alpha": 0.5,
+                                 "px": {"labels": [0, 1],
+                                        "mass": [1e-300, 1.0]},
+                                 "py": {"labels": [0, 1],
+                                        "mass": [0.5, 0.5]}}))
+        code, out, _ = run(capsys, "ecp", str(p), "--oracle")
+        assert code == 0
+        assert out.split("\n")[1] == "0.5,0.5,0.5,0.5"
+
     def test_json_payload_echoes_instance(self, capsys, binary_path):
         code, out, _ = run(capsys, "ecp", binary_path, "--format", "json")
         assert code == 0

@@ -6,7 +6,9 @@ residual types in the max-flow, a blocked inner-table fill, a hand-written
 clamp in the dense outer solve, a re-indexed support in the moderate-
 deviation face, and an equal-parameter branch in the binary limit curve.
 The code as it stood with those paths is kept here verbatim as the oracle,
-and the one path left must match it bit for bit.
+and the one path left must match it bit for bit.  The float max-flow is
+kept too, as the dense solve's old witness: the exact flow replaced it,
+and the dense solve is held to it at a stated tolerance.
 """
 import math
 import sys
@@ -384,17 +386,9 @@ def _tie_heavy_cost(rng, m, k):
 
 
 class TestFlow:
-    def test_float_max_flow_bit_for_bit(self):
-        for sup, dem, adm in _flow_instances(1901, 3000):
-            got = flow.bipartite_max_flow(sup, dem, adm)
-            want = bipartite_max_flow(sup, dem, adm)
-            assert repr(got[0]) == repr(want[0])
-            assert got[1].tobytes() == want[1].tobytes()
-            assert got[2] == want[2]
-
     def test_exact_max_flow_bit_for_bit(self):
         for sup, dem, adm in _flow_instances(1902, 3000):
-            got = flow.bipartite_max_flow_exact(sup, dem, adm)
+            got = flow.bipartite_max_flow(sup, dem, adm)
             want = bipartite_max_flow_exact(sup, dem, adm)
             assert got[:2] == want[:2]
             assert got[2].tobytes() == want[2].tobytes()
@@ -486,13 +480,21 @@ def _dense_cases():
 
 class TestDenseOuterSolve:
     def test_gn_tails_bit_for_bit(self):
-        count = 0
+        # the dense route now takes its witness from the exact flow: G is
+        # bit for bit, and 1 - G moves on 61 of the 720 calls, each where
+        # the float flow's empty witness read (0.0, 1.0) and the exact
+        # flow's, with the same G, reads 1 - G down to 0.9999999999999991
+        count = moved = 0
         for px, py, c, alpha, n in _dense_cases():
             got = lattice.gn_tails(px, py, c, alpha, n)
             want = _dense_gn_tails(px, py, c, alpha, n)
-            assert [v.hex() for v in got] == [v.hex() for v in want]
+            assert got[0].hex() == want[0].hex()
+            assert got[1] == pytest.approx(want[1], rel=1e-15, abs=0.0)
+            if got != want:
+                assert want == (0.0, 1.0)
+                moved += 1
             count += 1
-        assert count == 720
+        assert (count, moved) == (720, 61)
 
 
 def _mdp_cases(seed, count):

@@ -510,13 +510,26 @@ class TestEcp:
         assert res.witness == frozenset({0, 1})
 
     def test_runs_no_float_flow(self, rng, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("float max-flow called")
+        caps = []
+        build = flow.MaxFlowGraph.from_edges
 
-        monkeypatch.setattr(flow, "bipartite_max_flow", refuse)
+        def record(n_nodes, tails, heads, edge_caps):
+            caps.extend(edge_caps)
+            return build(n_nodes, tails, heads, edge_caps)
+
+        monkeypatch.setattr(flow.MaxFlowGraph, "from_edges", record)
         px, py = random_dist(rng, 4), random_dist(rng, 3)
         c = random_cost(rng, 4, 3)
         ecp(px, py, c, 1.0)
+        assert len(caps) > 4 + 3  # the source's, the sink's, some cells'
+        assert all(type(cap) is int for cap in caps)
+
+    def test_tiny_mass_lifts_without_overflow(self):
+        # a mass below about 2.5e-293 lifts the marginals past 2**1024, and
+        # the infinite cell capacities raised OverflowError
+        res = ecp(Dist.from_mass([1e-300, 1.0]), Dist.from_mass([0.5, 0.5]),
+                  HAMMING, 0.5)
+        assert (res.value, res.complement) == (0.5, 0.5)
 
     def test_alpha_monotone(self, rng):
         for _ in range(20):
