@@ -6,20 +6,19 @@ of the package needs two things generic solvers do not expose:
 * terminating node potentials that are dual-feasible on *every* cell,
   including cells incident to zero-supply nodes (the Kantorovich certificate
   depends on this), and
-* an exact max-flow.  Every Strassen value, witness and outer plan
-  (``transport.ecp``, the type lattices' dense route, the product-space
-  oracle and ``sample``'s outer plan) runs it on the masses lifted to big
-  integers.  Only the lexicographic coupling on float marginals keeps
-  float capacities; the capacities alone pick the arithmetic.
+* an exact max-flow.  Every max-flow runs on Python ints: every Strassen
+  value, witness and outer plan (``transport.ecp``, the type lattices'
+  dense route, the product-space oracle and ``sample``'s outer plan) and
+  ``ot_cost``'s vertex plan on the masses lifted to big integers, and the
+  coupling samplers' joint types on their counts.
 
 The Strassen witness is the source side of a minimum cut, read off the
 level graph of Dinic's last search.
 
 Graphs here are bipartite networks over alphabets or type lattices, up to
-a few hundred nodes a side: Dinic for max-flow (on a residual graph built
-in bulk from the admissible cells), successive shortest paths with
-Dijkstra for min-cost flow, and a lexicographic max-flow for vertex
-couplings.
+a few hundred nodes a side, each residual graph built in bulk from its
+edges: Dinic for max-flow, successive shortest paths with Dijkstra for
+min-cost flow, and a lexicographic max-flow for vertex couplings.
 """
 from __future__ import annotations
 
@@ -30,46 +29,30 @@ from typing import Sequence
 
 import numpy as np
 
-#: Residual capacities at or below this are treated as saturated in float mode.
+#: Float mass at or below this counts as none: a residual in the min-cost
+#: flow, or a cell or remainder of a float plan.
 FLOW_EPS = 1e-15
 
 
 class MaxFlowGraph:
     """An explicit residual graph, with Dinic's algorithm for max-flow.
 
-    Capacities are floats (the min-cost solver's cells are ``math.inf``)
-    or ints; reverse residuals start at the int 0, so int graphs stay
-    exact.  Edges are stored as parallel arrays with the reverse edge at
-    ``index ^ 1``; the min-cost solver keeps its edge costs in one more
-    array beside them.
+    Dinic's capacities are ints, so every flow is exact; the min-cost
+    solver's are floats, its cells ``math.inf``.  Reverse residuals start
+    at the int 0.  Edges are stored as parallel arrays with the reverse
+    edge at ``index ^ 1``, the flow through a forward edge in its reverse
+    residual; the min-cost solver keeps its edge costs in one more list
+    beside them.
     """
-
-    def __init__(self, n_nodes: int):
-        self.n = n_nodes
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list = []
-
-    def add_edge(self, u: int, v: int, cap) -> int:
-        idx = len(self.to)
-        self.adj[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def flow_on(self, idx: int):
-        """Flow pushed through the forward edge created as ``idx``."""
-        return self.cap[idx ^ 1]
 
     @classmethod
     def from_edges(cls, n_nodes: int, tails, heads, caps) -> "MaxFlowGraph":
-        """The graph ``add_edge`` builds from these edges in order, in bulk:
-        edge ``idx`` belongs to node ``to[idx ^ 1]``, and a stable sort by
-        owner lists each node's edges in creation order.  ``caps``: a list."""
-        g = cls(n_nodes)
+        """The graph of these edges, in bulk: the i-th edge's residual at
+        ``2 * i``, its reverse at ``2 * i + 1``.  Edge ``e`` belongs to node
+        ``to[e ^ 1]``, and a stable sort by owner lists each node's edges in
+        the given order.  ``caps``: a list."""
+        g = cls()
+        g.n = n_nodes
         owner = np.column_stack([tails, heads]).ravel()
         order = np.argsort(owner, kind="stable").tolist()
         ends = np.cumsum(np.bincount(owner, minlength=n_nodes)).tolist()
@@ -82,7 +65,7 @@ class MaxFlowGraph:
     def _bfs(self, s: int, t: int) -> bool:
         # stops at t, for no other node at or past its level is on a
         # shortest path; a failed search levels all that s reaches
-        adj, to, cap, eps = self.adj, self.to, self.cap, FLOW_EPS
+        adj, to, cap = self.adj, self.to, self.cap
         level = self.level = [-1] * self.n
         level[s] = 0
         queue = [s]
@@ -90,7 +73,7 @@ class MaxFlowGraph:
             up = level[u] + 1
             for e in adj[u]:
                 v = to[e]
-                if cap[e] > eps and level[v] < 0:
+                if cap[e] > 0 and level[v] < 0:
                     level[v] = up
                     if v == t:
                         return True
@@ -101,9 +84,9 @@ class MaxFlowGraph:
         """Dinic's algorithm, each search a depth-first walk on an explicit
         stack, so a path of any length fits (a staircase of m rows needs one
         through every row).  A node resumes at its current arc, a dead end
-        advances its parent's, and a path pushes its least residual, so
-        integer graphs stay exact."""
-        adj, to, cap, eps = self.adj, self.to, self.cap, FLOW_EPS
+        advances its parent's, and a path pushes its least residual, an int
+        like every capacity, so the flow is exact."""
+        adj, to, cap = self.adj, self.to, self.cap
         total = 0
         while self._bfs(s, t):
             level, it = self.level, [0] * self.n
@@ -119,7 +102,7 @@ class MaxFlowGraph:
                 edges, up = adj[u], level[u] + 1
                 for a in range(it[u], len(edges)):
                     e = edges[a]
-                    if cap[e] > eps and level[to[e]] == up:
+                    if cap[e] > 0 and level[to[e]] == up:
                         break
                 else:
                     it[u] = len(edges)
@@ -134,8 +117,21 @@ class MaxFlowGraph:
         return total
 
 
+def _lift(supply, demand):
+    """Float masses as ints over one common denominator: ``(sup, dem, den)``.
+
+    A float is an exact binary rational whose denominator is a power of
+    two, so the largest denominator is the lcm and nothing rounds.
+    """
+    ratios = [float(v).as_integer_ratio() for v in [*supply, *demand]]
+    den = max(d for _, d in ratios)
+    lifted = [num * (den // d) for num, d in ratios]
+    return lifted[:len(supply)], lifted[len(supply):], den
+
+
 def _bipartite_flow(supply, demand, admissible: np.ndarray, scale=1):
-    """Max-flow from supplies to demands through the admissible cells.
+    """Max-flow from int supplies to int demands through the admissible
+    cells.
 
     Returns ``(flow_value, flow_matrix, source_side_x)``; the flow matrix is
     divided by ``scale`` and ``source_side_x`` is the set of x indices on
@@ -143,8 +139,7 @@ def _bipartite_flow(supply, demand, admissible: np.ndarray, scale=1):
     search of ``max_flow`` levelled, for its walk never stops early.  The
     edges are the source's, the sink's, then the cells' in row-major order.
     A cell never carries more than the total supply, so that is its
-    capacity: the graph holds only ints or only floats, and a big int never
-    meets ``math.inf``.
+    capacity, an int like every other.
     """
     m, k = admissible.shape
     s, t = m + k, m + k + 1
@@ -168,42 +163,37 @@ def bipartite_max_flow(supply: Sequence[float], demand: Sequence[float],
     the flow value and the supply it leaves unrouted as exact
     :class:`fractions.Fraction` values, the matrix divided back to floats,
     and the x indices on the source side of a minimum cut, a maximizing
-    witness set for the Strassen dual.  A float is an exact binary rational
-    whose denominator is a power of two, so the masses lift to integers
-    over the largest denominator unrounded.
+    witness set for the Strassen dual.  The masses run lifted to integers
+    (``_lift``), unrounded.
     """
-    ratios = [float(v).as_integer_ratio() for v in [*supply, *demand]]
-    den = max(d for _, d in ratios)
-    lifted = [num * (den // d) for num, d in ratios]
-    sup, dem = lifted[:len(supply)], lifted[len(supply):]
+    sup, dem, den = _lift(supply, demand)
     value, flow, witness = _bipartite_flow(sup, dem, admissible, den)
     return Fraction(value, den), Fraction(sum(sup) - value, den), flow, witness
 
 
 def lex_min_coupling(supply, demand, allowed: np.ndarray) -> list[list]:
-    """The lexicographically least coupling on the allowed cells, as rows.
+    """The lexicographically least maximum flow on the allowed cells, as
+    rows of ints; ``supply`` and ``demand`` are nonnegative ints.
 
-    In row-major order each cell carries the least mass it must: what the
-    allowed cells after it cannot route, one max-flow.  The result is a
-    vertex (no support cycle).  Python ints stay exact; a float need within
-    ``FLOW_EPS`` of 0 or of its row's or column's remainder snaps there.
+    One max-flow on every allowed cell gives the mass ``left`` to route.
+    In row-major order each cell then carries the least it must, what the
+    allowed cells after it cannot route of ``left``: one more max-flow per
+    cell.  The result is a vertex (no support cycle), also when the
+    supplies and demands differ in total.
     """
     sup, dem = list(supply), list(demand)
     m, k = allowed.shape
     plan = [[0] * k for _ in range(m)]
     later = np.array(allowed, dtype=bool)
+    left = _bipartite_flow(sup, dem, later)[0]
     for i, j in np.argwhere(allowed):
         later[i, j] = False
-        routed, _, _ = _bipartite_flow(sup, dem, later)
-        need = sum(sup) - routed
-        if need <= FLOW_EPS:
-            continue
-        bound = min(sup[i], dem[j])
-        if bound - need <= FLOW_EPS:  # the row or column is used up
-            need = bound
-        plan[i][j] = need
-        sup[i] -= need
-        dem[j] -= need
+        need = left - _bipartite_flow(sup, dem, later)[0]
+        if need:
+            plan[i][j] = need
+            sup[i] -= need
+            dem[j] -= need
+            left -= need
     return plan
 
 
@@ -224,21 +214,14 @@ def transport_min_cost(supply: Sequence[float], demand: Sequence[float],
         raise ValueError("supply/demand lengths do not match the cost shape")
     n = m + k + 2
     s, t = m + k, m + k + 1
-    graph = MaxFlowGraph(n)
-    ecost: list[float] = []  # per edge, parallel to graph.to and graph.cap
-
-    def add(u, v, cap, w):
-        ecost.extend((float(w), -float(w)))
-        return graph.add_edge(u, v, float(cap))
-
-    for i in range(m):
-        add(s, i, supply[i], 0.0)
-    for j in range(k):
-        add(m + j, t, demand[j], 0.0)
-    cell_edge = np.empty((m, k), dtype=int)
-    for i in range(m):
-        for j in range(k):
-            cell_edge[i, j] = add(i, m + j, math.inf, cost[i, j])
+    rows, cols = np.divmod(np.arange(m * k), k)
+    graph = MaxFlowGraph.from_edges(
+        n, np.concatenate([np.full(m, s), m + np.arange(k), rows]),
+        np.concatenate([np.arange(m), np.full(k, t), m + cols]),
+        [float(v) for v in [*supply, *demand]] + [math.inf] * (m * k))
+    # per edge, parallel to graph.to and graph.cap: w forward, -w backward
+    cell_w = np.asarray(cost, float).ravel().tolist()
+    ecost = [x for w in [0.0] * (m + k) + cell_w for x in (w, -w)]
     adj, eto, ecap = graph.adj, graph.to, graph.cap
 
     pot = [0.0] * n
@@ -279,10 +262,7 @@ def transport_min_cost(supply: Sequence[float], demand: Sequence[float],
             ecap[e ^ 1] += push
             v = eto[e ^ 1]
 
-    plan = np.zeros((m, k))
-    for i in range(m):
-        for j in range(k):
-            plan[i, j] = graph.flow_on(cell_edge[i, j])
+    plan = np.array(ecap[2 * (m + k) + 1::2], float).reshape(m, k)
     f = np.array([-pot[i] for i in range(m)])
     g = np.array([pot[m + j] for j in range(k)])
     objective = float(np.sum(plan * cost))

@@ -3,7 +3,7 @@
 The two primal problems live on the same bipartite geometry:
 
 * ``ot_cost`` minimizes expected cost over couplings (min-cost flow, then a
-  lexicographic max-flow for a vertex plan);
+  lexicographic max-flow for a vertex plan, exact on the lifted masses);
 * ``ecp`` minimizes the probability of exceeding a cost level ``alpha``
   (max-flow over the admissible cells, by Strassen duality), in exact
   big-integer arithmetic on the marginals' binary rationals.
@@ -257,13 +257,16 @@ def ot_value(px: np.ndarray, py: np.ndarray, cost: np.ndarray) -> float:
 def ot_cost(p_x: Dist, p_y: Dist, c: CostMatrix) -> TransportPlan:
     """The minimum expected cost over couplings, with an optimal vertex plan.
 
-    The plan is the lexicographically least coupling on the tight cells.
+    The plan is the lexicographically least maximum flow on the tight
+    cells, run on the masses lifted to integers and divided back once per
+    cell: a vertex, also when the marginals' float sums differ.
     """
     _check_dims(p_x, p_y, c)
     cost = c.as_array()
     _, f, g, _ = flow.transport_min_cost(p_x.mass, p_y.mass, cost)
-    tight = tight_cells(cost, f, g)
-    plan = np.array(flow.lex_min_coupling(p_x.mass, p_y.mass, tight), float)
+    sup, dem, den = flow._lift(p_x.mass, p_y.mass)
+    rows = flow.lex_min_coupling(sup, dem, tight_cells(cost, f, g))
+    plan = np.array([[v / den for v in row] for row in rows])
     objective = float(np.sum(plan * cost))
     f.setflags(write=False)
     g.setflags(write=False)

@@ -7,7 +7,10 @@ every candidate mass of every run.  That code is kept here verbatim as
 the oracle: the bulk-built graph with its iterative search, and the step
 that computes only the masses its scores rank, must match it bit for bit.
 The dense route has since moved from the float flow to the exact one, and
-is held to the float flow's witness at a stated tolerance.
+is held to the float flow's witness at a stated tolerance.  The
+lexicographic coupling has since moved onto ints only, and matches the old
+one bit for bit wherever the max-flow routes all the supply, as the old
+one assumed.
 """
 import itertools
 import math
@@ -28,7 +31,7 @@ from strassen_lab.transport import ADMISS_EPS, CostMatrix, ot_value
 
 from conftest import random_dist
 from test_lattice import B01, B05, DEEP_COST, DEEP_PX, DEEP_PY, HAMMING, _hex
-from test_second_paths import _masses
+from test_second_paths import _masses, check_lex_min_coupling
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +372,7 @@ class TestFlow:
             n = int(rng.integers(1, 12))
             tails, heads = rng.integers(0, n, (2, int(rng.integers(0, 40))))
             caps = rng.random(len(tails)).tolist()
-            want = flow.MaxFlowGraph(n)
+            want = MaxFlowGraph(n)
             for u, v, cap in zip(tails.tolist(), heads.tolist(), caps):
                 want.add_edge(u, v, cap)
             got = flow.MaxFlowGraph.from_edges(n, tails, heads, caps)
@@ -385,7 +388,10 @@ class TestFlow:
             assert got[3] == want[3]
 
     def test_lex_min_coupling_bit_for_bit(self):
+        # bit for bit wherever the max-flow routes all the supply; float
+        # masses run lifted to integers, as ot_cost runs them
         rng = np.random.default_rng(2004)
+        routed = []
         for trial in range(300):
             m, k = (int(v) for v in rng.integers(1, 9, 2))
             if trial % 2:
@@ -393,10 +399,12 @@ class TestFlow:
                 cuts = np.sort(rng.integers(0, sum(sup) + 1, k - 1))
                 dem = np.diff(cuts, prepend=0, append=sum(sup)).tolist()
             else:
-                sup, dem = random_dist(rng, m).mass, random_dist(rng, k).mass
+                sup, dem, _ = flow._lift(random_dist(rng, m).mass,
+                                         random_dist(rng, k).mass)
             allowed = rng.random((m, k)) < 0.3 + 0.7 * rng.random()
-            got = flow.lex_min_coupling(sup, dem, allowed)
-            assert repr(got) == repr(lex_min_coupling(sup, dem, allowed))
+            routed.append(check_lex_min_coupling(sup, dem, allowed,
+                                                 lex_min_coupling))
+        assert routed.count(True) == 107  # 75 int, 32 lifted
 
     def test_one_augmenting_path_through_600_rows(self):
         # the recursive search raised RecursionError from about 500 rows

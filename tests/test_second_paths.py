@@ -8,7 +8,9 @@ deviation face, and an equal-parameter branch in the binary limit curve.
 The code as it stood with those paths is kept here verbatim as the oracle,
 and the one path left must match it bit for bit.  The float max-flow is
 kept too, as the dense solve's old witness: the exact flow replaced it,
-and the dense solve is held to it at a stated tolerance.
+and the dense solve is held to it at a stated tolerance.  So is the float
+lexicographic coupling, the oracle of the one on lifted integers that
+replaced it.
 """
 import math
 import sys
@@ -32,6 +34,7 @@ from strassen_lab.transport import (ADMISS_EPS, CostMatrix, SupportSet,
                                     dual_vertices, ot_value, tight_cells)
 
 from conftest import random_cost, random_dist
+from test_transport import find_support_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +388,26 @@ def _tie_heavy_cost(rng, m, k):
                                 .tolist())
 
 
+def check_lex_min_coupling(sup, dem, allowed, old) -> bool:
+    """The int plan against ``old``, a verbatim float-era lex_min_coupling:
+    the same plan when the max-flow routes all the supply, as the old code
+    assumed, else a maximum flow with no support cycle.  Returns whether
+    all the supply routed."""
+    got = flow.lex_min_coupling(sup, dem, allowed)
+    assert all(type(v) is int for row in got for v in row)
+    value = flow._bipartite_flow(sup, dem, allowed)[0]
+    if value == sum(sup):
+        assert repr(got) == repr(old(sup, dem, allowed))
+        return True
+    plan = np.array(got, dtype=float)
+    assert not plan[~allowed].any()
+    assert all(sum(row) <= s for row, s in zip(got, sup))
+    assert all(sum(col) <= d for col, d in zip(zip(*got), dem))
+    assert sum(map(sum, got)) == value
+    assert find_support_cycle(plan, 0.0) is None
+    return False
+
+
 class TestFlow:
     def test_exact_max_flow_bit_for_bit(self):
         for sup, dem, adm in _flow_instances(1902, 3000):
@@ -398,39 +421,51 @@ class TestFlow:
         # the level graph of the last search is the BFS it replaced
         for sup, dem, adm in _flow_instances(1903, 500):
             m, k = adm.shape
-            g = flow.MaxFlowGraph(m + k + 2)
-            for i in range(m):
-                g.add_edge(m + k, i, sup[i])
-            for j in range(k):
-                g.add_edge(m + j, m + k + 1, dem[j])
-            for i, j in np.argwhere(adm):
-                g.add_edge(int(i), m + int(j), math.inf)
+            sup, dem, _ = flow._lift(sup, dem)
+            rows, cols = np.nonzero(adm)
+            g = flow.MaxFlowGraph.from_edges(
+                m + k + 2,
+                np.concatenate([np.full(m, m + k), m + np.arange(k), rows]),
+                np.concatenate([np.arange(m), np.full(k, m + k + 1),
+                                m + cols]),
+                sup + dem + [sum(sup)] * len(rows))
             g.max_flow(m + k, m + k + 1)
             reach = MaxFlowGraph.source_side_cut(g, m + k)
             assert reach == {v for v in range(g.n) if g.level[v] >= 0}
 
     def test_integer_lex_min_coupling_bit_for_bit(self):
+        # bit for bit wherever the max-flow routes all the supply
         rng = np.random.default_rng(1904)
+        routed = []
         for _ in range(400):
             m, k = (int(v) for v in rng.integers(1, 6, 2))
             sup = rng.integers(0, 10, m).tolist()
             cuts = np.sort(rng.integers(0, sum(sup) + 1, k - 1))
             dem = np.diff(cuts, prepend=0, append=sum(sup)).tolist()
             allowed = rng.random((m, k)) < 0.3 + 0.7 * rng.random()
-            got = flow.lex_min_coupling(sup, dem, allowed)
-            assert repr(got) == repr(lex_min_coupling(sup, dem, allowed))
-            assert all(type(v) is int for row in got for v in row)
+            routed.append(check_lex_min_coupling(sup, dem, allowed,
+                                                 lex_min_coupling))
+        assert routed.count(True) == 179  # the other 221 leave supply
 
-    def test_float_lex_min_coupling_bit_for_bit(self):
+    def test_float_lex_min_coupling_moves_within_1e_15(self):
+        # the old float plan against the lifted one, divided back once per
+        # cell: the same support, and every cell within 1e-15
         rng = np.random.default_rng(1905)
+        moved = 0
         for _ in range(400):
             m, k = (int(v) for v in rng.integers(1, 6, 2))
             px, py = random_dist(rng, m), random_dist(rng, k)
             cost = _tie_heavy_cost(rng, m, k).as_array()
             _, f, g, _ = flow.transport_min_cost(px.mass, py.mass, cost)
             tight = tight_cells(cost, f, g)
-            got = flow.lex_min_coupling(px.mass, py.mass, tight)
-            assert repr(got) == repr(lex_min_coupling(px.mass, py.mass, tight))
+            sup, dem, den = flow._lift(px.mass, py.mass)
+            got = np.array([[v / den for v in row] for row in
+                            flow.lex_min_coupling(sup, dem, tight)])
+            want = np.array(lex_min_coupling(px.mass, py.mass, tight), float)
+            assert ((got > 0) == (want > 0)).all()
+            assert got == pytest.approx(want, rel=0.0, abs=1e-15)
+            moved += got.tobytes() != want.tobytes()
+        assert moved == 257  # the rest are bit for bit
 
 
 def _table_cases():

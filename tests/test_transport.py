@@ -13,6 +13,8 @@ from strassen_lab import flow
 from strassen_lab.errors import (DimensionMismatchError, InfeasibleError,
                                  SizeGuardError, ValidationError)
 from strassen_lab.flow import FLOW_EPS
+from strassen_lab.lattice import (gn_tails, lift_coupling, nested_instance,
+                                  optimal_outer_plan)
 from strassen_lab.measures import Dist, JointDist, tv
 from strassen_lab.transport import (
     CostMatrix,
@@ -276,10 +278,30 @@ class TestLexMinCoupling:
         assert [sum(col) for col in zip(*plan)] == dem
         assert plan == [[big, 0, 1], [0, big, 0]]
 
-    def test_floats_snap_rounding_to_the_marginals(self):
+    def test_floats_lift_to_the_exact_plan(self):
         allowed = np.array([[True, True], [False, True]])
-        plan = flow.lex_min_coupling([0.1, 0.9], [0.1, 0.9], allowed)
-        assert plan == [[0.1, 0], [0, 0.9]]
+        sup, dem, den = flow._lift([0.1, 0.9], [0.1, 0.9])
+        plan = flow.lex_min_coupling(sup, dem, allowed)
+        assert [[v / den for v in row] for row in plan] == [[0.1, 0], [0, 0.9]]
+
+    def test_unequal_float_sums_keep_a_vertex(self):
+        # the x masses sum to 1 + 4e-13, which Dist accepts; forcing every
+        # cell to carry the excess left all four cells positive, a cycle
+        plan = ot_cost(Dist.from_mass([0.5, 0.5 + 4e-13]),
+                       Dist.from_mass([0.5, 0.5]),
+                       CostMatrix.from_rows([[0, 0], [0, 0]])).plan.as_array()
+        assert find_support_cycle(plan, 0.0) is None
+        assert plan.tolist() == [[0.0, 0.4999999999996],
+                                 [0.5, 4.000133557724439e-13]]
+
+    def test_excess_supply_stays_unrouted(self):
+        plan = flow.lex_min_coupling([2, 3], [2, 2], np.ones((2, 2), bool))
+        assert plan == [[0, 1], [2, 1]]
+
+    def test_infeasible_cells_carry_a_maximum_flow(self):
+        allowed = np.array([[True, False], [True, False]])
+        assert flow.lex_min_coupling([1, 1], [1, 1], allowed) == [[0, 0],
+                                                                  [1, 0]]
 
     def test_plans_match_cancelled_ssp_plans(self):
         rng = np.random.default_rng(808)
@@ -301,6 +323,29 @@ class TestLexMinCoupling:
             want = float(np.sum(cancel_cycles(ssp_plan) * cost))
             scale = max(1.0, float(np.abs(cost).max()))
             assert abs(got.objective - want) <= 1e-15 * scale
+
+
+def test_every_max_flow_runs_on_ints(rng, monkeypatch):
+    graphs = []
+    max_flow = flow.MaxFlowGraph.max_flow
+
+    def record(graph, s, t):
+        graphs.append(list(graph.cap))
+        return max_flow(graph, s, t)
+
+    monkeypatch.setattr(flow.MaxFlowGraph, "max_flow", record)
+    px, py = random_dist(rng, 3), random_dist(rng, 3)
+    c = random_cost(rng, 3, 3)
+    alpha = ot_value(px.as_array(), py.as_array(), c.as_array())
+    inst = nested_instance(px, py, c, 3)
+    for run in (lambda: ot_cost(px, py, c),  # float marginals
+                lambda: ecp(px, py, c, alpha),
+                lambda: gn_tails(px, py, c, alpha, 3),  # the dense route
+                lambda: lift_coupling(optimal_outer_plan(inst, alpha), inst)):
+        seen = len(graphs)
+        run()
+        assert len(graphs) > seen
+    assert all(type(cap) is int for caps in graphs for cap in caps)
 
 
 # The solver as it stood before it moved onto flow.MaxFlowGraph, verbatim
@@ -508,21 +553,6 @@ class TestEcp:
         res = ecp(px, Dist.from_mass([0.5, 0.5]), HAMMING, -1.0)
         assert res.value == 1.0 and res.complement == 0.0
         assert res.witness == frozenset({0, 1})
-
-    def test_runs_no_float_flow(self, rng, monkeypatch):
-        caps = []
-        build = flow.MaxFlowGraph.from_edges
-
-        def record(n_nodes, tails, heads, edge_caps):
-            caps.extend(edge_caps)
-            return build(n_nodes, tails, heads, edge_caps)
-
-        monkeypatch.setattr(flow.MaxFlowGraph, "from_edges", record)
-        px, py = random_dist(rng, 4), random_dist(rng, 3)
-        c = random_cost(rng, 4, 3)
-        ecp(px, py, c, 1.0)
-        assert len(caps) > 4 + 3  # the source's, the sink's, some cells'
-        assert all(type(cap) is int for cap in caps)
 
     def test_tiny_mass_lifts_without_overflow(self):
         # a mass below about 2.5e-293 lifts the marginals past 2**1024, and
