@@ -10,7 +10,9 @@ Design points the commands share:
   digits; JSON output carries full-precision numbers and echoes the loaded
   instance so emitted files round-trip;
 * byte-identical output on reruns; the only randomness (sequence sampling)
-  demands an explicit --seed.
+  demands an explicit --seed;
+* each command imports its own layers when it runs, so a process loads only
+  what its subcommand needs (``clt`` loads no transport, lattice, ldp or mdp).
 """
 from __future__ import annotations
 
@@ -21,20 +23,8 @@ import random
 import sys
 from dataclasses import dataclass
 
-from . import clt as clt_layer
 from .errors import SizeGuardError, StrassenLabError, ValidationError
-from .lattice import (
-    direct_gn_oracle,
-    exponent_series,
-    gn_tails,
-    lift_coupling,
-    nested_instance,
-    optimal_outer_plan,
-)
-from .ldp import RateQuery, rate_f, rate_g
-from .mdp import mdp_rate_lower, mdp_rate_upper
 from .measures import Dist
-from .transport import CostMatrix, ecp, ecp_dual_bruteforce, kantorovich_certificate, ot_cost
 
 
 @dataclass(frozen=True)
@@ -69,6 +59,8 @@ def _parse_dist(node, where: str) -> Dist:
 
 def parse_instance(data) -> Instance:
     """Validate a decoded instance object and build the in-memory value."""
+    from .transport import CostMatrix
+
     _expect(isinstance(data, dict), "instance file must hold a JSON object")
     allowed = {"px", "py", "cost", "alpha", "delta", "n"}
     unknown = set(data) - allowed
@@ -178,6 +170,8 @@ def _parse_grid(spec: str):
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValidationError(f"grid {spec!r} has non-numeric pieces") from None
+    _expect(math.isfinite(lo) and math.isfinite(hi),
+            f"grid {spec!r} has a non-finite bound")
     _expect(steps >= 1, "grid needs at least one step")
     _expect(lo <= hi, f"grid {spec!r} runs backwards")
     if steps == 1:
@@ -221,6 +215,8 @@ def _parse_ns(spec: str):
 
 
 def cmd_ot(args) -> int:
+    from .transport import kantorovich_certificate, ot_cost
+
     inst = load_instance(args.instance)
     result = ot_cost(inst.px, inst.py, inst.cost)
     columns = ["value"]
@@ -234,6 +230,8 @@ def cmd_ot(args) -> int:
 
 
 def cmd_ecp(args) -> int:
+    from .transport import ecp, ecp_dual_bruteforce
+
     inst = load_instance(args.instance)
     alpha = _need(inst.alpha, args.alpha, "alpha")
     res = ecp(inst.px, inst.py, inst.cost, alpha)
@@ -248,6 +246,8 @@ def cmd_ecp(args) -> int:
 
 
 def cmd_exact_gn(args) -> int:
+    from .lattice import direct_gn_oracle, gn_tails
+
     inst = load_instance(args.instance)
     alpha = _need(inst.alpha, args.alpha, "alpha")
     n = _need(inst.n, args.n, "n")
@@ -262,6 +262,8 @@ def cmd_exact_gn(args) -> int:
 
 
 def cmd_ldp_rate(args) -> int:
+    from .ldp import RateQuery, rate_f, rate_g
+
     inst = load_instance(args.instance)
     alpha = _need(inst.alpha, args.alpha, "alpha")
     query = RateQuery(inst.px, inst.py, inst.cost, alpha)
@@ -275,6 +277,8 @@ def cmd_ldp_rate(args) -> int:
 
 
 def cmd_mdp_rate(args) -> int:
+    from .mdp import mdp_rate_lower, mdp_rate_upper
+
     inst = load_instance(args.instance)
     delta = _need(inst.delta, args.delta, "delta")
     _expect(delta != 0.0, "delta must be nonzero (sign picks the tail)")
@@ -289,11 +293,13 @@ def cmd_mdp_rate(args) -> int:
 
 
 def cmd_clt(args) -> int:
+    from .clt import lambda_binary, lambda_dual_grid
+
     rows = []
     for d in _parse_grid(args.delta_grid):
-        row = [d, clt_layer.lambda_binary(args.a, args.b, d)]
+        row = [d, lambda_binary(args.a, args.b, d)]
         if args.oracle:
-            row.append(clt_layer.lambda_dual_grid(args.a, args.b, d))
+            row.append(lambda_dual_grid(args.a, args.b, d))
         rows.append(row)
     columns = ["delta", "lambda"] + (["lambda_dual"] if args.oracle else [])
     _emit(args, columns, rows)
@@ -301,6 +307,8 @@ def cmd_clt(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    from .lattice import exponent_series
+
     inst = load_instance(args.instance)
     alpha = _need(inst.alpha, args.alpha, "alpha")
     ns = _parse_ns(args.n)
@@ -313,6 +321,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .lattice import lift_coupling, nested_instance, optimal_outer_plan
+
     inst = load_instance(args.instance)
     alpha = _need(inst.alpha, args.alpha, "alpha")
     n = _need(inst.n, args.n, "n")

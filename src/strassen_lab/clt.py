@@ -123,6 +123,15 @@ def _step_cdf(x: float) -> float:
     return 1.0 if x >= 0.0 else 0.0
 
 
+def _check_params(a: float, b: float, delta: float) -> None:
+    if not (0.0 <= a <= b <= 0.5):
+        raise ValidationError(
+            f"need 0 <= a <= b <= 1/2, got a={a!r}, b={b!r}"
+        )
+    if not math.isfinite(delta):
+        raise ValidationError(f"delta must be finite, got {delta!r}")
+
+
 def _dual_objective(ap: float, sx2: float, sy2: float, d: float) -> float:
     """F_X(a') - F_Y(a' + delta), evaluated cancellation-free.
 
@@ -136,6 +145,27 @@ def _dual_objective(ap: float, sx2: float, sy2: float, d: float) -> float:
     return normal_cdf(ap, sx2) - normal_cdf(ap + d, sy2)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # numpy has no erfc
+
+
+def _dual_objective_grid(ap: np.ndarray, sx2: float, sy2: float,
+                         d: float) -> np.ndarray:
+    """_dual_objective at every point of ap, bit for bit.
+
+    Each point takes its own branch's two erfc calls: the upper branch's
+    tails are the lower branch's CDFs at negated arguments, in swapped
+    order.  A huge delta overflows (ap + d) / sigma to inf, which erfc maps
+    to 0 as the scalar code does.
+    """
+    with np.errstate(over="ignore"):
+        apd = ap + d
+        upper = ap / math.sqrt(sx2) + apd / math.sqrt(sy2) > 0.0
+        sign = np.where(upper, 1.0, -1.0)
+        fx = 0.5 * _erfc(sign * ap / math.sqrt(2.0 * sx2)).astype(float)
+        fy = 0.5 * _erfc(sign * apd / math.sqrt(2.0 * sy2)).astype(float)
+    return np.where(upper, fy - fx, fx - fy)
+
+
 def lambda_binary(a: float, b: float, delta: float) -> float:
     """Closed-form limit curve of the binary excess-cost probability.
 
@@ -144,12 +174,9 @@ def lambda_binary(a: float, b: float, delta: float) -> float:
     where the objective F(-delta/2) - F(delta/2) is <= 0 for delta > 0, so
     the final clamp gives the positive-shift cutoff.  Zero-variance edges
     degenerate to step CDFs: a = b = 0 is 1 exactly when delta < 0, and
-    a = 0 < b takes its threshold at the atom.
+    a = 0 < b takes its threshold at the atom.  A non-finite delta raises.
     """
-    if not (0.0 <= a <= b <= 0.5):
-        raise ValidationError(
-            f"need 0 <= a <= b <= 1/2, got a={a!r}, b={b!r}"
-        )
+    _check_params(a, b, delta)
     sx2 = a * (1.0 - a)
     sy2 = b * (1.0 - b)
     if sy2 == 0.0:
@@ -168,11 +195,10 @@ def lambda_dual_grid(a: float, b: float, delta: float,
 
     Independent oracle for lambda_binary: no crossing formula, just the
     supremum definition over a threshold range of six standard deviations.
+    The grid is evaluated as arrays with the scalar objective's operations;
+    the polish runs on Python floats, where an overflow to inf is silent.
     """
-    if not (0.0 <= a <= b <= 0.5):
-        raise ValidationError(
-            f"need 0 <= a <= b <= 1/2, got a={a!r}, b={b!r}"
-        )
+    _check_params(a, b, delta)
     sx2 = a * (1.0 - a)
     sy2 = b * (1.0 - b)
     if sy2 == 0.0:
@@ -182,13 +208,13 @@ def lambda_dual_grid(a: float, b: float, delta: float,
 
     if sx2 == 0.0:
         fun = lambda ap: _step_cdf(ap) - normal_cdf(ap + delta, sy2)
+        vals = [fun(p) for p in pts.tolist()]
     else:
         fun = lambda ap: _dual_objective(ap, sx2, sy2, delta)
-
-    vals = [fun(p) for p in pts]
+        vals = _dual_objective_grid(pts, sx2, sy2, delta)
     idx = int(np.argmax(vals))
-    lo = pts[max(idx - 1, 0)]
-    hi = pts[min(idx + 1, len(pts) - 1)]
+    lo = float(pts[max(idx - 1, 0)])
+    hi = float(pts[min(idx + 1, len(pts) - 1)])
     for _ in range(60):
         m1 = lo + (hi - lo) * 0.382
         m2 = lo + (hi - lo) * 0.618
@@ -196,5 +222,5 @@ def lambda_dual_grid(a: float, b: float, delta: float,
             hi = m2
         else:
             lo = m1
-    best = max(vals[idx], fun(0.5 * (lo + hi)))
+    best = max(float(vals[idx]), fun(0.5 * (lo + hi)))
     return min(1.0, max(0.0, best))

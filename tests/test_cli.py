@@ -116,6 +116,12 @@ class TestGridParsers:
         with pytest.raises(ValidationError):
             _parse_grid("a:b:3")
 
+    @pytest.mark.parametrize("spec", ["-inf:inf:3", "nan:1:3", "0:nan:3",
+                                      "0:inf:2"])
+    def test_grid_rejects_non_finite_bounds(self, spec):
+        with pytest.raises(ValidationError, match="non-finite"):
+            _parse_grid(spec)
+
     def test_ns_single_value(self):
         assert _parse_ns("8") == [8]
 
@@ -379,6 +385,22 @@ class TestCltCommand:
         assert header == ["delta", "lambda", "lambda_dual"]
         for r in rows:
             assert float(r[1]) == pytest.approx(float(r[2]), abs=1e-6)
+
+    @pytest.mark.parametrize("spec", ["-inf:inf:3", "nan:nan:2"])
+    def test_non_finite_grid_exits_2(self, capsys, spec):
+        # "-inf:inf:3" once printed three "nan,0" rows and exited 0
+        code, out, err = run(capsys, "clt", "--a", "0.2", "--b", "0.4",
+                             "--oracle", "--delta-grid", spec)
+        assert code == 2 and out == ""
+        assert "non-finite" in err
+
+    def test_overflowing_grid_step_exits_2(self, capsys):
+        # finite bounds whose step overflows put nan on the grid, which
+        # the curve itself rejects
+        code, out, err = run(capsys, "clt", "--a", "0.2", "--b", "0.4",
+                             "--delta-grid", "-1e308:1e308:3")
+        assert code == 2 and out == ""
+        assert "delta must be finite" in err
 
 
 class TestConvergeCommand:

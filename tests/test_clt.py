@@ -126,6 +126,15 @@ class TestLambdaBinary:
         with pytest.raises(ValidationError):
             lambda_binary(-0.1, 0.4, 0.0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        # nan and -inf once read 0.0, though the curve tends to 1 as
+        # delta -> -inf
+        with pytest.raises(ValidationError, match="finite"):
+            lambda_binary(0.2, 0.4, delta)
+        with pytest.raises(ValidationError, match="finite"):
+            lambda_binary(0.0, 0.0, delta)
+
     def test_far_shift_limits(self):
         assert lambda_binary(0.1, 0.5, -10.0) == pytest.approx(1.0, abs=1e-9)
         assert lambda_binary(0.1, 0.5, 10.0) == pytest.approx(0.0, abs=1e-12)
@@ -168,3 +177,8 @@ class TestLambdaDualGrid:
     def test_validates_parameters(self):
         with pytest.raises(ValidationError):
             lambda_dual_grid(0.4, 0.1, 0.0)
+        for delta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                lambda_dual_grid(0.2, 0.4, delta)
+            with pytest.raises(ValidationError, match="finite"):
+                lambda_dual_grid(0.0, 0.4, delta)

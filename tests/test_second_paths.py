@@ -10,10 +10,12 @@ and the one path left must match it bit for bit.  The float max-flow is
 kept too, as the dense solve's old witness: the exact flow replaced it,
 and the dense solve is held to it at a stated tolerance.  So is the float
 lexicographic coupling, the oracle of the one on lifted integers that
-replaced it.
+replaced it, and the scalar sweep of the binary limit curve's grid oracle,
+the oracle of the array sweep that replaced it.
 """
 import math
 import sys
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from strassen_lab import clt, flow, lattice, mdp
+from strassen_lab import cli, clt, flow, lattice, mdp
 from strassen_lab.clt import (BinaryCltInstance, _dual_objective, _step_cdf,
                               _tail, crossing_points, normal_cdf)
 from strassen_lab.errors import SizeGuardError, ValidationError
@@ -362,6 +364,44 @@ def lambda_binary(a: float, b: float, delta: float) -> float:
     return min(1.0, max(0.0, _dual_objective(a2, sx2, sy2, delta)))
 
 
+def lambda_dual_grid(a: float, b: float, delta: float,
+                     grid: int = 2001) -> float:
+    """Grid maximization of F_X(a') - F_Y(a' + delta) with a golden polish.
+
+    Independent oracle for lambda_binary: no crossing formula, just the
+    supremum definition over a threshold range of six standard deviations.
+    """
+    if not (0.0 <= a <= b <= 0.5):
+        raise ValidationError(
+            f"need 0 <= a <= b <= 1/2, got a={a!r}, b={b!r}"
+        )
+    sx2 = a * (1.0 - a)
+    sy2 = b * (1.0 - b)
+    if sy2 == 0.0:
+        return 1.0 if delta < 0.0 else 0.0
+    smax = math.sqrt(max(sx2, sy2))
+    pts = np.linspace(-6.0 * smax, 6.0 * smax, max(int(grid), 3))
+
+    if sx2 == 0.0:
+        fun = lambda ap: _step_cdf(ap) - normal_cdf(ap + delta, sy2)
+    else:
+        fun = lambda ap: _dual_objective(ap, sx2, sy2, delta)
+
+    vals = [fun(p) for p in pts]
+    idx = int(np.argmax(vals))
+    lo = pts[max(idx - 1, 0)]
+    hi = pts[min(idx + 1, len(pts) - 1)]
+    for _ in range(60):
+        m1 = lo + (hi - lo) * 0.382
+        m2 = lo + (hi - lo) * 0.618
+        if fun(m1) >= fun(m2):
+            hi = m2
+        else:
+            lo = m1
+    best = max(vals[idx], fun(0.5 * (lo + hi)))
+    return min(1.0, max(0.0, best))
+
+
 
 # ---------------------------------------------------------------------------
 
@@ -599,8 +639,13 @@ class TestLambdaBinary:
     def test_bit_for_bit_as_the_equal_parameter_branch(self):
         count = 0
         for a, b, d in _clt_cases():
-            got = clt.lambda_binary(a, b, d)
             count += 1
+            if math.isnan(d):
+                # a nan delta once read as a value; it now raises
+                with pytest.raises(ValidationError):
+                    clt.lambda_binary(a, b, d)
+                continue
+            got = clt.lambda_binary(a, b, d)
             if (a, b, d) == (0.0, 0.0, -5e-324):
                 # the one value that moves: the old delta / 2 rounded to -0
                 # and lost the sign; the supremum is 1 for every delta < 0
@@ -613,3 +658,59 @@ class TestLambdaBinary:
         for d in (-1.0, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1.0):
             assert clt.lambda_binary(0.0, 0.0, d) == clt.lambda_dual_grid(
                 0.0, 0.0, d)
+
+
+def _grid_cases():
+    """(a, b, delta, grid): random, a = 0, a = b, signed zeros and the
+    smallest subnormals, and the cli-startup grids of seeds 1-20."""
+    rng = np.random.default_rng(2323)
+    tiny = (0.0, -0.0, 5e-324, -5e-324)
+    for _ in range(150):
+        a, b = sorted(float(v) for v in rng.uniform(0.0, 0.5, 2))
+        yield a, b, float(rng.normal(0.0, 10.0 ** rng.uniform(-3, 1))), 2001
+    for _ in range(40):
+        b = float(rng.uniform(0.0, 0.5))
+        yield 0.0, b, float(rng.normal(0.0, 2.0)), 2001
+        yield b, b, float(rng.normal(0.0, 2.0)), 2001
+        yield 0.0, b, float(rng.normal(0.0, 2.0)), int(rng.integers(1, 60))
+        yield *sorted(float(v) for v in rng.uniform(0.0, 0.5, 2)), float(
+            rng.normal(0.0, 2.0)), int(rng.integers(1, 60))
+    for a, b in ((0.0, 0.3), (0.2, 0.2), (0.1, 0.5), (0.0, 0.0),
+                 (5e-324, 0.4), (1e-17, 1e-9)):
+        for d in tiny:
+            yield a, b, d, 2001
+    for seed in range(1, 21):
+        grid_rng = np.random.default_rng(seed)
+        a = float(grid_rng.integers(5, 30)) / 100.0
+        b = float(grid_rng.integers(int(a * 100) + 10, 51)) / 100.0
+        for d in cli._parse_grid("-3:3:41"):
+            yield a, b, d, 2001
+
+
+class TestLambdaDualGrid:
+    def test_array_sweep_bit_for_bit(self):
+        count = 0
+        for a, b, d, grid in _grid_cases():
+            got = clt.lambda_dual_grid(a, b, d, grid)
+            assert type(got) is float, (a, b, d, grid)
+            assert got.hex() == float(lambda_dual_grid(a, b, d, grid)).hex(), (
+                a, b, d, grid)
+            count += 1
+        assert count >= 1100
+
+    @pytest.mark.parametrize("a, b", [(0.2, 0.4), (0.3, 0.3), (0.0, 0.3)])
+    def test_overflowing_delta_warns_nothing(self, a, b):
+        # the scalar sweep overflows (a' + delta) / sigma_y in np.float64
+        # and warns (a = 0 divides only by sqrt(2) sigma_y, which stays
+        # finite); the array sweep and the polish reach the same values
+        # quietly
+        deltas = cli._parse_grid("0:1e308:3")
+        with (pytest.warns(RuntimeWarning, match="overflow") if a > 0.0
+              else warnings.catch_warnings()):
+            want = [lambda_dual_grid(a, b, d) for d in deltas]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [clt.lambda_dual_grid(a, b, d) for d in deltas]
+        assert [type(v) for v in got] == [float] * 3
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
+

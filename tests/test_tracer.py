@@ -6,16 +6,22 @@ each of those must stay a module-level binding that the layer calls.  They
 are small functions that import scipy.optimize on their first call, so the
 wrapped binding is what reaches scipy.
 """
+import contextlib
 import importlib.util
+import io
+import json
 import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from strassen_lab import CostMatrix, Dist, RateQuery, gn_tails, ldp, mdp
+import strassen_lab
+from strassen_lab import (CostMatrix, Dist, RateQuery, cli, gn_tails, lattice,
+                          ldp, mdp)
 from strassen_lab.transport import ot_value
 from test_acceptance import THETA_INSTANCES
+from test_cli import BINARY
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -55,6 +61,44 @@ def test_install_and_restore_on_live_package():
     for kind in ("mdp_lower", "mdp_upper"):
         assert metrics[f"{kind}.mdp.slsqp.calls"] == 0
         assert metrics[f"{kind}.mdp.linprog.calls"] == 0
+
+
+def test_package_names_survive_install_and_restore():
+    # the package resolves names on every lookup and caches none, so a
+    # wrapper looked up while tracing is gone once the tracer is restored
+    spans = _spans()
+    names = ("gn_tails", "nested_instance")
+    restore = spans.install(spans.Tracer())
+    try:
+        assert strassen_lab.nested_instance.__wrapped__ is not None
+        seen = {name: getattr(strassen_lab, name) for name in names}
+    finally:
+        restore()
+    assert seen["nested_instance"] is not lattice.nested_instance
+    for name in names:
+        fn = getattr(strassen_lab, name)
+        assert fn is getattr(lattice, name)
+        assert not hasattr(fn, "__wrapped__")
+
+
+def test_cli_command_is_traced_through_its_own_imports(tmp_path):
+    # cli imports each layer inside its command, so the tracer's wrapper on
+    # the layer module is what the command calls
+    path = tmp_path / "binary.json"
+    path.write_text(json.dumps(BINARY))
+    spans = _spans()
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = tracer.top("cli_main", "cli.main", cli.main,
+                              ["ot", str(path), "--certify"])
+    finally:
+        restore()
+    assert code == 0
+    names = [name for _, _, _, name, _, _ in tracer.spans]
+    assert names.count("flow.ssp") == 1
+    assert tracer.layer_metrics()["cli_main.flow.ssp.calls"] == 1
 
 
 def test_rate_solvers_run_no_slsqp_and_warn_nothing():
