@@ -22,9 +22,13 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import SizeGuardError, StrassenLabError, ValidationError
 from .measures import Dist
+
+if TYPE_CHECKING:
+    from .transport import CostMatrix
 
 
 @dataclass(frozen=True)

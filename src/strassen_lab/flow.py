@@ -6,19 +6,20 @@ of the package needs two things generic solvers do not expose:
 * terminating node potentials that are dual-feasible on *every* cell,
   including cells incident to zero-supply nodes (the Kantorovich certificate
   depends on this), and
-* an exact max-flow.  Every max-flow runs on Python ints: every Strassen
-  value, witness and outer plan (``transport.ecp``, the type lattices'
-  dense route, the product-space oracle and ``sample``'s outer plan) and
-  ``ot_cost``'s vertex plan on the masses lifted to big integers, and the
-  coupling samplers' joint types on their counts.
+* exact flows.  Every flow runs on Python ints, float masses lifted to
+  integers over one common denominator (``_lift``) and each plan cell
+  divided back once: every Strassen value, witness and coupling
+  (``transport.ecp``, the type lattices' dense route, the product-space
+  oracle and ``sample``'s outer plan), the min-cost flow, ``ot_cost``'s
+  vertex plan and the coupling samplers' joint types (on their counts).
 
 The Strassen witness is the source side of a minimum cut, read off the
 level graph of Dinic's last search.
 
 Graphs here are bipartite networks over alphabets or type lattices, up to
-a few hundred nodes a side, each residual graph built in bulk from its
-edges: Dinic for max-flow, successive shortest paths with Dijkstra for
-min-cost flow, and a lexicographic max-flow for vertex couplings.
+a few hundred nodes a side, each built in bulk by one builder
+(``_network``): Dinic for max-flow, successive shortest paths with Dijkstra
+for min-cost flow, and a lexicographic max-flow for vertex couplings.
 """
 from __future__ import annotations
 
@@ -29,18 +30,13 @@ from typing import Sequence
 
 import numpy as np
 
-#: Float mass at or below this counts as none: a residual in the min-cost
-#: flow, or a cell or remainder of a float plan.
-FLOW_EPS = 1e-15
-
 
 class MaxFlowGraph:
     """An explicit residual graph, with Dinic's algorithm for max-flow.
 
-    Dinic's capacities are ints, so every flow is exact; the min-cost
-    solver's are floats, its cells ``math.inf``.  Reverse residuals start
-    at the int 0.  Edges are stored as parallel arrays with the reverse
-    edge at ``index ^ 1``, the flow through a forward edge in its reverse
+    Every capacity is an int, so every flow is exact; reverse residuals
+    start at 0.  Edges are stored as parallel arrays with the reverse edge
+    at ``index ^ 1``, the flow through a forward edge in its reverse
     residual; the min-cost solver keeps its edge costs in one more list
     beside them.
     """
@@ -129,46 +125,65 @@ def _lift(supply, demand):
     return lifted[:len(supply)], lifted[len(supply):], den
 
 
-def _bipartite_flow(supply, demand, admissible: np.ndarray, scale=1):
-    """Max-flow from int supplies to int demands through the admissible
-    cells.
+def _network(supply, demand, cells: np.ndarray) -> MaxFlowGraph:
+    """The network source -> rows -> columns -> sink on int supplies and
+    demands, with one edge per True cell.
 
-    Returns ``(flow_value, flow_matrix, source_side_x)``; the flow matrix is
-    divided by ``scale`` and ``source_side_x`` is the set of x indices on
-    the source side of a minimum cut: the nodes that the last, failed
-    search of ``max_flow`` levelled, for its walk never stops early.  The
-    edges are the source's, the sink's, then the cells' in row-major order.
-    A cell never carries more than the total supply, so that is its
-    capacity, an int like every other.
+    Rows are nodes ``0..m-1``, columns ``m..m+k-1``, the source ``m + k``
+    and the sink ``m + k + 1``.  The edges are the source's, the sink's,
+    then the cells' in row-major order, so the residuals of the first
+    ``m + k`` edges are the supply and demand left unrouted, and a cell's
+    flow is its reverse residual.  A cell never carries more than the total
+    supply, so that is its capacity, an int like every other.
     """
-    m, k = admissible.shape
-    s, t = m + k, m + k + 1
-    rows, cols = np.nonzero(admissible)
-    g = MaxFlowGraph.from_edges(
-        m + k + 2, np.concatenate([np.full(m, s), m + np.arange(k), rows]),
-        np.concatenate([np.arange(m), np.full(k, t), m + cols]),
+    m, k = cells.shape
+    rows, cols = np.nonzero(cells)
+    return MaxFlowGraph.from_edges(
+        m + k + 2, np.concatenate([np.full(m, m + k), m + np.arange(k), rows]),
+        np.concatenate([np.arange(m), np.full(k, m + k + 1), m + cols]),
         [*supply, *demand] + [sum(supply)] * len(rows))
-    value = g.max_flow(s, t)
-    flow = np.zeros((m, k))
-    flow[rows, cols] = [v / scale for v in g.cap[2 * (m + k) + 1::2]]
-    witness = {i for i in range(m) if g.level[i] >= 0}
-    return value, flow, witness
 
 
 def bipartite_max_flow(supply: Sequence[float], demand: Sequence[float],
                        admissible: np.ndarray):
-    """Max-flow from supplies to demands along admissible cells, exactly.
+    """Max-flow from supplies to demands along admissible cells, exactly,
+    and the coupling it completes to.
 
-    Returns ``(flow_fraction, unrouted_fraction, flow_matrix, witness)``:
-    the flow value and the supply it leaves unrouted as exact
-    :class:`fractions.Fraction` values, the matrix divided back to floats,
-    and the x indices on the source side of a minimum cut, a maximizing
-    witness set for the Strassen dual.  The masses run lifted to integers
-    (``_lift``), unrounded.
+    Returns ``(flow_fraction, unrouted_fraction, plan, witness)``: the flow
+    value and the supply it leaves unrouted as exact
+    :class:`fractions.Fraction` values, the coupling as floats, and the x
+    indices on the source side of a minimum cut, a maximizing witness set
+    for the Strassen dual: the nodes that the last, failed search of
+    ``max_flow`` levelled, for its walk never stops early.  The masses run
+    lifted to integers (``_lift``), unrounded.
+
+    The coupling is the flow plus the leftover supply and demand, routed in
+    ints by the northwest-corner rule.  No cell with leftover on both sides
+    is admissible (it would close an augmenting path), so the leftovers land
+    off the admissible cells and the coupling is optimal for the
+    excess-cost problem.  Each cell is divided back once.
     """
     sup, dem, den = _lift(supply, demand)
-    value, flow, witness = _bipartite_flow(sup, dem, admissible, den)
-    return Fraction(value, den), Fraction(sum(sup) - value, den), flow, witness
+    m, k = admissible.shape
+    g = _network(sup, dem, admissible)
+    value = g.max_flow(m + k, m + k + 1)
+    plan = np.zeros((m, k))
+    cells = g.cap[2 * (m + k) + 1::2]
+    plan[np.nonzero(admissible)] = [v / den for v in cells]
+    left_x, left_y = g.cap[0:2 * m:2], g.cap[2 * m:2 * (m + k):2]
+    i = j = 0
+    while i < m and j < k:
+        moved = min(left_x[i], left_y[j])
+        if moved:  # an inadmissible cell, so it carries no flow yet
+            plan[i, j] = moved / den
+            left_x[i] -= moved
+            left_y[j] -= moved
+        if left_x[i]:
+            j += 1
+        else:
+            i += 1
+    witness = {i for i in range(m) if g.level[i] >= 0}
+    return Fraction(value, den), Fraction(sum(sup) - value, den), plan, witness
 
 
 def lex_min_coupling(supply, demand, allowed: np.ndarray) -> list[list]:
@@ -178,17 +193,18 @@ def lex_min_coupling(supply, demand, allowed: np.ndarray) -> list[list]:
     One max-flow on every allowed cell gives the mass ``left`` to route.
     In row-major order each cell then carries the least it must, what the
     allowed cells after it cannot route of ``left``: one more max-flow per
-    cell.  The result is a vertex (no support cycle), also when the
-    supplies and demands differ in total.
+    cell, each on a bare network.  The result is a vertex (no support
+    cycle), also when the supplies and demands differ in total.
     """
     sup, dem = list(supply), list(demand)
     m, k = allowed.shape
+    s, t = m + k, m + k + 1
     plan = [[0] * k for _ in range(m)]
     later = np.array(allowed, dtype=bool)
-    left = _bipartite_flow(sup, dem, later)[0]
+    left = _network(sup, dem, later).max_flow(s, t)
     for i, j in np.argwhere(allowed):
         later[i, j] = False
-        need = left - _bipartite_flow(sup, dem, later)[0]
+        need = left - _network(sup, dem, later).max_flow(s, t)
         if need:
             plan[i][j] = need
             sup[i] -= need
@@ -205,20 +221,19 @@ def transport_min_cost(supply: Sequence[float], demand: Sequence[float],
     potentials satisfying f(x) + g(y) <= c(x, y) on every cell (not just the
     support), derived from the terminating node potentials.
 
-    Potential updates are capped at the sink distance, which keeps the duals
-    feasible at nodes the last Dijkstra never reached — in particular at
-    zero-supply symbols, which are deliberately retained.
+    The flow runs on the masses lifted to integers (``_lift``) and the plan
+    is divided back once per cell; the costs, distances and potentials are
+    floats.  Potential updates are capped at the sink distance, which keeps
+    the duals feasible at nodes the last Dijkstra never reached — in
+    particular at zero-supply symbols, which are deliberately retained.
     """
     m, k = cost.shape
     if len(supply) != m or len(demand) != k:
         raise ValueError("supply/demand lengths do not match the cost shape")
     n = m + k + 2
     s, t = m + k, m + k + 1
-    rows, cols = np.divmod(np.arange(m * k), k)
-    graph = MaxFlowGraph.from_edges(
-        n, np.concatenate([np.full(m, s), m + np.arange(k), rows]),
-        np.concatenate([np.arange(m), np.full(k, t), m + cols]),
-        [float(v) for v in [*supply, *demand]] + [math.inf] * (m * k))
+    sup, dem, den = _lift(supply, demand)
+    graph = _network(sup, dem, np.ones((m, k), dtype=bool))
     # per edge, parallel to graph.to and graph.cap: w forward, -w backward
     cell_w = np.asarray(cost, float).ravel().tolist()
     ecost = [x for w in [0.0] * (m + k) + cell_w for x in (w, -w)]
@@ -235,7 +250,7 @@ def transport_min_cost(supply: Sequence[float], demand: Sequence[float],
             if d > dist[u] + 1e-15:
                 continue
             for e in adj[u]:
-                if ecap[e] <= FLOW_EPS:
+                if ecap[e] <= 0:
                     continue
                 v = eto[e]
                 nd = d + ecost[e] + pot[u] - pot[v]
@@ -248,7 +263,7 @@ def transport_min_cost(supply: Sequence[float], demand: Sequence[float],
         for v in range(n):
             pot[v] += min(dist[v], dist[t])
         # Bottleneck along the shortest path; Dijkstra crossed only edges
-        # with more than FLOW_EPS left, so it exceeds FLOW_EPS.
+        # with a residual left, so it is a positive int.
         push = math.inf
         v = t
         while v != s:
@@ -262,7 +277,7 @@ def transport_min_cost(supply: Sequence[float], demand: Sequence[float],
             ecap[e ^ 1] += push
             v = eto[e ^ 1]
 
-    plan = np.array(ecap[2 * (m + k) + 1::2], float).reshape(m, k)
+    plan = np.array([v / den for v in ecap[2 * (m + k) + 1::2]]).reshape(m, k)
     f = np.array([-pot[i] for i in range(m)])
     g = np.array([pot[m + j] for j in range(k)])
     objective = float(np.sum(plan * cost))

@@ -51,8 +51,8 @@ from . import flow
 from .curves import RateCurve
 from .errors import SizeGuardError, ValidationError
 from .measures import Dist, JointDist
-from .transport import (ADMISS_EPS, CostMatrix, _complete_plan, dual_vertices,
-                        ot_value, tight_cells)
+from .transport import (ADMISS_EPS, CostMatrix, dual_vertices, ot_value,
+                        tight_cells)
 
 ENUM_GUARD = 10_000_000
 DENSE_GUARD = 300_000
@@ -639,8 +639,8 @@ def optimal_outer_plan(instance: NestedInstance, alpha: float) -> JointDist:
     exact max-flow over the admissible type pairs, completed off them."""
     mu, nu = instance.mu.normalized_mass(), instance.nu.normalized_mass()
     adm = instance.inner_cost <= alpha + ADMISS_EPS
-    _, _, flow_mat, _ = flow.bipartite_max_flow(mu, nu, adm)
-    return JointDist.from_array(_complete_plan(flow_mat, mu, nu))
+    _, _, plan, _ = flow.bipartite_max_flow(mu, nu, adm)
+    return JointDist.from_array(plan)
 
 
 # ---------------------------------------------------------------------------

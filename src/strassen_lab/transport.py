@@ -6,7 +6,8 @@ The two primal problems live on the same bipartite geometry:
   lexicographic max-flow for a vertex plan, exact on the lifted masses);
 * ``ecp`` minimizes the probability of exceeding a cost level ``alpha``
   (max-flow over the admissible cells, by Strassen duality), in exact
-  big-integer arithmetic on the marginals' binary rationals.
+  big-integer arithmetic on the marginals' binary rationals, and its
+  coupling completed off those cells in the same integers.
 
 Duals come along for free: Kantorovich potentials from the terminating flow
 potentials, and a maximizing witness set E from the min cut.
@@ -126,9 +127,12 @@ class EcpResult:
     ``value`` is G_alpha and ``complement`` the max-flow value, each
     capped at 1 (``Dist`` lets masses sum to 1 + 1e-12); each is one exact
     rational rounded once, never one minus the other, so tiny tails keep
-    full precision.  ``plan`` is an optimal coupling and ``witness`` a
-    maximizing dual set E of x indices: below the cap, value =
-    P_X(E) - P_Y(Gamma(E)), exactly for the float masses given.
+    full precision.  ``plan`` is an optimal coupling, each cell an exact
+    rational rounded once: before rounding, when the float masses of the
+    two sides sum to the same total, its rows and columns sum to them and
+    its mass off the admissible cells is G.  ``witness`` is a maximizing
+    dual set E of x indices: below the cap, value = P_X(E) - P_Y(Gamma(E)),
+    exactly for the float masses given.
     """
 
     value: float
@@ -283,43 +287,17 @@ def ecp(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float) -> EcpResult:
     admissible cells.  G is the total supply less that flow,
     one exact rational rounded once and capped at 1: below the cap it
     equals P_X(E) - P_Y(Gamma(E)) for the min-cut witness E, with no
-    rounding from the marginals' own sum.
+    rounding from the marginals' own sum.  The plan is the flow completed
+    in the same integers (``flow.bipartite_max_flow``).
     """
     _check_dims(p_x, p_y, c)
-    routed, unrouted, flow_mat, witness = flow.bipartite_max_flow(
+    routed, unrouted, plan, witness = flow.bipartite_max_flow(
         p_x.mass, p_y.mass, admissible_mask(c, alpha))
     value = float(min(Fraction(1), unrouted))
     complement = float(min(Fraction(1), routed))
-    plan = _complete_plan(flow_mat, p_x.mass, p_y.mass)
     return EcpResult(value=value, complement=complement,
                      plan=JointDist.from_array(plan),
                      witness=frozenset(witness))
-
-
-def _complete_plan(flow_mat: np.ndarray, px, py) -> np.ndarray:
-    """Route leftover marginal mass by the northwest-corner rule.
-
-    After a maximal admissible flow, no (x, y) pair with residual mass on
-    both sides can be admissible (that would be an augmenting path), so any
-    completion lands on inadmissible cells and every completion is optimal.
-    """
-    plan = flow_mat.copy()
-    rx = [max(0.0, pm - s) for pm, s in zip(px, plan.sum(axis=1))]
-    ry = [max(0.0, pm - s) for pm, s in zip(py, plan.sum(axis=0))]
-    i = j = 0
-    m, k = plan.shape
-    while i < m and j < k:
-        if rx[i] <= flow.FLOW_EPS:
-            i += 1
-            continue
-        if ry[j] <= flow.FLOW_EPS:
-            j += 1
-            continue
-        t = min(rx[i], ry[j])
-        plan[i, j] += t
-        rx[i] -= t
-        ry[j] -= t
-    return plan
 
 
 def ecp_dual_bruteforce(p_x: Dist, p_y: Dist, c: CostMatrix,
@@ -410,7 +388,8 @@ def optimal_support(p_x: Dist, p_y: Dist, c: CostMatrix) -> SupportSet:
     than by thresholding a per-cell LP, which would also admit slack cells
     whose reduced cost is smaller than the mass budget lets on.  TIGHT_TOL
     only separates tight from slack reduced costs (relative to the cost
-    scale); plan mass counts above the flow's own dust, ``FLOW_EPS``.
+    scale); the base plan runs on the lifted masses, so a cell counts as
+    used when it carries any mass at all.
     """
     _check_dims(p_x, p_y, c)
     m, k = c.shape
@@ -418,7 +397,7 @@ def optimal_support(p_x: Dist, p_y: Dist, c: CostMatrix) -> SupportSet:
     plan, f, g, _ = flow.transport_min_cost(p_x.as_array(), p_y.as_array(),
                                             cost)
     tight = tight_cells(cost, f, g)
-    used = plan > flow.FLOW_EPS
+    used = plan > 0
     # Symbol digraph: x -> y along any tight cell (mass may be added there),
     # y -> x along any used cell (the base plan can give mass back).  A cell
     # (i, j) joins the support iff a path j ~> i closes the cycle through it.

@@ -9,16 +9,21 @@ pays for it only then.  The process checks each run in a fresh
 interpreter, because the test session itself has every layer and scipy
 loaded.
 """
+import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import strassen_lab
+from strassen_lab import cli
+from strassen_lab.transport import CostMatrix
 from test_cli import BINARY
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -152,3 +157,17 @@ class TestLazyNamespace:
         exec("from strassen_lab import *", namespace)
         assert set(strassen_lab.__all__) <= set(namespace)
         assert namespace["gn_tails"] is strassen_lab.lattice.gn_tails
+
+
+def test_cli_instance_annotations_resolve_for_a_type_checker():
+    # cli imports CostMatrix only under TYPE_CHECKING, so that clt loads no
+    # transport; with that block run, as a type checker reads it, every
+    # annotation of Instance names a class
+    tree = ast.parse(inspect.getsource(cli))
+    block = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "TYPE_CHECKING")
+    namespace = dict(vars(cli))
+    exec(compile(ast.Module(block.body, []), cli.__file__, "exec"), namespace)
+    hints = typing.get_type_hints(cli.Instance, globalns=namespace)
+    assert hints["cost"] is CostMatrix
+    assert "CostMatrix" not in vars(cli)

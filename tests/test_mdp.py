@@ -226,6 +226,19 @@ class TestRateKernels:
                              HAM, -1.0)
         assert got == math.inf
 
+    def test_letter_below_the_old_flow_dust(self):
+        # the min-cost flow once skipped residuals up to 1e-15, left the
+        # 2^-52 letter unrouted, and the support missed (0, 0): the optimal
+        # dual face read as empty or unbounded
+        px = Dist.from_mass([2.0 ** -52, 0.5 - 2.0 ** -52, 0.5])
+        py = Dist.from_mass([0.25, 0.75])
+        c = CostMatrix.from_rows([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        up = mdp_rate_upper(px, py, c, 0.5)
+        lo = mdp_rate_lower(px, py, c, -0.5)
+        assert math.isfinite(up) and math.isfinite(lo)
+        assert up == pytest.approx(2 / 3, rel=1e-6)
+        assert lo == pytest.approx(2 / 3, rel=1e-6)
+
     def test_quadratic_homogeneity(self):
         px, py = Dist.bernoulli(0.1), Dist.bernoulli(0.5)
         base_lo = mdp_rate_lower(px, py, HAM, -1.0)

@@ -10,7 +10,9 @@ The dense route has since moved from the float flow to the exact one, and
 is held to the float flow's witness at a stated tolerance.  The
 lexicographic coupling has since moved onto ints only, and matches the old
 one bit for bit wherever the max-flow routes all the supply, as the old
-one assumed.
+one assumed.  The max-flow has since returned its flow completed to a
+coupling in ints, and matches the old flow bit for bit on the admissible
+cells.
 """
 import itertools
 import math
@@ -21,7 +23,6 @@ import numpy as np
 import pytest
 
 from strassen_lab import flow, lattice
-from strassen_lab.flow import FLOW_EPS
 from strassen_lab.lattice import (_LOG_HALF, TypeMeasure, _bounds,
                                   _chain_masks, _chain_members,
                                   _counts_matrix, _inner_cost_table, _lse,
@@ -31,12 +32,18 @@ from strassen_lab.transport import ADMISS_EPS, CostMatrix, ot_value
 
 from conftest import random_dist
 from test_lattice import B01, B05, DEEP_COST, DEEP_PX, DEEP_PY, HAMMING, _hex
-from test_second_paths import _masses, check_lex_min_coupling
+from test_second_paths import (_masses, check_completed_flow,
+                               check_lex_min_coupling)
 
 
 # ---------------------------------------------------------------------------
 # flow: the residual graph built one add_edge at a time and the recursive
 # Dinic search, verbatim.
+
+#: The float flows' dust: a residual, need or remainder at or below it
+#: counts as none.
+FLOW_EPS = 1e-15
+
 
 class MaxFlowGraph:
     """An explicit residual graph, with Dinic's algorithm for max-flow.
@@ -384,7 +391,7 @@ class TestFlow:
             got = flow.bipartite_max_flow(sup, dem, adm)
             want = bipartite_max_flow_exact(sup, dem, adm)
             assert got[:2] == want[:2]
-            assert _same_floats(got[2], want[2])
+            check_completed_flow(got[2], sup, dem, adm, want[2])
             assert got[3] == want[3]
 
     def test_lex_min_coupling_bit_for_bit(self):

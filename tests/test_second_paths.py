@@ -11,7 +11,10 @@ kept too, as the dense solve's old witness: the exact flow replaced it,
 and the dense solve is held to it at a stated tolerance.  So is the float
 lexicographic coupling, the oracle of the one on lifted integers that
 replaced it, and the scalar sweep of the binary limit curve's grid oracle,
-the oracle of the array sweep that replaced it.
+the oracle of the array sweep that replaced it.  The exact max-flow now
+completes its flow to a coupling in ints, and matches the old exact flow
+bit for bit on the admissible cells and its leftovers' northwest-corner
+routing off them.
 """
 import math
 import sys
@@ -27,7 +30,6 @@ from strassen_lab import cli, clt, flow, lattice, mdp
 from strassen_lab.clt import (BinaryCltInstance, _dual_objective, _step_cdf,
                               _tail, crossing_points, normal_cdf)
 from strassen_lab.errors import SizeGuardError, ValidationError
-from strassen_lab.flow import FLOW_EPS
 from strassen_lab.lattice import (DENSE_GUARD, PAIR_GUARD, TypeMeasure,
                                   _counts_matrix, _witness_values)
 from strassen_lab.mdp import _optimal_face, _spread_rows, support_of
@@ -42,6 +44,11 @@ from test_transport import find_support_cycle
 # ---------------------------------------------------------------------------
 # flow: the max-flow kernels with their BFS min cut, their isinstance-picked
 # residual type and their cell_cap argument, verbatim.
+
+#: The float flows' dust: a residual, need or remainder at or below it
+#: counts as none.
+FLOW_EPS = 1e-15
+
 
 class MaxFlowGraph:
     """An explicit residual graph, with Dinic's algorithm for max-flow.
@@ -199,6 +206,38 @@ def bipartite_max_flow_exact(supply: Sequence[float], demand: Sequence[float],
     value, flow, witness = _bipartite_flow(sup, dem, admissible,
                                            sum(sup) + 1, den)
     return Fraction(value, den), Fraction(sum(sup) - value, den), flow, witness
+
+
+def check_completed_flow(got, sup, dem, adm, want_flow) -> None:
+    """``got``, a completed coupling, against the old exact flow matrix
+    ``want_flow``: bit for bit on the admissible cells, and off them the
+    northwest-corner routing of the supply and demand that flow leaves,
+    run in the lifted ints on the old graph and rounded once per cell."""
+    assert got[adm].tobytes() == want_flow[adm].tobytes()
+    (sup, dem), den = exact_scaled_masses(sup, dem)
+    m, k = adm.shape
+    g = MaxFlowGraph(m + k + 2)
+    rows = [g.add_edge(m + k, i, v) for i, v in enumerate(sup)]
+    cols = [g.add_edge(m + j, m + k + 1, v) for j, v in enumerate(dem)]
+    for i, j in np.argwhere(adm):
+        g.add_edge(int(i), m + int(j), sum(sup) + 1)
+    g.max_flow(m + k, m + k + 1)
+    rx = [v - g.flow_on(e) for v, e in zip(sup, rows)]
+    ry = [v - g.flow_on(e) for v, e in zip(dem, cols)]
+    want = np.zeros((m, k))
+    i = j = 0
+    while i < m and j < k:
+        moved = min(rx[i], ry[j])
+        if moved:
+            assert not adm[i, j]  # else an augmenting path was left
+            want[i, j] = Fraction(moved, den)
+            rx[i] -= moved
+            ry[j] -= moved
+        if rx[i]:
+            j += 1
+        else:
+            i += 1
+    assert got[~adm].tobytes() == want[~adm].tobytes()
 
 
 def lex_min_coupling(supply, demand, allowed: np.ndarray) -> list[list]:
@@ -435,7 +474,8 @@ def check_lex_min_coupling(sup, dem, allowed, old) -> bool:
     all the supply routed."""
     got = flow.lex_min_coupling(sup, dem, allowed)
     assert all(type(v) is int for row in got for v in row)
-    value = flow._bipartite_flow(sup, dem, allowed)[0]
+    m, k = allowed.shape
+    value = flow._network(sup, dem, allowed).max_flow(m + k, m + k + 1)
     if value == sum(sup):
         assert repr(got) == repr(old(sup, dem, allowed))
         return True
@@ -454,7 +494,7 @@ class TestFlow:
             got = flow.bipartite_max_flow(sup, dem, adm)
             want = bipartite_max_flow_exact(sup, dem, adm)
             assert got[:2] == want[:2]
-            assert got[2].tobytes() == want[2].tobytes()
+            check_completed_flow(got[2], sup, dem, adm, want[2])
             assert got[3] == want[3]
 
     def test_witness_is_the_residual_reach(self):
@@ -462,13 +502,7 @@ class TestFlow:
         for sup, dem, adm in _flow_instances(1903, 500):
             m, k = adm.shape
             sup, dem, _ = flow._lift(sup, dem)
-            rows, cols = np.nonzero(adm)
-            g = flow.MaxFlowGraph.from_edges(
-                m + k + 2,
-                np.concatenate([np.full(m, m + k), m + np.arange(k), rows]),
-                np.concatenate([np.arange(m), np.full(k, m + k + 1),
-                                m + cols]),
-                sup + dem + [sum(sup)] * len(rows))
+            g = flow._network(sup, dem, adm)
             g.max_flow(m + k, m + k + 1)
             reach = MaxFlowGraph.source_side_cut(g, m + k)
             assert reach == {v for v in range(g.n) if g.level[v] >= 0}

@@ -12,8 +12,8 @@ from scipy.optimize import linprog
 from strassen_lab import flow
 from strassen_lab.errors import (DimensionMismatchError, InfeasibleError,
                                  SizeGuardError, ValidationError)
-from strassen_lab.flow import FLOW_EPS
-from strassen_lab.lattice import (gn_tails, lift_coupling, nested_instance,
+from strassen_lab.lattice import (_optimal_joint_type, gn_tails,
+                                  lift_coupling, nested_instance,
                                   optimal_outer_plan)
 from strassen_lab.measures import Dist, JointDist, tv
 from strassen_lab.transport import (
@@ -326,32 +326,50 @@ class TestLexMinCoupling:
 
 
 def test_every_max_flow_runs_on_ints(rng, monkeypatch):
+    # every graph a flow builds, recorded where it is built: the max-flows,
+    # the lexicographic couplings' networks and the min-cost flows
     graphs = []
-    max_flow = flow.MaxFlowGraph.max_flow
+    from_edges = flow.MaxFlowGraph.from_edges
 
-    def record(graph, s, t):
-        graphs.append(list(graph.cap))
-        return max_flow(graph, s, t)
+    def record(cls, n_nodes, tails, heads, caps):
+        graphs.append(list(caps))
+        return from_edges(n_nodes, tails, heads, caps)
 
-    monkeypatch.setattr(flow.MaxFlowGraph, "max_flow", record)
+    monkeypatch.setattr(flow.MaxFlowGraph, "from_edges", classmethod(record))
+    _optimal_joint_type.cache_clear()  # so lift_coupling solves its types
     px, py = random_dist(rng, 3), random_dist(rng, 3)
     c = random_cost(rng, 3, 3)
     alpha = ot_value(px.as_array(), py.as_array(), c.as_array())
     inst = nested_instance(px, py, c, 3)
+    outer = optimal_outer_plan(inst, alpha)
+    elsewhere = TransportPlan(plan=JointDist.product(px, py), objective=1.0)
+    p5, q5 = random_dist(rng, 5).as_array(), random_dist(rng, 5).as_array()
+    c5 = random_cost(rng, 5, 5).as_array()
     for run in (lambda: ot_cost(px, py, c),  # float marginals
+                lambda: optimal_support(px, py, c),
+                lambda: kantorovich_certificate(px, py, c, elsewhere),
                 lambda: ecp(px, py, c, alpha),
                 lambda: gn_tails(px, py, c, alpha, 3),  # the dense route
-                lambda: lift_coupling(optimal_outer_plan(inst, alpha), inst)):
+                lambda: optimal_outer_plan(inst, alpha),
+                lambda: lift_coupling(outer, inst),  # the joint types
+                lambda: ot_value(p5, q5, c5)):  # the SSP past VERTEX_MAX
         seen = len(graphs)
         run()
         assert len(graphs) > seen
     assert all(type(cap) is int for caps in graphs for cap in caps)
 
 
+# The float flow's dust: a residual at or below it counts as none.
+FLOW_EPS = 1e-15
+
+
 # The solver as it stood before it moved onto flow.MaxFlowGraph, verbatim
-# but for its name: the oracle the rebuilt one must match bit for bit.
+# but for its name and ``num``, the type its capacities run in (``float``
+# as it stood; ``_exact`` for the exact rational flow): the oracle whose
+# potentials the rebuilt one must match bit for bit.
 def edge_array_transport_min_cost(supply: Sequence[float],
-                                  demand: Sequence[float], cost: np.ndarray):
+                                  demand: Sequence[float], cost: np.ndarray,
+                                  num=float):
     """Balanced transportation problem by successive shortest paths.
 
     Returns ``(plan, f, g, objective)`` where ``f`` and ``g`` are dual
@@ -375,9 +393,9 @@ def edge_array_transport_min_cost(supply: Sequence[float],
 
     def add(u, v, cap, w):
         idx = len(eto)
-        eto.append(v); ecap.append(float(cap)); ecost.append(float(w))
+        eto.append(v); ecap.append(num(cap)); ecost.append(float(w))
         adj[u].append(idx)
-        eto.append(u); ecap.append(0.0); ecost.append(-float(w))
+        eto.append(u); ecap.append(num(0)); ecost.append(-float(w))
         adj[v].append(idx + 1)
         return idx
 
@@ -439,9 +457,18 @@ def edge_array_transport_min_cost(supply: Sequence[float],
     return plan, f, g, objective
 
 
+def _exact(cap):
+    # the cells' math.inf stays a float; every mass is an exact rational
+    return cap if cap == math.inf else Fraction(cap)
+
+
 class TestTransportMinCost:
     def test_bit_for_bit_as_its_own_edge_arrays(self):
+        # the potentials bit for bit as the float code's; the plan is the
+        # exact rational flow's, each cell rounded once, and moves off the
+        # float plan by its rounding dust
         rng = np.random.default_rng(1617)
+        moved, worst = 0, 0.0
         for trial in range(3000):
             m, k = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             px, py = random_dist(rng, m), random_dist(rng, k)
@@ -451,9 +478,23 @@ class TestTransportMinCost:
                 cost = random_cost(rng, m, k).as_array()
             got = flow.transport_min_cost(px.mass, py.mass, cost)
             want = edge_array_transport_min_cost(px.mass, py.mass, cost)
-            for a, b in zip(got[:3], want[:3]):
+            exact = edge_array_transport_min_cost(px.mass, py.mass, cost,
+                                                  _exact)
+            for a, b in zip(got[1:3], want[1:3]):
                 assert a.tobytes() == b.tobytes()
-            assert got[3].hex() == want[3].hex()
+            assert got[0].tobytes() == exact[0].tobytes()
+            assert got[3].hex() == exact[3].hex()
+            moved += got[0].tobytes() != want[0].tobytes()
+            worst = max(worst, float(np.abs(got[0] - want[0]).max()))
+        assert moved == 1137 and worst == 2 ** -53
+
+    def test_routes_a_letter_below_the_old_dust(self):
+        # a residual up to 1e-15 once counted as none: row 0 went unrouted
+        px = [2.0 ** -52, 0.5 - 2.0 ** -52, 0.5]
+        cost = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        plan, _, _, _ = flow.transport_min_cost(px, [0.25, 0.75], cost)
+        assert plan[0].tolist() == [2.0 ** -52, 0.0]
+        assert plan.sum(axis=1).tolist() == px
 
 
 def exact_strassen_dual(px, py, adm: np.ndarray) -> Fraction:
@@ -560,6 +601,22 @@ class TestEcp:
         res = ecp(Dist.from_mass([1e-300, 1.0]), Dist.from_mass([0.5, 0.5]),
                   HAMMING, 0.5)
         assert (res.value, res.complement) == (0.5, 0.5)
+
+    def test_plan_completes_a_letter_below_the_old_dust(self):
+        # the float completion once skipped leftovers up to 1e-15: row 0
+        # got no mass and the inadmissible cells read G - 2^-53
+        px = Dist.from_mass([2.0 ** -53, 0.5 - 2.0 ** -53, 0.5])
+        py = Dist.from_mass([0.25, 0.75])
+        c = CostMatrix.from_rows([[2.0, 2.0], [0.0, 1.0], [1.0, 0.0]])
+        res = ecp(px, py, c, 0.5)
+        mat = res.plan.as_array()
+        assert res.value == 0.25
+        for row, mass in zip(mat, px.mass):
+            assert sum(map(Fraction, row)) == Fraction(mass)
+        for col, mass in zip(mat.T, py.mass):
+            assert sum(map(Fraction, col)) == Fraction(mass)
+        off = ~admissible_mask(c, 0.5)
+        assert sum(map(Fraction, mat[off])) == Fraction(res.value)
 
     def test_alpha_monotone(self, rng):
         for _ in range(20):
@@ -674,6 +731,13 @@ class TestOptimalSupport:
         px = Dist.from_mass([1e-9, 1 - 1e-9])
         s = optimal_support(px, Dist.bernoulli(0.5), HAMMING)
         assert s.cells == frozenset({(0, 0), (1, 0), (1, 1)})
+
+    def test_letter_below_the_old_dust_counts(self):
+        # the base plan carries 2^-52 on (0, 0), once cut off as dust
+        px = Dist.from_mass([2.0 ** -52, 0.5 - 2.0 ** -52, 0.5])
+        c = CostMatrix.from_rows([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        s = optimal_support(px, Dist.from_mass([0.25, 0.75]), c)
+        assert s.cells == frozenset({(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)})
 
     def test_point_masses(self):
         px = Dist.from_mass([1.0, 0.0])
