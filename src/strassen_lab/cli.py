@@ -46,6 +46,20 @@ def _expect(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+def _number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+#: Instance fields (and the flags that override them) that must be finite.
+_FINITE = ("alpha", "delta")
+
+
+def _finite(v, name: str) -> float:
+    _expect(_number(v), f"{name} must be a finite number")
+    return float(v)
+
+
 def _parse_dist(node, where: str) -> Dist:
     _expect(isinstance(node, dict), f"{where} must be an object")
     _expect(set(node) == {"labels", "mass"},
@@ -55,9 +69,7 @@ def _parse_dist(node, where: str) -> Dist:
             f"{where}: 'labels' and 'mass' must be arrays")
     _expect(len(labels) == len(mass),
             f"{where}: {len(labels)} labels against {len(mass)} masses")
-    for v in mass:
-        _expect(isinstance(v, (int, float)) and not isinstance(v, bool)
-                and math.isfinite(v), f"{where}: masses must be finite numbers")
+    _expect(all(map(_number, mass)), f"{where}: masses must be finite numbers")
     return Dist(tuple(labels), tuple(float(v) for v in mass))
 
 
@@ -77,20 +89,12 @@ def parse_instance(data) -> Instance:
     _expect(isinstance(rows, list) and rows, "cost must be a nonempty array")
     for row in rows:
         _expect(isinstance(row, list), "cost rows must be arrays")
-        for v in row:
-            _expect(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v), "cost entries must be finite numbers")
+        _expect(all(map(_number, row)), "cost entries must be finite numbers")
     cost = CostMatrix.from_rows([[float(v) for v in row] for row in rows])
     _expect(cost.shape == (len(px), len(py)),
             f"cost is {cost.shape[0]}x{cost.shape[1]} but the alphabets have "
             f"sizes {len(px)} and {len(py)}")
-    extras = {}
-    for key in ("alpha", "delta"):
-        if key in data:
-            v = data[key]
-            _expect(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v), f"{key} must be a finite number")
-            extras[key] = float(v)
+    extras = {key: _finite(data[key], key) for key in _FINITE if key in data}
     if "n" in data:
         v = data["n"]
         _expect(isinstance(v, int) and not isinstance(v, bool) and v >= 1,
@@ -159,9 +163,10 @@ def _emit(args, columns, rows, instance: Instance | None = None) -> None:
 
 
 def _need(inst_value, flag_value, name: str):
-    """Flag wins over the instance field; one of the two must be present."""
+    """Flag wins over the instance field; one of the two must be present.
+    A winning --alpha or --delta is held to the instance field's rule."""
     if flag_value is not None:
-        return flag_value
+        return _finite(flag_value, name) if name in _FINITE else flag_value
     _expect(inst_value is not None,
             f"--{name} missing and the instance carries no '{name}'")
     return inst_value

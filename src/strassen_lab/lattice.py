@@ -746,10 +746,9 @@ def lift_coupling(pi: JointDist, instance: NestedInstance) -> TypeClassSampler:
         raise ValidationError(
             f"coupling is {pi.shape} but lattices have sizes {lx}, {ly}"
         )
-    mx = np.array(pi.marginal_x())
-    my = np.array(pi.marginal_y())
-    if (np.abs(mx - instance.mu.mass()).max() > 1e-9
-            or np.abs(my - instance.nu.mass()).max() > 1e-9):
+    mx, my = pi.marginal_x(), pi.marginal_y()
+    if (np.abs(np.subtract(mx, instance.mu.mass())).max() > 1e-9
+            or np.abs(np.subtract(my, instance.nu.mass())).max() > 1e-9):
         raise ValidationError("coupling marginals do not match the type laws")
     trips = []
     mat = pi.as_array()

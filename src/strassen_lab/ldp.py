@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import SizeGuardError, ValidationError
 from .measures import Dist, relative_entropy
-from .transport import CostMatrix, dual_vertices, ot_value
+from .transport import VERTEX_MAX, CostMatrix, dual_vertices, ot_value
 
 COST_EPS = 1e-12
 EXCEED_EPS = 1e-9
@@ -264,8 +264,9 @@ def _rate_f_bracket(query: RateQuery) -> tuple[float, float]:
     [0.02924412092975552, 0.029244120929755785], which holds
     rate_f_binary at alpha + 1e-12 but not at alpha (0.02924412093004039).
     """
-    if max(len(query.p_x), len(query.p_y)) > 4:
-        raise SizeGuardError("rate_f handles alphabets of size at most 4")
+    if max(len(query.p_x), len(query.p_y)) > VERTEX_MAX:
+        raise SizeGuardError(
+            f"rate_f handles alphabets of size at most {VERTEX_MAX}")
     px, py, carr = _supports(query.p_x, query.p_y, query.cost.as_array())
     budget = query.alpha + COST_EPS
     if ot_value(px, py, carr) <= budget:

@@ -44,7 +44,7 @@ from numpy.polynomial import polynomial as P
 
 from .errors import DimensionMismatchError, SizeGuardError, ValidationError
 from .measures import Dist, SignedVec
-from .transport import (CostMatrix, SupportSet, dual_vertices,
+from .transport import (VERTEX_MAX, CostMatrix, SupportSet, dual_vertices,
                         optimal_support, ot_value, vertex_tol)
 
 THETA_TOL = 1e-10
@@ -212,10 +212,9 @@ support_of = lru_cache(maxsize=256)(optimal_support)
 
 
 def _guard_sizes(p_x: Dist, p_y: Dist) -> None:
-    if len(p_x) > 4 or len(p_y) > 4:
-        raise SizeGuardError(
-            "moderate-deviation kernels handle alphabets of size at most 4"
-        )
+    if len(p_x) > VERTEX_MAX or len(p_y) > VERTEX_MAX:
+        raise SizeGuardError("moderate-deviation kernels handle alphabets of "
+                             f"size at most {VERTEX_MAX}")
 
 
 def _spread_rows(h: np.ndarray, mass: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,22 +22,6 @@ from .errors import (
 MASS_ATOL = 1e-12
 
 
-def _cleaned(values: Iterable[float]) -> tuple[float, ...]:
-    """Clamp negative float dust (magnitude below 1e-12) to exact zero.
-
-    Mixtures and conditional residuals legitimately produce -1e-17 noise;
-    anything more negative is a real invariant violation and is kept so the
-    constructor can reject it.
-    """
-    out = []
-    for v in values:
-        v = float(v)
-        if -MASS_ATOL < v < 0.0:
-            v = 0.0
-        out.append(v)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Dist:
     """A probability mass function over a finite labeled alphabet."""
@@ -47,7 +31,10 @@ class Dist:
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
-        mass = _cleaned(self.mass)
+        # Mixtures and residuals leave -1e-17 noise: negative dust above
+        # -MASS_ATOL is zero, anything more negative is rejected below.
+        mass = tuple(0.0 if -MASS_ATOL < v < 0.0 else v
+                     for v in map(float, self.mass))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "mass", mass)
         if len(labels) != len(mass):
@@ -56,8 +43,11 @@ class Dist:
             )
         if not labels:
             raise ValidationError("alphabet must be nonempty")
-        if len(set(labels)) != len(labels):
-            raise ValidationError("labels must be unique")
+        try:
+            if len(set(labels)) != len(labels):
+                raise ValidationError("labels must be unique")
+        except TypeError:
+            raise ValidationError("labels must be hashable") from None
         for m in mass:
             if not math.isfinite(m) or m < 0.0:
                 raise ValidationError(f"mass {m!r} is not a finite nonnegative real")
@@ -140,55 +130,56 @@ class SignedVec:
         return SignedVec(tuple(t * v for v in self.mass))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDist:
-    """A joint probability matrix indexed by (x, y)."""
+    """A joint probability matrix indexed by (x, y): one read-only 2-D
+    float64 array, copied once from any array-like and checked in bulk by
+    ``Dist``'s rules (dust clamp, first bad entry in row-major order, fsum
+    total).  ``as_array()`` returns it without a copy; equality is identity.
+    """
 
-    matrix: tuple
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = []
-        width = None
-        for row in self.matrix:
-            row = _cleaned(row)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValidationError("ragged joint matrix")
-            rows.append(row)
-        if not rows or width == 0:
+        try:
+            mat = np.array(self.matrix, dtype=float)
+        except ValueError:
+            raise ValidationError("ragged joint matrix") from None
+        if mat.size == 0:
             raise ValidationError("joint matrix must be nonempty")
-        object.__setattr__(self, "matrix", tuple(rows))
-        total = 0.0
-        for row in self.matrix:
-            for v in row:
-                if not math.isfinite(v) or v < 0.0:
-                    raise ValidationError(f"entry {v!r} is not a finite nonnegative real")
-        total = math.fsum(v for row in self.matrix for v in row)
+        if mat.ndim != 2:
+            raise ValidationError("ragged joint matrix")
+        mat[(-MASS_ATOL < mat) & (mat < 0.0)] = 0.0
+        bad = np.flatnonzero(~np.isfinite(mat) | (mat < 0.0))
+        if bad.size:
+            v = float(mat.flat[bad[0]])
+            raise ValidationError(f"entry {v!r} is not a finite nonnegative real")
+        total = math.fsum(mat.flat)
         if abs(total - 1.0) > MASS_ATOL:
             raise ValidationError(f"entries sum to {total!r}, not 1")
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.matrix), len(self.matrix[0]))
+        return self.matrix.shape
 
     @classmethod
-    def from_array(cls, arr: np.ndarray) -> "JointDist":
-        return cls(tuple(tuple(float(v) for v in row) for row in np.asarray(arr, dtype=float)))
+    def from_array(cls, arr) -> "JointDist":
+        return cls(arr)
 
     @classmethod
     def product(cls, p: Dist, q: Dist) -> "JointDist":
-        return cls.from_array(np.outer(p.as_array(), q.as_array()))
+        return cls(np.outer(p.as_array(), q.as_array()))
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.matrix, dtype=float)
+        return self.matrix
 
     def marginal_x(self) -> tuple[float, ...]:
         return tuple(math.fsum(row) for row in self.matrix)
 
     def marginal_y(self) -> tuple[float, ...]:
-        k = self.shape[1]
-        return tuple(math.fsum(row[j] for row in self.matrix) for j in range(k))
+        return tuple(math.fsum(col) for col in self.matrix.T)
 
 
 def _check_same_alphabet(p: Dist, q: Dist) -> None:

@@ -106,7 +106,7 @@ class CostMatrix:
         return min(min(row) for row in self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """An optimal coupling together with its expected cost.
 
@@ -117,10 +117,10 @@ class TransportPlan:
 
     plan: JointDist
     objective: float
-    potentials: tuple | None = field(default=None, compare=False, repr=False)
+    potentials: tuple | None = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EcpResult:
     """Outcome of a Strassen excess-cost problem.
 

@@ -518,6 +518,38 @@ class TestFailureModes:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("labels", [[[0], [1]], [{"a": 1}, {"b": 2}]])
+    def test_unhashable_labels_exit_two(self, capsys, tmp_path, labels):
+        # once a TypeError traceback out of Dist's uniqueness check, exit 1
+        p = tmp_path / "labels.json"
+        p.write_text(json.dumps(dict(BINARY, px=dict(BINARY["px"],
+                                                     labels=labels))))
+        code, out, err = run(capsys, "ot", str(p))
+        assert (code, out) == (2, "")
+        assert err == "error: labels must be hashable\n"
+
+    # each once read the value: ecp printed "nan,1,0" (and G = 0 at inf),
+    # exact-gn G = 1, converge the exponent -0, sample drew pairs and
+    # mdp-rate printed the rate nan, all with exit 0
+    @pytest.mark.parametrize("argv", [
+        ("ecp", "--alpha", "nan"), ("ecp", "--alpha", "inf"),
+        ("exact-gn", "--alpha", "nan"),
+        ("converge", "--mode", "upper", "--n", "5", "--alpha", "nan"),
+        ("sample", "--seed", "1", "--alpha", "nan"),
+        ("mdp-rate", "--delta", "nan"), ("mdp-rate", "--delta", "inf")],
+        ids=lambda argv: " ".join(argv))
+    def test_non_finite_flag_exits_two(self, capsys, binary_path, argv):
+        code, out, err = run(capsys, argv[0], binary_path, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[-2][2:]} must be a finite number\n"
+
+    def test_ldp_rate_flag_takes_the_instance_message(self, capsys,
+                                                      binary_path):
+        # exit 2 before as well, through RateQuery's "alpha must be finite"
+        code, out, err = run(capsys, "ldp-rate", binary_path, "--alpha", "inf")
+        assert (code, out) == (2, "")
+        assert err == "error: alpha must be a finite number\n"
+
 
 class TestOutputFile:
     def test_out_writes_file_and_silences_stdout(self, capsys, tmp_path,

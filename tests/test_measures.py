@@ -42,6 +42,13 @@ class TestDist:
         with pytest.raises(ValidationError):
             Dist(("a", "a"), (0.5, 0.5))
 
+    @pytest.mark.parametrize("labels", [([0], [1]), ({"a": 1}, {"b": 2}),
+                                        (0, (1, [2]))])
+    def test_rejects_unhashable_labels(self, labels):
+        # once a bare TypeError out of the uniqueness check
+        with pytest.raises(ValidationError, match="labels must be hashable"):
+            Dist(labels, (0.5, 0.5))
+
     def test_float_dust_clamped(self):
         d = Dist.from_mass([1.0 + 1e-17, -1e-17])
         assert d.mass[1] == 0.0

@@ -14,19 +14,24 @@ replaced it, and the scalar sweep of the binary limit curve's grid oracle,
 the oracle of the array sweep that replaced it.  The exact max-flow now
 completes its flow to a coupling in ints, and matches the old exact flow
 bit for bit on the admissible cells and its leftovers' northwest-corner
-routing off them.
+routing off them.  The tuple-of-floats ``JointDist`` is kept as the oracle
+of the read-only array that replaced it: the same decisions, messages and
+bits on every input, and the same bits out of every coupling's producer
+and consumer.
 """
 import math
 import sys
 import warnings
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
 
-from strassen_lab import cli, clt, flow, lattice, mdp
+from strassen_lab import cli, clt, flow, lattice, mdp, measures, transport
 from strassen_lab.clt import (BinaryCltInstance, _dual_objective, _step_cdf,
                               _tail, crossing_points, normal_cdf)
 from strassen_lab.errors import SizeGuardError, ValidationError
@@ -748,3 +753,270 @@ class TestLambdaDualGrid:
         assert [type(v) for v in got] == [float] * 3
         assert [v.hex() for v in got] == [float(v).hex() for v in want]
 
+
+# ---------------------------------------------------------------------------
+# measures: the tuple-of-floats JointDist, verbatim, with its entry-by-entry
+# dust clamp.
+
+MASS_ATOL = 1e-12
+
+
+def _cleaned(values: Iterable[float]) -> tuple[float, ...]:
+    """Clamp negative float dust (magnitude below 1e-12) to exact zero.
+
+    Mixtures and conditional residuals legitimately produce -1e-17 noise;
+    anything more negative is a real invariant violation and is kept so the
+    constructor can reject it.
+    """
+    out = []
+    for v in values:
+        v = float(v)
+        if -MASS_ATOL < v < 0.0:
+            v = 0.0
+        out.append(v)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class JointDist:
+    """A joint probability matrix indexed by (x, y)."""
+
+    matrix: tuple
+
+    def __post_init__(self) -> None:
+        rows = []
+        width = None
+        for row in self.matrix:
+            row = _cleaned(row)
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ValidationError("ragged joint matrix")
+            rows.append(row)
+        if not rows or width == 0:
+            raise ValidationError("joint matrix must be nonempty")
+        object.__setattr__(self, "matrix", tuple(rows))
+        total = 0.0
+        for row in self.matrix:
+            for v in row:
+                if not math.isfinite(v) or v < 0.0:
+                    raise ValidationError(f"entry {v!r} is not a finite nonnegative real")
+        total = math.fsum(v for row in self.matrix for v in row)
+        if abs(total - 1.0) > MASS_ATOL:
+            raise ValidationError(f"entries sum to {total!r}, not 1")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.matrix), len(self.matrix[0]))
+
+    @classmethod
+    def from_array(cls, arr: np.ndarray) -> "JointDist":
+        return cls(tuple(tuple(float(v) for v in row) for row in np.asarray(arr, dtype=float)))
+
+    @classmethod
+    def product(cls, p: Dist, q: Dist) -> "JointDist":
+        return cls.from_array(np.outer(p.as_array(), q.as_array()))
+
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self.matrix, dtype=float)
+
+    def marginal_x(self) -> tuple[float, ...]:
+        return tuple(math.fsum(row) for row in self.matrix)
+
+    def marginal_y(self) -> tuple[float, ...]:
+        k = self.shape[1]
+        return tuple(math.fsum(row[j] for row in self.matrix) for j in range(k))
+
+
+def _joint_cases():
+    """(kind, input): random tables up to 40 x 40 as arrays, lists and
+    tuples; dust, -0.0, negatives past the dust, nan and +-inf; totals at
+    1 +- 1e-12 on both sides of the bound; ragged, empty, 0-, 1- and 3-D
+    input; int and bool entries."""
+    rng = np.random.default_rng(2525)
+    forms = (lambda a: a, lambda a: a.tolist(),
+             lambda a: tuple(map(tuple, a.tolist())), lambda a: list(a))
+
+    def table(m=None, k=None):
+        m = int(rng.integers(1, 41)) if m is None else m
+        k = int(rng.integers(1, 41)) if k is None else k
+        w = rng.random((m, k)) ** rng.integers(1, 8)
+        w[rng.random((m, k)) < rng.random()] = 0.0
+        w.flat[rng.integers(w.size)] += 1e-3
+        return w / w.sum()
+
+    def form(a):
+        return forms[int(rng.integers(len(forms)))](a)
+
+    for _ in range(500):
+        yield "random", form(table())
+    dust = (-1e-13, -5e-324, -0.0, np.nextafter(-1e-12, 0.0))
+    for _ in range(200):
+        a = table()
+        for i in rng.integers(a.size, size=int(rng.integers(1, 6))):
+            a.flat[i] = dust[int(rng.integers(len(dust)))]
+        yield "dust", form(a)
+    bad = (-1e-13, -5e-324, -0.0, np.nextafter(-1e-12, 0.0), -1e-12,
+           -1e-11, -0.25, math.nan, math.inf, -math.inf)
+    for _ in range(700):
+        a = table()
+        for _ in range(int(rng.integers(1, 4))):
+            a.flat[rng.integers(a.size)] = bad[int(rng.integers(len(bad)))]
+        yield "entries", form(a)
+    for _ in range(400):
+        a = table()
+        side = 1.0 + float(rng.choice((-1e-12, 1e-12)))
+        j = int(np.argmax(a))
+        a.flat[j] += side - math.fsum(a.flat)
+        a.flat[j] += int(rng.integers(-3, 4)) * np.spacing(a.flat[j])
+        yield "total", form(a)
+    for _ in range(100):
+        m, k = (int(v) for v in rng.integers(2, 6, 2))
+        rows = table(m, k).tolist()
+        i = int(rng.integers(m))
+        rows[i] = rows[i][:int(rng.integers(k))] if rng.random() < 0.5 \
+            else rows[i] + [0.0]
+        yield "ragged", rows
+    yield from (("empty", v) for v in ([], [[]], [[], []], (), ((),),
+                                       np.zeros((0, 3)), np.zeros((3, 0))))
+    for _ in range(100):
+        m, k = (int(v) for v in rng.integers(1, 5, 2))
+        cube = table(m, k)[:, :, None]
+        yield "3-D", cube if rng.random() < 0.5 else cube.tolist()
+    yield from (("0-D, 1-D", v) for v in (
+        1.0, np.float64(1.0), np.array(1.0), [1.0], [0.5, 0.5],
+        np.array([0.25, 0.75]), (1.0,)))
+    for _ in range(300):
+        m, k = (int(v) for v in rng.integers(1, 4, 2))
+        a = rng.integers(0, 2, (m, k))
+        if rng.random() < 0.6:
+            a[:] = 0
+            a[int(rng.integers(m)), int(rng.integers(k))] = 1
+        if rng.random() < 0.5:
+            a = a.astype(bool)
+        if rng.random() < 0.5:
+            a = a.tolist()
+            a[0][0] = [0, 0.0, False, 1, True][int(rng.integers(5))]
+        yield "int, bool", a
+
+
+def _joint_outcome(make, arg):
+    """Accepted: ("ok", as_array, marginal_x, marginal_y) in float.hex;
+    rejected: the ValidationError's message, or the other exception's type."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            j = make(arg)
+        except ValidationError as exc:
+            return ("ValidationError", str(exc))
+        except Exception as exc:
+            return ("other", type(exc).__name__)
+    mat = j.as_array()
+    assert mat.dtype == np.float64 and mat.ndim == 2 and mat.shape == j.shape
+    mx, my = j.marginal_x(), j.marginal_y()
+    assert all(type(v) is float for v in mx + my)
+    return ("ok", j.shape, [v.hex() for v in mat.ravel().tolist()],
+            [v.hex() for v in mx], [v.hex() for v in my])
+
+
+class TestJointDist:
+    def test_bulk_checks_bit_for_bit(self):
+        # the same decision, message, array and marginals as the tuple
+        # class, through both entry points; where the tuple class raised a
+        # bare TypeError (0-, 1- and 3-D input) or ValueError (ragged input
+        # to from_array), the array class raises ValidationError
+        tally = Counter()
+        for kind, arg in _joint_cases():
+            for old, new in ((JointDist, measures.JointDist),
+                             (JointDist.from_array, measures.JointDist.from_array)):
+                want, got = _joint_outcome(old, arg), _joint_outcome(new, arg)
+                tally[kind, want[0], got[0]] += 1
+                if want[0] in ("ok", "ValidationError"):
+                    assert got == want, (kind, arg)
+                else:
+                    assert got[0] == "ValidationError", (kind, arg)
+                    assert got[1] in ("ragged joint matrix",
+                                      "joint matrix must be nonempty")
+        assert sum(tally.values()) >= 4000
+        changed = {key: n for key, n in tally.items() if key[1] != key[2]}
+        assert changed == {("0-D, 1-D", "other", "ValidationError"): 14,
+                           ("3-D", "other", "ValidationError"): 200,
+                           ("ragged", "other", "ValidationError"): 100}
+
+    def test_matrix_is_one_read_only_copy(self):
+        src = np.full((2, 3), 1 / 6)
+        j = measures.JointDist(src)
+        src[0, 0] = 7.0
+        mat = j.as_array()
+        assert mat is j.matrix and mat.dtype == np.float64 and mat[0, 0] == 1 / 6
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 0.5
+        assert measures.JointDist.product(Dist.bernoulli(0.3),
+                                          Dist.uniform(3)).matrix.flags.writeable is False
+
+    def test_equality_is_identity(self):
+        a = measures.JointDist([[0.5, 0.5]])
+        b = measures.JointDist([[0.5, 0.5]])
+        assert a == a and a != b and len({a, b}) == 2
+
+    def test_every_producer_and_consumer_bit_for_bit(self):
+        # each coupling built and read with the tuple class swapped in
+        # against the array class: plans, the certificate's gap and the
+        # lifted trips are the same bits
+        def run(cls):
+            with pytest.MonkeyPatch.context() as mp:
+                for mod in (measures, transport, lattice):
+                    mp.setattr(mod, "JointDist", cls)
+                return list(_coupling_outputs(cls))
+
+        want, got = run(JointDist), run(measures.JointDist)
+        assert len(got) >= 2000
+        assert got == want
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _coupling_outputs(cls):
+    rng = np.random.default_rng(2526)
+    for _ in range(300):
+        m, k = (int(v) for v in rng.integers(1, 6, 2))
+        px, py, qx, qy = (random_dist(rng, size) for size in (m, k, m, k))
+        c = _tie_heavy_cost(rng, m, k) if rng.random() < 0.5 \
+            else random_cost(rng, m, k)
+        alpha = float(rng.uniform(0.0, c.max()))
+        plan = transport.ot_cost(px, py, c)
+        yield "ot_cost", _hex(plan.plan.as_array()), plan.objective.hex()
+        yield "gap", float(transport.kantorovich_certificate(
+            px, py, c, plan)[2]).hex()
+        elsewhere = transport.TransportPlan(cls.product(px, py), 1.0)
+        yield "gap elsewhere", float(transport.kantorovich_certificate(
+            px, py, c, elsewhere)[2]).hex()
+        yield "ecp", _hex(transport.ecp(px, py, c, alpha).plan.as_array())
+        yield "product", _hex(cls.product(px, qy).as_array())
+        yield "marginals", _hex(cls.product(px, qy).marginal_y())
+        if m == k:
+            qx = Dist(py.labels, qx.mass)
+            yield "maximal", _hex(measures.maximal_coupling(py, qx)
+                                  .as_array())
+        moved = measures.coupling_transfer(cls.product(qx, qy), px, py)
+        yield "transfer", _hex(moved.as_array())
+    for px, py, c, n in (
+            (Dist.bernoulli(0.3), Dist.bernoulli(0.6), CostMatrix.hamming(2), 9),
+            (Dist.from_mass([0.37, 0.63]), Dist.from_mass([0.17, 0.29, 0.54]),
+             CostMatrix.from_rows([[0.0, 0.6, 1.0], [0.8, 0.2, 0.5]]), 6),
+            (Dist.from_mass([0.2, 0.3, 0.5]), Dist.from_mass([0.5, 0.1, 0.4]),
+             CostMatrix.from_rows([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), 3)):
+        inst = lattice.nested_instance(px, py, c, n)
+        for alpha in np.unique(inst.inner_cost)[::2]:
+            pi = lattice.optimal_outer_plan(inst, float(alpha))
+            yield "outer", _hex(pi.as_array())
+            yield "trips", [(p.hex(), mat) for p, mat in
+                            lattice.lift_coupling(pi, inst)._trips]
+        for _ in range(20):
+            a_set = {int(i) for i in rng.integers(len(inst.mu), size=3)}
+            b_set = {int(j) for j in rng.integers(len(inst.nu), size=3)}
+            yield "splitting", _hex(lattice.splitting_coupling(
+                inst.mu, inst.nu, a_set, b_set).as_array())
