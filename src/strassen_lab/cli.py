@@ -47,8 +47,12 @@ def _expect(cond: bool, msg: str) -> None:
 
 
 def _number(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 #: Instance fields (and the flags that override them) that must be finite.

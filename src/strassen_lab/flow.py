@@ -6,12 +6,12 @@ of the package needs two things generic solvers do not expose:
 * terminating node potentials that are dual-feasible on *every* cell,
   including cells incident to zero-supply nodes (the Kantorovich certificate
   depends on this), and
-* exact flows.  Every flow runs on Python ints, float masses lifted to
-  integers over one common denominator (``_lift``) and each plan cell
-  divided back once: every Strassen value, witness and coupling
-  (``transport.ecp``, the type lattices' dense route, the product-space
-  oracle and ``sample``'s outer plan), the min-cost flow, ``ot_cost``'s
-  vertex plan and the coupling samplers' joint types (on their counts).
+* exact flows.  Every flow runs on Python ints, masses lifted to integers
+  over one common denominator (``_lift``) and each plan cell divided back
+  once: every Strassen value, witness and coupling (``transport.ecp``, the
+  type lattices' outer solves, the product-space oracle and ``sample``'s
+  outer plan), the min-cost flow, ``ot_cost``'s vertex plan and the
+  coupling samplers' joint types (on their counts).
 
 The Strassen witness is the source side of a minimum cut, read off the
 level graph of Dinic's last search.
@@ -19,7 +19,10 @@ level graph of Dinic's last search.
 Graphs here are bipartite networks over alphabets or type lattices, up to
 a few hundred nodes a side, each built in bulk by one builder
 (``_network``): Dinic for max-flow, successive shortest paths with Dijkstra
-for min-cost flow, and a lexicographic max-flow for vertex couplings.
+for min-cost flow, and a lexicographic max-flow for vertex couplings.  A
+convex bipartite graph, whose columns each admit an interval of the rows,
+needs no network: Glover's greedy sweep gives its max-flow value
+(``convex_max_flow``).
 """
 from __future__ import annotations
 
@@ -114,13 +117,15 @@ class MaxFlowGraph:
 
 
 def _lift(supply, demand):
-    """Float masses as ints over one common denominator: ``(sup, dem, den)``.
+    """Masses as ints over one common denominator: ``(sup, dem, den)``.
 
-    A float is an exact binary rational whose denominator is a power of
-    two, so the largest denominator is the lcm and nothing rounds.
+    Ints and ``Fraction``s are taken as they are, anything else as a float,
+    which is an exact binary rational.  The denominator is the lcm of them
+    all, so nothing rounds.
     """
-    ratios = [float(v).as_integer_ratio() for v in [*supply, *demand]]
-    den = max(d for _, d in ratios)
+    ratios = [(v if isinstance(v, (int, Fraction)) else float(v))
+              .as_integer_ratio() for v in [*supply, *demand]]
+    den = math.lcm(*(d for _, d in ratios))
     lifted = [num * (den // d) for num, d in ratios]
     return lifted[:len(supply)], lifted[len(supply):], den
 
@@ -184,6 +189,40 @@ def bipartite_max_flow(supply: Sequence[float], demand: Sequence[float],
             i += 1
     witness = {i for i in range(m) if g.level[i] >= 0}
     return Fraction(value, den), Fraction(sum(sup) - value, den), plan, witness
+
+
+def convex_max_flow(supply, demand, lo, hi) -> int:
+    """The max-flow value of a convex bipartite graph, in ints: column j
+    admits the rows ``lo[j]..hi[j]`` (int arrays), and none if
+    ``lo[j] > hi[j]``.
+
+    Glover's rule ("Maximum matching in a convex bipartite graph", 1967),
+    with masses: the rows are swept in order, each column opens at its
+    first row, and each row's supply goes to the open columns that close
+    first.  ``supply`` is read once, in row order, so it may be a
+    generator; ``demand`` is read into a list of ints, one per column.
+    """
+    starts = np.argsort(lo, kind="stable").tolist()
+    lo, hi, left = lo.tolist(), hi.tolist(), list(demand)
+    heap, routed, k = [], 0, 0
+    for i, mass in enumerate(supply):
+        while k < len(starts) and lo[starts[k]] <= i:
+            j = starts[k]
+            k += 1
+            if hi[j] >= i and left[j]:
+                heapq.heappush(heap, (hi[j], j))
+        while mass and heap:
+            end, j = heap[0]
+            if end < i:  # closed before this row
+                heapq.heappop(heap)
+                continue
+            moved = min(mass, left[j])
+            mass -= moved
+            left[j] -= moved
+            routed += moved
+            if not left[j]:
+                heapq.heappop(heap)
+    return routed
 
 
 def lex_min_coupling(supply, demand, allowed: np.ndarray) -> list[list]:

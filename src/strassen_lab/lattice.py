@@ -7,32 +7,25 @@ distributions.  That value is the best of the few dual vertices of c
 (``transport.dual_vertices``), so the whole inner table is one max of
 outer sums over the vertices, filled block by block with no solver per
 pair of types.  This module builds those lattices, solves the outer problem
-through Strassen's dual G = max_E mu(E) - nu(Gamma(E)), and provides the
-coupling constructions used to realize the optimum.
+as an exact max-flow between them, and provides the coupling constructions
+used to realize the optimum.
+
+The outer solve runs on Python ints.  A ``Dist`` is read as the law
+m_i / sum(m) of its float masses' numerators over one power-of-two
+denominator, and each type t weighs multinomial(t) prod m_i^t_i, made by
+ratio recurrences (``_type_masses``).  Each side is scaled by the other
+side's total, so both total the same integer T, and for the max-flow F
+between them G = (T - F) / T and 1 - G = F / T, each rounded once.
 
 When one alphabet has 2 letters, its types lie on a line and the inner
 cost is convex along it, so every type of the other side admits an
 interval of them, with ends in any order (a convex bipartite graph).
-The ends come in closed form from the 2-source dual, with no inner table.
-Witness sets E on the 2-letter side are then chains of its types, and
-one pass of a chain DP over that line finds them for three scores at
-once, one run per score, all fed by the same steps.  Each score is
-ranked on the masses a chain has settled itself, never on the masses
-every chain of a step shares, which would round away differences at the
-tail's scale: the gain mu(E) - nu(Gamma(E)) over sets with mu(E) <= 1/2,
-the same value through the complement D = E^c, nu(F(D)) - mu(D), over
-sets with mu(D) <= 1/2, and the loss nu(Gamma(E)) + mu(E^c), minimised.
-So G gets a witness on the scale of E or of its complement, and 1 - G
-on its own.  Signed scores are ranked exactly in log space, by (sign,
-sign * log|value|).  The DP ends with every chain's four masses in each
-run, so the winners are read off that end state, and only the three
-winning witness sets are evaluated exactly.  Lattices where both sides
-have 3 or more letters go to the exact max-flow over the inner table,
-on the float type masses; its min cut is the witness set.
-
-Numerical posture: type masses are kept in log space end to end; every
-reported probability is assembled from sums of same-sign terms selected
-through a dual witness, never by subtracting two near-equal bulk sums.
+The ends come in closed form from the 2-source dual, with no inner table,
+and Glover's greedy sweep along the line is the max-flow
+(``flow.convex_max_flow``).  Lattices where both sides have 3 or more
+letters go to the exact max-flow over the admissible cells of the inner
+table.  ``TypeMeasure`` keeps each lattice's log masses, for the outer
+plans and couplings.
 """
 from __future__ import annotations
 
@@ -42,8 +35,8 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -159,6 +152,25 @@ def _log_type_masses(counts: np.ndarray, p: Dist, n: int) -> np.ndarray:
         contrib = np.where(counts > 0, counts * logp[None, :], 0.0)
     log_fact = _log_factorials(n)
     return log_fact[n] - log_fact[counts].sum(axis=1) + contrib.sum(axis=1)
+
+
+def _lse(logs: np.ndarray) -> float:
+    """log(sum(exp(logs))) in scipy.special.logsumexp's log1p form.
+
+    The m entries equal to the max are left out of the shifted sum s, and
+    the result is log1p(s / m) + log(m) + max, the same operations in the
+    same order as scipy (1.17), so the two agree bit for bit.  Empty input
+    gives -inf; a non-finite max (all -inf, or +inf) is returned as is.
+    """
+    if logs.size == 0:
+        return -math.inf
+    top = logs.max()
+    if not np.isfinite(top):
+        return float(top)
+    at_top = logs == top
+    m = np.float64(np.count_nonzero(at_top))
+    s = np.exp(np.where(at_top, -np.inf, logs) - top).sum()
+    return float(np.log1p(s / m) + np.log(m) + top)
 
 
 def type_log_prob(t: TypeVector, p: Dist) -> float:
@@ -289,63 +301,10 @@ def nested_instance(p_x: Dist, p_y: Dist, c: CostMatrix, n: int) -> NestedInstan
 # Outer Strassen solve on the lattice.
 # ---------------------------------------------------------------------------
 
-class _IntervalView(NamedTuple):
-    """Column y is admitted by the active rows lo_y..hi_y, in any order of
-    the ends; ``act`` holds the rows that admit something, ``empty`` the
-    rest.  A column that no row admits has lo = len(act) and hi = -1."""
-
-    act: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    empty: np.ndarray
-
-    def masses(self, lognu):
-        """The column masses a chain DP over the rows needs.
-
-        Returns the log nu of the columns still unsettled after each slot's
-        last row (slot 0 is the empty chain, slot j + 1 the chain ending at
-        active row j), and an iterator that yields, for each active row i,
-        the log nu newly covered and newly left uncovered for good when
-        row i follows the last row of each slot 0..i.  After a chain whose
-        last row is j, row i newly covers the columns with
-        j < lo_y <= i <= hi_y and leaves uncovered for good those with
-        j < lo_y <= hi_y < i; the columns with lo_y > j are unsettled.  With
-        the columns sorted by lo, those with j < lo_y <= i are a run, so
-        both masses of step i are suffix sums over the columns starting by
-        row i: of those that row i admits, and of the rest.
-        """
-        order = np.argsort(self.lo, kind="stable")
-        lo, hi, nu = self.lo[order], self.hi[order], lognu[order]
-        # start[s]: the columns whose rows begin before active row s
-        start = np.searchsorted(lo, np.arange(len(self.act) + 1))
-        suffix = np.append(np.logaddexp.accumulate(nu[::-1])[::-1], -np.inf)
-        return suffix[start], self._steps(hi, nu, start)
-
-    @staticmethod
-    def _steps(hi, nu, start):
-        # at step i, cover[t] and gap[t] sum the t + 1 columns before
-        # start[i + 1]; index -1 reads the empty sum
-        cover = np.full(len(nu) + 1, -np.inf)
-        gap = np.full(len(nu) + 1, -np.inf)
-        for i in range(len(start) - 1):
-            p = start[i + 1]
-            admitted = hi[:p] >= i
-            np.logaddexp.accumulate(np.where(admitted, nu[:p], -np.inf)[::-1],
-                                    out=cover[:p])
-            np.logaddexp.accumulate(np.where(admitted, -np.inf, nu[:p])[::-1],
-                                    out=gap[:p])
-            at = p - 1 - start[:i + 1]
-            yield cover[at], gap[at]
-
-    def covered(self, chain) -> np.ndarray:
-        # the first chain row at or after lo_y, or the sentinel len(act)
-        rows = np.append(np.asarray(chain, dtype=np.int64), len(self.act))
-        return rows[np.searchsorted(rows, self.lo)] <= self.hi
-
-
 def _line_view(carr: np.ndarray, alpha: float, n: int):
-    """The ``_IntervalView`` of a 2 x k cost at threshold alpha, from the
-    cost alone; None if no pair of types is admissible.
+    """The row interval of each column of a 2 x k cost at threshold alpha,
+    from the cost alone: ``(lo, hi)``, int arrays over the columns in
+    lattice order, with lo > hi where no row admits the column.
 
     Row i is the type (i, n - i) of the 2-letter side, t = i / n.  With
     s_j = c_1j - c_0j, the 2-source dual has the k candidate solutions
@@ -353,7 +312,8 @@ def _line_view(carr: np.ndarray, alpha: float, n: int):
     max_j s_j (1 - t) + g_j . y.  Each j therefore bounds t from one side:
     with room_j = alpha + ADMISS_EPS - s_j - g_j . y, a column y admits
     t >= -room_j / s_j where s_j > 0, t <= -room_j / s_j where s_j < 0, and
-    nothing at all where s_j = 0 and room_j < 0.
+    nothing at all where s_j = 0 and room_j < 0.  The inner cost is convex
+    along the line, so the rows between the ends are the ones admitted.
     """
     s = carr[1] - carr[0]
     g = np.minimum(carr[0], carr[1] - s[:, None])
@@ -361,250 +321,90 @@ def _line_view(carr: np.ndarray, alpha: float, n: int):
     pos, neg = s > 0.0, s < 0.0
     lo = np.ceil(n * (-room[:, pos] / s[pos]).max(axis=1, initial=0.0))
     hi = np.floor(n * (-room[:, neg] / s[neg]).min(axis=1, initial=1.0))
-    admits = (lo <= hi) & (room[:, s == 0.0] >= 0.0).all(axis=1)
-    if not admits.any():
-        return None
-    lo = lo[admits].astype(np.int64)
-    hi = hi[admits].astype(np.int64)
-    # every row inside a column's interval admits it, so is active
-    any_row = np.cumsum(np.bincount(lo, minlength=n + 2)
-                        - np.bincount(hi + 1, minlength=n + 2))[:n + 1] > 0
-    act = np.flatnonzero(any_row)
-    rank = np.cumsum(any_row) - 1
-    first = np.full(len(admits), act.size)
-    last = np.full(len(admits), -1)
-    first[admits], last[admits] = rank[lo], rank[hi]
-    return _IntervalView(act, first, last, np.flatnonzero(~any_row))
+    hi[~(room[:, s == 0.0] >= 0.0).all(axis=1)] = -1.0
+    # clipped into [-1, n + 1], NaN to the clip, so the casts are exact
+    return (np.fmin(lo, n + 1).astype(np.int64),
+            np.fmax(hi, -1.0).astype(np.int64))
 
 
-_LOG_HALF = math.log(0.5)
+def _type_masses(m, n: int, scale: int = 1):
+    """The type masses of n letters over the law m_i / sum(m) as ints:
+    scale * multinomial(t) * prod m_i^t_i for each type t, in the order of
+    ``_counts_matrix``, generated one by one.
 
-
-def _scores(log_e, log_g, log_skip, log_gap, loss_g, loss_skip, lpos, lneg):
-    """Write the logs of the plus and minus parts of the three scores into
-    rows 0-2 of lpos and lneg, from the only masses they read: the gain
-    run's mu(E) and nu(Gamma(E)), the complement run's skipped and gap
-    masses, and the loss run's nu(Gamma(E)) and skipped mass.
-
-    gain        mu(E) - nu(Gamma(E)), for chains with mu(E) <= 1/2.  Summed
-                directly, the bulk masses of a chain with mu(E) > 1/2 carry
-                the lattices' normalization error (TypeMeasure admits 1e-9)
-                and would outrank every deep-tail witness; the complement
-                scores those chains.
-    complement  nu(F(D)) - mu(D) of the skipped rows D = E^c, mu(D) <= 1/2.
-                F(D), the columns whose whole row interval lies inside D
-                plus those no row admits, is Gamma(E)^c, so at the end this
-                is the gain of E summed from the smaller masses.  Past
-                mu(D) = 1/2 the chain is left to the gain: D = all rows
-                would win on the normalization error alone.
-    loss        -(nu(Gamma(E)) + mu(E^c)), the chain's bound on 1 - G.
-
-    A chain outside its run's range scores -inf; mu(E) and mu(D) only grow
-    along a chain, so every prefix of a chain inside the range is inside it.
+    On two letters they are the ratio recurrence N(i + 1) = N(i) (n - i)
+    m_0 / ((i + 1) m_1) from N(0) = scale m_1^n.  Otherwise, and when
+    m_1 = 0, the first letter's count c runs outermost, and each block is
+    the lattice of the other letters with the first letter's term folded
+    into its scale, itself the recurrence f(c + 1) = f(c) (n - c) m_0 /
+    (c + 1) from f(0) = scale.  Each division is exact.
     """
-    bulk = np.greater([log_e, log_skip], _LOG_HALF)
-    lpos[0], lpos[1], lpos[2] = log_e, log_gap, -np.inf
-    lneg[0], lneg[1] = log_g, log_skip
-    np.logaddexp(loss_g, loss_skip, out=lneg[2])
-    np.copyto(lpos[:2], -np.inf, where=bulk)
-    np.copyto(lneg[:2], np.inf, where=bulk)
-
-
-def _signed_argmax(lpos, lneg) -> np.ndarray:
-    """First index of the largest exp(lpos) - exp(lneg) along the last
-    axis, compared exactly.
-
-    Values are ranked by the pair (sign, sign * log|value|) in
-    lexicographic order, so no offset ever mixes the sign into the
-    magnitude and relative precision survives at any depth.  -inf - -inf is
-    a zero.  The caller silences the warnings of that difference and of the
-    magnitudes of the zeros, which are not used.
-    """
-    diff = lpos - lneg
-    pos, neg = diff > 0.0, diff < 0.0
-    sign = np.subtract(pos, neg, dtype=np.int8)
-    logabs = np.maximum(lpos, lneg) + np.log(-np.expm1(-np.abs(diff)))
-    key = np.where(pos, logabs, np.where(neg, -logabs, 0.0))
-    top = sign.max(axis=-1, keepdims=True)
-    return np.argmax(np.where(sign == top, key, -np.inf), axis=-1)
-
-
-def _dp_chains(logmu: np.ndarray, lognu: np.ndarray,
-               view) -> tuple[np.ndarray, np.ndarray]:
-    """Best witness chain ending at each active row for each score, and
-    the end state.
-
-    A chain is a set E of active rows, plus the always-free rows.  Every
-    chain carries the same log-sum state over the rows up to its end and
-    the columns it has settled: mu(E), nu(Gamma(E)), mu of the rows it
-    skipped and nu of the columns it left uncovered for good.  Appending
-    row i to the chain ending at row j adds mu_i to the first, and the
-    view's newly covered and gap masses for (j, i) to the second and the
-    last (``view.masses``); every chain that does not take row i adds mu_i
-    to its skipped mass.  Slot 0 is the empty chain, so starting fresh is
-    one more candidate and wins ties, ahead of the chains in row order.
-    Three runs, one per score of ``_scores``, share one pass over the
-    steps of the view; each ranks the candidates of step i on these four
-    masses alone.  A step computes only the two masses per run that its
-    score reads, and then the four masses of each run's winning slot: the
-    losers are dropped, so any other mass of theirs would be wasted work.
-    As witness sets, all of them also hold the rows after i in E^c and the
-    columns starting after row i in Gamma(E)^c; those masses are the same
-    for every candidate, and added in, they would round away the
-    differences at the tail's scale.
-
-    Returns the parent pointers, (3, m) (the row before row i in its
-    chain, or -1), and the end state, (4, 3, m + 1): the four log-masses
-    above for slot 0 and for the chain ending at each active row, per run.
-    At the end every row after a chain's last one is skipped, and every
-    column it has not settled is uncovered, so the state holds E^c and
-    Gamma(E)^c whole, each summed from same-sign terms.  G and 1 - G are
-    read off this state; only the winning witness sets are then evaluated
-    exactly.
-    """
-    logmu_a = logmu[view.act]
-    m = len(logmu_a)
-    state = np.full((4, 3, m + 1), -np.inf)
-    state[0, :, 0] = _lse(logmu[view.empty])
-    parent = np.full((3, m), -1, dtype=np.int64)
-    runs = np.arange(3)
-    lpos, lneg = np.empty((2, 3, m + 1))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        unsettled, steps = view.masses(lognu)
-        for i, (cover, gap) in enumerate(steps):
-            log_e, log_g, log_skip, log_gap = state[:, :, :i + 1]
-            covered = np.logaddexp(log_g[::2], cover)  # the gain and loss runs
-            _scores(np.logaddexp(log_e[0], logmu_a[i]), covered[0],
-                    log_skip[1], np.logaddexp(log_gap[1], gap), covered[1],
-                    log_skip[2], lpos[:, :i + 1], lneg[:, :i + 1])
-            best = _signed_argmax(lpos[:, :i + 1], lneg[:, :i + 1])
-            parent[:, i] = best - 1
-            won = state[:, runs, best]
-            np.logaddexp(won[0], logmu_a[i], out=won[0])
-            np.logaddexp(won[1], cover[best], out=won[1])
-            np.logaddexp(won[3], gap[best], out=won[3])
-            state[:, :, i + 1] = won
-            np.logaddexp(log_skip, logmu_a[i], out=log_skip)
-    state[3] = np.logaddexp(state[3], unsettled)
-    return parent, state
-
-
-def _chain_members(parent: np.ndarray, i: int) -> list[int]:
-    out = []
-    while i >= 0:
-        out.append(i)
-        i = parent[i]
-    out.reverse()
-    return out
-
-
-def _lse(logs: np.ndarray) -> float:
-    """log(sum(exp(logs))) in scipy.special.logsumexp's log1p form.
-
-    The m entries equal to the max are left out of the shifted sum s, and
-    the result is log1p(s / m) + log(m) + max, the same operations in the
-    same order as scipy (1.17), so the two agree bit for bit.  Empty input
-    gives -inf; a non-finite max (all -inf, or +inf) is returned as is.
-    """
-    if logs.size == 0:
-        return -math.inf
-    top = logs.max()
-    if not np.isfinite(top):
-        return float(top)
-    at_top = logs == top
-    m = np.float64(np.count_nonzero(at_top))
-    s = np.exp(np.where(at_top, -np.inf, logs) - top).sum()
-    return float(np.log1p(s / m) + np.log(m) + top)
-
-
-def _chain_masks(chain, view, size_mu: int):
-    """Masks of the witness set E of one chain and of its enlargement."""
-    in_e = np.zeros(size_mu, dtype=bool)
-    in_e[view.act[chain]] = True
-    in_e[view.empty] = True
-    return in_e, view.covered(chain)
-
-
-def _witness_values(logmu, lognu, in_e, in_g):
-    """Exact (direct, complement-sum) values of a witness set E.
-
-    direct   = mu(E) - nu(Gamma(E)), evaluated through whichever of the two
-               algebraically equal forms sums the smaller masses;
-    comp_sum = mu(E^c) + nu(Gamma(E)), the matching bound on 1 - G
-               (a sum of same-sign terms, so it never cancels).
-    """
-    l_e, l_ec = _lse(logmu[in_e]), _lse(logmu[~in_e])
-    l_g, l_gc = _lse(lognu[in_g]), _lse(lognu[~in_g])
-    mass_e = math.exp(l_e)
-    if mass_e > 0.5:
-        direct = math.exp(l_gc) - math.exp(l_ec)
+    if len(m) == 1:
+        yield scale * m[0] ** n
+    elif len(m) == 2 and m[1]:
+        a, b = m
+        v = scale * b ** n
+        for i in range(n):
+            yield v
+            v = v * (n - i) * a // ((i + 1) * b)
+        yield v
     else:
-        direct = mass_e - math.exp(l_g)
-    return direct, math.exp(l_ec) + math.exp(l_g)
+        for c in range(n + 1):
+            yield from _type_masses(m[1:], n - c, scale)
+            scale = scale * (n - c) * m[0] // (c + 1)
 
 
-def _side_candidates(logmu, lognu, view):
-    """(direct, complement-sum) of the best chain of each score.
-
-    The best G chain is the better of the gain and complement winners, the
-    best 1 - G chain the loss winner.  The DP ends with every chain's four
-    masses, so each score picks its winner from the end states of all
-    three runs, the gain run's first, and only the winners' witness sets
-    are evaluated.  At the end a chain of one run can tie the winner of
-    another score's run, and tied witness sets can round 1 - G apart.
-    """
-    parent, state = _dp_chains(logmu, lognu, view)
-    log_e, log_g, log_skip, log_gap = state.reshape(4, -1)
-    lpos, lneg = np.empty((2, 3, log_e.size))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        _scores(log_e, log_g, log_skip, log_gap, log_g, log_skip, lpos, lneg)
-        best = _signed_argmax(lpos, lneg)
-    return [_witness_values(logmu, lognu, *_chain_masks(
-                _chain_members(parent[run], slot - 1), view, len(logmu)))
-            for run, slot in zip(*np.divmod(best, state.shape[2]))]
+def _outer_masses(p_x: Dist, p_y: Dist, n: int):
+    """Both sides' type masses as ints, each side scaled by the other's
+    total so that both total the same integer T: ``(rows, cols, T)``, the
+    rows and columns generated in lattice order.  A ``Dist`` is the law
+    m_i / sum(m) of its float masses' numerators over one power-of-two
+    denominator.  T is the lcm of the two totals, so two totals that are
+    powers of two add no bits to the larger one."""
+    mx, my = (flow._lift(p.mass, ())[0] for p in (p_x, p_y))
+    sx, sy = sum(mx) ** n, sum(my) ** n
+    g = math.gcd(sx, sy)
+    return (_type_masses(mx, n, sy // g), _type_masses(my, n, sx // g),
+            sx // g * sy)
 
 
-def _bounds(candidates) -> tuple[float, float]:
-    """(G, 1 - G) from the (direct, complement-sum) pairs of witness sets."""
-    g = max(0.0, max(direct for direct, _ in candidates))
-    comp = min(1.0, min(comp_sum for _, comp_sum in candidates))
-    return min(g, 1.0), max(comp, 0.0)
-
-
-def _lattice_ecp_dense(logmu, lognu, adm):
-    if adm.size > DENSE_GUARD:
-        raise SizeGuardError(f"dense outer flow needs {adm.size} cells")
-    *_, witness = flow.bipartite_max_flow(np.exp(logmu), np.exp(lognu), adm)
-    in_e = np.zeros(len(logmu), dtype=bool)
-    in_e[list(witness)] = True
-    in_g = adm[in_e].any(axis=0)
-    return _bounds([_witness_values(logmu, lognu, in_e, in_g)])
+@lru_cache(maxsize=16)
+def _dense_masses(p_x: Dist, p_y: Dist, n: int) -> tuple[tuple, tuple]:
+    """The masses of ``_outer_masses`` over T, as ``Fraction``s, so that
+    the max-flow's plan cells divide back to floats; an alpha sweep on one
+    instance builds them once."""
+    rows, cols, total = _outer_masses(p_x, p_y, n)
+    return (tuple(Fraction(v, total) for v in rows),
+            tuple(Fraction(v, total) for v in cols))
 
 
 def gn_tails(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
              n: int) -> tuple[float, float]:
-    """(G, 1-G) for the n-fold product problem, each summed on its own scale.
+    """(G, 1 - G) for the n-fold product problem, each the exact rational
+    rounded once.
 
-    The pair is computed from dual witnesses rather than from each other, so
-    both stay meaningful when one of them is at the 1e-300 scale.
+    The outer max-flow F between the integer type masses of
+    ``_outer_masses``, which both total T, is exact, so G = (T - F) / T and
+    1 - G = F / T.  A 2-letter side goes on the rows and runs the greedy
+    over its line of types (``flow.convex_max_flow``); otherwise the
+    max-flow runs over the admissible cells of the inner table.
     """
-    kx, ky = c.shape
-    if kx != 2 and ky != 2:
-        inst = nested_instance(p_x, p_y, c, n)
-        adm = inst.inner_cost <= alpha + ADMISS_EPS
-        if not adm.any():
-            return 1.0, 0.0
-        return _lattice_ecp_dense(inst.mu.logmass, inst.nu.logmass, adm)
     _check_sizes(p_x, p_y, c)
-    # the types of a 2-letter side lie on a line, so the chain runs there
-    carr = c.as_array()
-    if kx != 2:
-        p_x, p_y, carr = p_y, p_x, carr.T
-    view = _line_view(carr, alpha, n)
-    if view is None:
-        return 1.0, 0.0
-    return _bounds(_side_candidates(TypeMeasure.of(p_x, n).logmass,
-                                    TypeMeasure.of(p_y, n).logmass, view))
+    if 2 in c.shape:
+        carr = c.as_array()
+        if c.shape[0] != 2:
+            p_x, p_y, carr = p_y, p_x, carr.T
+        lo, hi = _line_view(carr, alpha, n)
+        rows, cols, total = _outer_masses(p_x, p_y, n)
+        routed = flow.convex_max_flow(rows, cols, lo, hi)
+        # an int over an int rounds once
+        return (total - routed) / total, routed / total
+    adm = nested_instance(p_x, p_y, c, n).inner_cost <= alpha + ADMISS_EPS
+    if adm.size > DENSE_GUARD:
+        raise SizeGuardError(f"dense outer flow needs {adm.size} cells")
+    value, unrouted, _, _ = flow.bipartite_max_flow(
+        *_dense_masses(p_x, p_y, n), adm)
+    return float(unrouted), float(value)
 
 
 def exact_gn(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float, n: int) -> float:

@@ -543,6 +543,25 @@ class TestFailureModes:
         assert (code, out) == (2, "")
         assert err == f"error: {argv[-2][2:]} must be a finite number\n"
 
+    @pytest.mark.parametrize("field,message", [
+        ("alpha", "alpha must be a finite number"),
+        ("cost", "cost entries must be finite numbers"),
+        ("mass", "px: masses must be finite numbers")])
+    def test_integer_beyond_float_range_exits_two(self, capsys, tmp_path,
+                                                  field, message):
+        # a 400-digit JSON integer once raised OverflowError out of
+        # math.isfinite, a traceback with exit 1
+        huge = 10 ** 400
+        inst = {"alpha": dict(BINARY, alpha=huge),
+                "cost": dict(BINARY, cost=[[0.0, huge], [1.0, 0.0]]),
+                "mass": dict(BINARY, px={"labels": [0, 1],
+                                         "mass": [huge, 0.0]})}[field]
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(inst))
+        code, out, err = run(capsys, "ecp", str(p))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_ldp_rate_flag_takes_the_instance_message(self, capsys,
                                                       binary_path):
         # exit 2 before as well, through RateQuery's "alpha must be finite"

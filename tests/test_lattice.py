@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -20,21 +21,12 @@ from strassen_lab.lattice import (
     ENUM_GUARD,
     TypeMeasure,
     TypeVector,
-    _bounds,
     _counts_matrix,
     _inner_cost_table,
-    _chain_masks,
-    _chain_members,
-    _dp_chains,
-    _IntervalView,
-    _lattice_ecp_dense,
     _line_view,
     _log_factorials,
     _lse,
-    _scores,
-    _side_candidates,
-    _signed_argmax,
-    _witness_values,
+    _type_masses,
     direct_gn_oracle,
     enum_types,
     exact_gn,
@@ -49,6 +41,11 @@ from strassen_lab.lattice import (
 from strassen_lab.measures import Dist, JointDist
 from strassen_lab.transport import ADMISS_EPS, CostMatrix, ecp, ot_value
 
+import chain_dp
+from chain_dp import (_bounds, _chain_masks, _chain_members, _dp_chains,
+                      _IntervalView, _lattice_ecp_dense, _scores,
+                      _side_candidates, _signed_argmax, _witness_values,
+                      chain_gn_tails)
 from conftest import random_cost, random_dist
 
 HAMMING = CostMatrix.hamming(2)
@@ -388,6 +385,31 @@ class TestExactGn:
                             alpha, n)
             assert g == pytest.approx(want, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("n,alpha,want", [
+        (800, 0.2, (0.9999999999922455, 7.75442118180879e-12)),
+        (800, 0.45, (2.9916379723813944e-20, 1.0)),
+        (1600, 0.2, (1.0, 3.7265486276171007e-22)),
+        (1600, 0.45, (1.057712186881946e-37, 1.0))])
+    def test_binary_tails_are_the_400_digit_values(self, n, alpha, want):
+        # both ends of perfbench/reference.binary_bracket(..., digits=400)
+        # round to these floats; the chain DP read G at n = 1600,
+        # alpha = 0.45 as 1.057712186880082e-37 and 1 - G as
+        # 0.9999999999994404
+        assert gn_tails(B01, B05, HAMMING, alpha, n) == want
+
+    def test_type_masses_are_the_multinomials(self):
+        # scale * multinomial(t) * prod m_i^t_i over the lattice, zero
+        # masses on any letter among them
+        for m in ([3], [5, 7], [0, 7], [5, 0], [2, 3, 5], [0, 3, 5],
+                  [2, 0, 5], [2, 3, 0], [1, 2, 3, 4], [3, 0, 0, 4]):
+            for n in (1, 2, 5, 9):
+                want = [11 * math.factorial(n)
+                        // math.prod(math.factorial(v) for v in t)
+                        * math.prod(b ** v for b, v in zip(m, t))
+                        for t in _counts_matrix(n, len(m)).tolist()]
+                assert list(_type_masses(m, n, 11)) == want, (m, n)
+                assert sum(want) == 11 * sum(m) ** n
+
     @given(st.integers(1, 30), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=150, deadline=None)
     def test_alpha_monotone(self, n, a1, a2):
@@ -447,6 +469,20 @@ def _lattice_ecp_interval(logmu, lognu, adm):
     if view is None:
         return None
     return _bounds(_side_candidates(logmu, lognu, view))
+
+
+def _table_flow_gn_tails(p_x, p_y, c, alpha, n):
+    """(G, 1 - G) through the inner cost table, of any shape, and the exact
+    max-flow on its admissible cells between the integer type masses,
+    as the dense route of gn_tails solves it."""
+    adm = _inner_cost_table(c, n) <= alpha + ADMISS_EPS
+    mx, my = (flow._lift(p.mass, ())[0] for p in (p_x, p_y))
+    sx, sy = sum(mx) ** n, sum(my) ** n
+    total = sx * sy
+    value, unrouted, _, _ = flow.bipartite_max_flow(
+        [Fraction(v, total) for v in _type_masses(mx, n, sy)],
+        [Fraction(v, total) for v in _type_masses(my, n, sx)], adm)
+    return float(unrouted), float(value)
 
 
 def _table_gn_tails(p_x, p_y, c, alpha, n):
@@ -869,7 +905,7 @@ class TestIntervalRoute:
         # neither the inner table nor the nested instance nor a flow
         px, py, c, _ = deep_tail_instance(40, 0.5)
         ct = CostMatrix.from_rows(c.as_array().T.tolist())
-        want = _table_gn_tails(px, py, c, 0.5, 40)
+        want = _table_flow_gn_tails(px, py, c, 0.5, 40)
 
         def refuse(*args):
             raise AssertionError("a 2-letter lattice reached the table route")
@@ -919,17 +955,18 @@ class TestLineView:
 
     @staticmethod
     def same_as_table(c, alpha, n, table=None):
+        # the rows between each column's ends are exactly its admissible
+        # cells, and a column with lo > hi has none
         if table is None:
             table = _inner_cost_table(c, n)
         adm = table <= alpha + ADMISS_EPS
         carr = c.as_array()
         if c.shape[0] == 2:
-            got, want = _line_view(carr, alpha, n), _interval_view(adm)
+            lo, hi = _line_view(carr, alpha, n)
         else:
-            got, want = _line_view(carr.T, alpha, n), _interval_view(adm.T)
-        if got is None or want is None:
-            return got is None and want is None and not adm.any()
-        return all(np.array_equal(a, b) for a, b in zip(got, want))
+            (lo, hi), adm = _line_view(carr.T, alpha, n), adm.T
+        rows = np.arange(n + 1)[:, None]
+        return np.array_equal((rows >= lo) & (rows <= hi), adm)
 
     def test_ends_match_the_table(self):
         compared = 0
@@ -979,7 +1016,7 @@ class TestLineView:
             alpha = float(gen.choice(np.unique(table)))
             assert self.same_as_table(c, alpha, n, table)
 
-    def test_gn_tails_bit_for_bit_as_the_table_route(self, monkeypatch):
+    def test_gn_tails_bit_for_bit_as_the_table_route(self):
         cases = [(B01, B05, HAMMING, alpha, n) for n in (100, 400)
                  for alpha in (0.01, 0.05, 0.2, 0.45)]
         cases += [(B01, B05, HAMMING, 0.01, 800)]
@@ -995,17 +1032,10 @@ class TestLineView:
         cases += [(px, py, inst.cost, alpha, inst.n)
                   for px, py, inst, alpha in two_letter_instances(
                       np.random.default_rng(13), 40, kmax=5)]
+        # the greedy on the line view against the exact max-flow on the
+        # table's admissible cells, between the same integer masses
         for case in cases:
-            assert _hex(gn_tails(*case)) == _hex(_table_gn_tails(*case))
-        # binary n = 1600, whose table PAIR_GUARD refuses; lifted for the
-        # oracle only
-        case = (B01, B05, HAMMING, 0.45, 1600)
-        got = gn_tails(*case)
-        monkeypatch.setattr(lattice, "PAIR_GUARD", 10 * lattice.PAIR_GUARD)
-        try:
-            assert _hex(got) == _hex(_table_gn_tails(*case))
-        finally:
-            _inner_cost_table.cache_clear()
+            assert _hex(gn_tails(*case)) == _hex(_table_flow_gn_tails(*case))
 
     def test_past_the_old_table_guard(self, monkeypatch):
         # 2 x 3 at n = 160 and 2 x 4 at n = 60, each just past the size at
@@ -1022,10 +1052,13 @@ class TestLineView:
                 cases += [(px, py, c, alpha, n), (py, px, ct, alpha, n)]
         got = [gn_tails(*case) for case in cases]
         assert all(0.0 < g < 1.0 for g, _ in got)
+        # the chain DP's tables differ from the exact values by up to
+        # 5.2e-14 relative
         monkeypatch.setattr(lattice, "PAIR_GUARD", 10 * lattice.PAIR_GUARD)
         try:
-            assert [_hex(pair) for pair in got] == [
-                _hex(_table_gn_tails(*case)) for case in cases]
+            for pair, case in zip(got, cases):
+                assert pair == pytest.approx(_table_gn_tails(*case),
+                                             rel=1e-13, abs=0.0)
         finally:
             _inner_cost_table.cache_clear()
 
@@ -1347,23 +1380,23 @@ class TestChainDp:
         calls = Counter()
 
         def counted(name):
-            real = getattr(lattice, name)
+            real = getattr(chain_dp, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return real(*args)
-            monkeypatch.setattr(lattice, name, wrapper)
+            monkeypatch.setattr(chain_dp, name, wrapper)
 
         counted("_chain_members")
         counted("_witness_values")
-        gn_tails(B01, B05, HAMMING, 0.2, 200)
+        chain_gn_tails(B01, B05, HAMMING, 0.2, 200)
         assert calls == {"_chain_members": 3, "_witness_values": 3}
 
     def test_one_walk_over_the_steps(self, monkeypatch):
         # the three runs share one call of view.masses and consume each of
         # its steps once
         calls = Counter()
-        real = lattice._IntervalView.masses
+        real = _IntervalView.masses
 
         def counted(view, lognu):
             calls["masses"] += 1
@@ -1375,11 +1408,11 @@ class TestChainDp:
                     yield step
             calls["rows"] += len(view.act)
             return unsettled, walk()
-        monkeypatch.setattr(lattice._IntervalView, "masses", counted)
+        monkeypatch.setattr(_IntervalView, "masses", counted)
         for n in (50, 200):
             for alpha in (0.2, 0.45):
                 calls.clear()
-                gn_tails(B01, B05, HAMMING, alpha, n)
+                chain_gn_tails(B01, B05, HAMMING, alpha, n)
                 assert calls["masses"] == 1
                 assert calls["steps"] == calls["rows"] > 0
 

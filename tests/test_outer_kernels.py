@@ -16,6 +16,7 @@ cells.
 """
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,13 +24,14 @@ import numpy as np
 import pytest
 
 from strassen_lab import flow, lattice
-from strassen_lab.lattice import (_LOG_HALF, TypeMeasure, _bounds,
-                                  _chain_masks, _chain_members,
-                                  _counts_matrix, _inner_cost_table, _lse,
-                                  _signed_argmax, _witness_values, gn_tails)
+from strassen_lab.lattice import (TypeMeasure, _counts_matrix,
+                                  _inner_cost_table, _lse, gn_tails)
 from strassen_lab.measures import Dist
 from strassen_lab.transport import ADMISS_EPS, CostMatrix, ot_value
 
+import chain_dp
+from chain_dp import (_LOG_HALF, _bounds, _chain_masks, _chain_members,
+                      _signed_argmax, _witness_values)
 from conftest import random_dist
 from test_lattice import B01, B05, DEEP_COST, DEEP_PX, DEEP_PY, HAMMING, _hex
 from test_second_paths import (_masses, check_completed_flow,
@@ -431,24 +433,52 @@ class TestFlow:
         assert mat.tolist() == [[0.0, 5e-324, 0.0], [1.0, 0.0, 0.0]]
         assert witness == set()
 
+    def test_lift_takes_ints_and_fractions_as_they_are(self):
+        # over the lcm of the denominators, not the largest of them; a
+        # float is its binary rational, an int past float range stays exact
+        assert flow._lift([Fraction(1, 3), 2, 0.5],
+                          [Fraction(5, 4), 10 ** 400]) == (
+            [4, 24, 6], [15, 12 * 10 ** 400], 12)
+
+    def test_greedy_is_the_max_flow_on_interval_graphs(self):
+        # rows that admit nothing, columns that no row admits (lo > hi, or
+        # past either end), zero masses and ends in any order; masses up
+        # to 2^200, the supply read once from a generator
+        rng = np.random.default_rng(2008)
+        seen = Counter()
+        for _ in range(500):
+            m, k = (int(v) for v in rng.integers(1, 25, 2))
+            scale = 2 ** int(rng.integers(0, 200))
+            sup = [int(v) * scale for v in rng.integers(0, 10, m)]
+            dem = [int(v) * scale for v in rng.integers(0, 10, k)]
+            lo = rng.integers(-2, m + 2, k)
+            hi = lo + rng.integers(-3, max(m // 2, 1), k)
+            rows = np.arange(m)[:, None]
+            adm = (rows >= lo) & (rows <= hi)
+            got = flow.convex_max_flow(iter(sup), dem, lo, hi)
+            assert type(got) is int
+            assert got == flow.bipartite_max_flow(sup, dem, adm)[0]
+            seen["empty row"] += not adm.any(axis=1).all()
+            seen["empty column"] += not adm.any(axis=0).all()
+            seen["zero mass"] += 0 in sup + dem
+            seen["unsorted ends"] += bool((np.diff(lo) < 0).any()
+                                          and (np.diff(hi) > 0).any())
+        assert min(seen.values()) >= 100 and len(seen) == 4, seen
+
     def test_dense_route_on_the_benchmark_sweeps(self):
-        # the exact flow's witness against the float flow's: G never moves
-        # on these sweeps, and 1 - G moves by at most 1e-15 relative, on
-        # the 4 alphas of each seed above the transport value, where
-        # G = 0.0 and 1 - G reads 0.9999999999999982 for 0.9999999999999987
-        moved = []
+        # the exact flow on the integer type masses against the float
+        # flow's witness on the float masses: 35 of the 45 calls move, G by
+        # at most 4.4e-15 relative and 1 - G by at most 2.4e-15; G = 0.0
+        # stays 0.0
+        moved = 0
         for seed in range(1, 6):
-            for slot, (px, py, c, alpha, n) in enumerate(
-                    lattice_dense_ops(seed)):
+            for px, py, c, alpha, n in lattice_dense_ops(seed):
                 if c.shape == (3, 3):
                     got = gn_tails(px, py, c, alpha, n)
                     want = _dense_gn_tails(px, py, c, alpha, n)
-                    assert got[0].hex() == want[0].hex()
-                    assert got[1] == pytest.approx(want[1], rel=1e-15, abs=0.0)
-                    if got != want:
-                        moved.append((seed, slot))
-        assert moved == [(seed, slot) for seed in range(1, 6)
-                         for slot in (14, 15, 16, 17)]
+                    assert got == pytest.approx(want, rel=5e-15, abs=0.0)
+                    moved += got != want
+        assert moved == 35
 
 
 def _chain_route_cases():
@@ -476,26 +506,43 @@ class TestChainDp:
             carr, rows, cols = c.as_array(), px, py
             if c.shape[0] != 2:
                 rows, cols, carr = py, px, carr.T
-            view = lattice._line_view(carr, alpha, n)
+            view = chain_dp._chain_view(*lattice._line_view(carr, alpha, n), n)
             assert view is not None
             logmu = TypeMeasure.of(rows, n).logmass
             lognu = TypeMeasure.of(cols, n).logmass
-            got = lattice._dp_chains(logmu, lognu, view)
+            got = chain_dp._dp_chains(logmu, lognu, view)
             want = _dp_chains(logmu, lognu, view)
             assert _same_floats(got[0], want[0])
             assert _same_floats(got[1], want[1])
-            assert _hex(gn_tails(px, py, c, alpha, n)) == _hex(_bounds(
-                _side_candidates(logmu, lognu, view)))
+            assert _hex(chain_dp.chain_gn_tails(px, py, c, alpha, n)) == _hex(
+                _bounds(_side_candidates(logmu, lognu, view)))
         assert len(cases) == 11 + 45 + 10
+
+    # the largest relative differences of (G, 1 - G) per set of cases
+    @pytest.mark.parametrize("part,worst", [
+        (slice(0, 11), (2.6e-13, 5.9e-14)),
+        (slice(11, 56), (2.3e-14, 2.2e-15)),
+        (slice(56, None), (4.5e-14, 8.9e-15))],
+        ids=["binary-tails", "lattice-dense", "deep-tails"])
+    def test_exact_route_against_the_chain_dp(self, part, worst):
+        # the greedy's exact values against the log-space chain DP's: every
+        # one moves, by no more than the DP's rounding measured here
+        for case in _chain_route_cases()[part]:
+            got, want = gn_tails(*case), chain_dp.chain_gn_tails(*case)
+            assert got != want
+            for a, b, rel in zip(got, want, worst):
+                assert a == pytest.approx(b, rel=rel, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
-# The dense route against a brute force over every witness set, for 3 x 3
-# lattices at n <= 4 (at most 15 types a side).  Dyadic marginals sum to
-# exactly 1, so the oracle never sees the rounding of the marginals' own
-# sums; the admissible cells are the ones gn_tails uses.  A letter below
-# 2^-53 cannot sit beside masses near 1/2 in an exact sum, so the oracle
-# divides each law by its exact sum.
+# gn_tails against a brute force over every witness set, for 3 x 3
+# lattices at n <= 4 (at most 15 types a side), and for lattices with a
+# 2-letter side.  Dyadic marginals sum to exactly 1, so the oracle never
+# sees the rounding of the marginals' own sums; the admissible cells are
+# the ones of the inner table.  A letter below 2^-53 cannot sit beside
+# masses near 1/2 in an exact sum, so the oracle divides each law by its
+# exact sum, the law gn_tails reads.  G and 1 - G are each the exact
+# rational rounded once.
 
 def exact_type_masses(mass, n):
     """The type-class masses of the law with these float masses, divided by
@@ -557,42 +604,94 @@ def _dense_deep_tail_instances():
     return out
 
 
-def _check_dense_against_brute_force(px, py, cost, alpha, n):
+def _check_against_brute_force(px, py, cost, alpha, n):
     assert math.fsum(px) == 1.0 and math.fsum(py) == 1.0
     c = CostMatrix.from_rows(cost)
     adm = _inner_cost_table(c, n) <= alpha + ADMISS_EPS
     g = brute_force_gain(exact_type_masses(px, n), exact_type_masses(py, n),
                          adm)
     got = gn_tails(Dist.from_mass(px), Dist.from_mass(py), c, alpha, n)
-    assert got[0] == pytest.approx(float(g), rel=1e-12, abs=0.0)
-    assert got[1] == pytest.approx(float(1 - g), rel=1e-12, abs=0.0)
+    assert got == (float(g), float(1 - g))
+    return got
 
 
 @pytest.mark.parametrize("case", range(80))
 def test_dense_route_matches_brute_force(case):
-    _check_dense_against_brute_force(*_dense_deep_tail_instances()[case])
+    _check_against_brute_force(*_dense_deep_tail_instances()[case])
 
 
 def test_dense_route_keeps_a_2_to_the_minus_104_tail():
     # the float flow left the witness set empty and gn_tails returned
     # (0.0, 1.0); a 15-row witness gives G = 2**-104
-    _check_dense_against_brute_force(
+    _check_against_brute_force(
         [0.5, 0.25, 0.25], [1.0 - 2.0 ** -25, 2.0 ** -26, 2.0 ** -26],
         [[0.37, 0.92, 0.6], [0.09, 0.79, 0.32], [0.08, 0.84, 0.88]],
         0.6985000000000002, 4)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the rounding of the float type masses leaves 1.6e-16 unrouted, so the "
-    "exact flow's minimum cut takes every row and G reads 0.0"))
+DEEP_TAIL_PY = [2.0 ** -9, 1.0 - 2.0 ** -9 - 2.0 ** -6, 2.0 ** -6]
+DEEP_TAIL_COST = [[0.46, 0.43, 0.33], [0.43, 0.28, 0.73], [0.81, 0.73, 0.97]]
+
+
 def test_dense_route_keeps_a_subnormal_tail():
     # a letter at 2^-263 makes the type (0, 0, 4) weigh 2^-1052, a
-    # subnormal float, and that row admits no column, so G = 2^-1052
-    _check_dense_against_brute_force(
-        [0.5, 0.5, 2.0 ** -263], [2.0 ** -9, 1.0 - 2.0 ** -9 - 2.0 ** -6,
-                                  2.0 ** -6],
-        [[0.46, 0.43, 0.33], [0.43, 0.28, 0.73], [0.81, 0.73, 0.97]],
-        0.66625, 4)
+    # subnormal float, and that row admits no column, so G = 2^-1052.  On
+    # the float type masses, which sum to 1 + 2.2e-16, the flow left
+    # 1.6e-16 unrouted, its minimum cut took every row, and G read 0.0
+    assert _check_against_brute_force(
+        [0.5, 0.5, 2.0 ** -263], DEEP_TAIL_PY, DEEP_TAIL_COST, 0.66625,
+        4) == (2.0 ** -1052, 1.0)
+
+
+@pytest.mark.parametrize("px,want", [
+    ([0.5, 0.5, 2.0 ** -200], 2.0 ** -800),
+    ([0.5, 0.5 - 2.0 ** -20, 2.0 ** -20], 2.0 ** -80)])
+def test_dense_route_keeps_the_tail_below_the_float_masses(px, want):
+    # the same lattice with the third letter at 2^-200, or with float
+    # masses that sum to exactly 1: G = 2^-800 = 1.4997e-241 and
+    # 2^-80 = 8.2718e-25, each read 0.0 on the float type masses
+    assert _check_against_brute_force(
+        px, DEEP_TAIL_PY, DEEP_TAIL_COST, 0.66625, 4) == (want, 1.0)
+
+
+def _two_letter_case(rng, px):
+    """A 2 x 2 or 2 x 3 instance with these letter masses on the 2-letter
+    side: dyadic columns, costs in hundredths, n = 1-4, alpha halfway
+    between two adjacent entries of the inner table."""
+    ky = int(rng.integers(2, 4))
+    py = _dyadic(rng) if ky == 3 else [0.75, 0.25]
+    cost = (rng.integers(0, 100, (2, ky)) / 100.0).tolist()
+    n = int(rng.integers(1, 5))
+    levels = np.unique(_inner_cost_table(CostMatrix.from_rows(cost), n))
+    j = int(rng.integers(0, max(len(levels) - 1, 1)))
+    alpha = float((levels[j] + levels[min(j + 1, len(levels) - 1)]) / 2)
+    return px, py, cost, alpha, n
+
+
+@pytest.mark.parametrize("px", [[1.0, 0.0], [0.0, 1.0], [1.0, 5e-324],
+                                [5e-324, 1.0]])
+def test_line_route_with_a_letter_at_zero_or_subnormal_mass(px):
+    # the ratio recurrence of the 2-letter side divides by its second
+    # letter's numerator: 0 takes its own branch, and 5e-324 lifts to 1
+    # beside 2^1074; both orientations
+    rng = np.random.default_rng(2007)
+    tails = []
+    for _ in range(12):
+        px, py, cost, alpha, n = _two_letter_case(rng, px)
+        g = _check_against_brute_force(px, py, cost, alpha, n)
+        assert _check_against_brute_force(
+            py, px, np.array(cost).T.tolist(), alpha, n) == g
+        tails.append(g[0])
+    assert any(0.0 < v < 1.0 for v in tails)
+
+
+def test_line_route_keeps_a_subnormal_letter():
+    # only the letter at 5e-324 exceeds alpha, so G is the mass of the
+    # types that use it: 2^-1074 at n = 1, 2^-1073 at n = 2
+    for n, want in ((1, 5e-324), (2, 1e-323)):
+        assert _check_against_brute_force(
+            [1.0, 5e-324], [0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], 0.4,
+            n) == (want, 1.0)
 
 
 # ---------------------------------------------------------------------------
