@@ -24,8 +24,12 @@ A dual value bounds a rate from below, and the exponential tilts of the
 marginals at its multipliers, where they meet the constraints (the duals
 are solved against a budget shrunk by SHRINK, for room), bound it above;
 where mu sits at 0 or 1 one side binds alone, and its partner is where the
-cheapest cells send it.  rate_f is the midpoint of that bracket; rate_g's
-bracket closes on the boundary of each walk.
+cheapest cells send it.  A solve stops once its bracket is narrower than
+WIDTH times its lower end plus FLOOR, the rounding of the dual value, so a
+rate at 0 settles on its first step; the STALL count of steps that improve
+no bound ends only rows that rule cannot settle, such as rate_g's exceed
+tests at their decision boundary.  rate_f is the midpoint of that bracket;
+rate_g's bracket closes on the boundary of each walk.
 """
 from __future__ import annotations
 
@@ -45,8 +49,12 @@ EXCEED_EPS = 1e-9
 SHRINK = 1e-15
 #: rate_f's search keeps mu inside [MU_EDGE, 1 - MU_EDGE].
 MU_EDGE = 1e-12
-#: A bracket narrower than WIDTH times its lower end is done.
+#: A bracket narrower than WIDTH times its lower end plus FLOOR is done.
+#: FLOOR is the rounding of a dual value, a sum of log-sums of order one
+#: (2^-50 is four ulps of 1): no step narrows a bracket below it, and a
+#: rate at or near 0 could never settle on WIDTH alone.
 WIDTH = 1e-13
+FLOOR = 2.0 ** -50
 #: Below ROUND times the value, a promised rise is lost in rounding.
 ROUND = 1e-12
 #: Newton steps per solve, and steps in a row improving no bound that end it.
@@ -107,8 +115,8 @@ def _by_row(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def _kl_rows(q: np.ndarray, logp: np.ndarray) -> np.ndarray:
     """KL(q || p) along the last axis; p > 0 everywhere."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(q > 0.0, q * (np.log(q) - logp), 0.0)
+    pos = q > 0.0
+    terms = np.where(pos, q * (np.log(np.where(pos, q, 1.0)) - logp), 0.0)
     return np.maximum(terms.sum(axis=-1), 0.0)
 
 
@@ -122,11 +130,17 @@ def _tilt(logp: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _covariance(b: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """b diag(q) b^T - (b q)(b q)^T per row: the Hessian of LSE through b."""
-    b = np.broadcast_to(b, (len(q),) + b.shape[-2:])
-    bq = np.einsum("nvi,ni->nv", b, q)
-    return (np.einsum("nvi,ni,nwi->nvw", b, q, b)
+    """b diag(q) b^T - (b q)(b q)^T per row: the Hessian of LSE through b,
+    one b for every row or one per row."""
+    bq = np.einsum("...vi,...i->...v", b, q)
+    return (np.einsum("...vi,...i,...wi->...vw", b, q, b)
             - bq[:, :, None] * bq[:, None, :])
+
+
+def _free_norm(z: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Per row, the length of the gradient off the coordinates held at 0."""
+    free = np.where((z > 0.0) | (grad > 0.0), grad, 0.0)
+    return np.sqrt(np.sum(free * free, axis=1))
 
 
 def _ascend(oracle, bounds, settled, z: np.ndarray):
@@ -141,7 +155,11 @@ def _ascend(oracle, bounds, settled, z: np.ndarray):
     its promise or, a promise lost in rounding, if the free gradient
     shrinks; damp then falls tenfold, else grows tenfold.  A row stops when
     settled(lower, upper) holds for its best bounds, or after STALL steps
-    improving neither.  Returns those bounds, the last z and state.
+    improving neither.  Under _narrow, which settles a bracket at the
+    rounding FLOOR, STALL ends only rows that no bound can settle: rate_g's
+    exceed tests at their decision boundary, and rate_f duals whose terms
+    are large enough (multipliers of order 10) to round coarser than FLOOR.
+    Returns those bounds, the last z and state.
     """
     state = oracle(z)
     lower, upper = bounds(z, state)
@@ -149,17 +167,13 @@ def _ascend(oracle, bounds, settled, z: np.ndarray):
     idle = np.zeros(len(z), dtype=int)
     eye = np.eye(z.shape[1])
 
-    def free_gradient(z, grad):
-        return np.linalg.norm(np.where((z > 0.0) | (grad > 0.0), grad, 0.0),
-                              axis=1)
-
     for _ in range(STEPS):
         live = ~settled(lower, upper) & (idle < STALL)
         if not live.any():
             break
         val, grad, hess = state[:3]
         free = (z > 0.0) | (grad > 0.0)
-        norm = free_gradient(z, grad)
+        norm = _free_norm(z, grad)
         floor = 1e-14 * (1.0 + np.abs(hess).max(axis=(1, 2)))
         for _ in range(z.shape[1]):
             diag = np.where(free, (damp * norm + floor)[:, None], 1.0)
@@ -171,8 +185,8 @@ def _ascend(oracle, bounds, settled, z: np.ndarray):
             if not blocked.any():
                 break
             free &= ~blocked
-        with np.errstate(divide="ignore", invalid="ignore"):
-            reach = np.where(step < 0.0, z / -step, np.inf)
+        down = step < 0.0
+        reach = np.where(down, z / np.where(down, -step, 1.0), np.inf)
         cut = np.minimum(reach.min(axis=1), 1.0)[:, None]
         trial = np.where(reach <= cut, 0.0, np.maximum(z + cut * step, 0.0))
         trial = np.where(live[:, None], trial, z)
@@ -180,12 +194,12 @@ def _ascend(oracle, bounds, settled, z: np.ndarray):
         promise = np.sum(grad * (trial - z), axis=1)
         keep = live & np.where(promise > ROUND * (1.0 + np.abs(val)),
                                new[0] - val >= 1e-4 * promise,
-                               free_gradient(trial, new[1]) < norm)
+                               _free_norm(trial, new[1]) < norm)
         z = np.where(keep[:, None], trial, z)
         state = tuple(np.where(keep.reshape((-1,) + (1,) * (b.ndim - 1)), a, b)
                       for a, b in zip(new, state))
-        damp = np.clip(np.where(keep, damp / 10.0,
-                                np.where(live, damp * 10.0, damp)), 1e-8, 1e8)
+        damp = np.minimum(np.maximum(np.where(
+            keep, damp / 10.0, np.where(live, damp * 10.0, damp)), 1e-8), 1e8)
         low, up = bounds(z, state)
         idle = np.where((low > lower) | (up < upper), 0, idle + live)
         lower, upper = np.maximum(lower, low), np.minimum(upper, up)
@@ -193,7 +207,9 @@ def _ascend(oracle, bounds, settled, z: np.ndarray):
 
 
 def _narrow(lower, upper):
-    return upper - lower <= WIDTH * lower
+    """Whether a bracket is settled: narrower than WIDTH times its lower
+    end (taken as 0 where it is negative) plus FLOOR."""
+    return upper - lower <= WIDTH * np.maximum(lower, 0.0) + FLOOR
 
 
 def _project(logp, a, beta, shrink, settled):
@@ -258,6 +274,11 @@ def _rate_f_dual(lam, mu, logpx, logpy, f, g, budget):
 def _rate_f_bracket(query: RateQuery) -> tuple[float, float]:
     """Certified [lower, upper] bounds on rate_f: the best dual value, and
     the larger divergence of the best pair found within budget.
+
+    Each end holds up to FLOOR, the rounding of the dual value: near a
+    settled optimum the dual value can round above the divergence of the
+    pair (by up to 1e-16 on a 3x3 instance whose rates are near 1e-5), so
+    lower <= upper + FLOOR, not lower <= upper.
 
     The budget is alpha + COST_EPS, not alpha, so the bracket certifies
     the rate at that budget: for Bernoulli (0.1, 0.5) at alpha = 0.2 it is
@@ -340,7 +361,8 @@ def _rate_f_bracket(query: RateQuery) -> tuple[float, float]:
 def rate_f(query: RateQuery) -> float:
     """Lower-tail rate: smallest KL radius whose two balls touch cost alpha,
     the midpoint of the certified bracket from the vertex dual (which is
-    taken at budget alpha + COST_EPS; see ``_rate_f_bracket``)."""
+    taken at budget alpha + COST_EPS, and whose ends hold up to FLOOR; see
+    ``_rate_f_bracket``)."""
     lower, upper = _rate_f_bracket(query)
     return 0.5 * (lower + upper)
 

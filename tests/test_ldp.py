@@ -700,6 +700,139 @@ class TestRateFBracketCutShort:
         assert rate_f_binary(0.0, 1.0, 0.5) == math.inf
 
 
+def _counted_ascents(monkeypatch):
+    """Wrap ldp._ascend: each call appends (oracle calls, lower, upper,
+    settled) to the list returned."""
+    ascents = []
+    ascend = ldp._ascend
+
+    def counting(oracle, bounds, settled, z):
+        calls = 0
+
+        def counted(z):
+            nonlocal calls
+            calls += 1
+            return oracle(z)
+
+        lower, upper, z, state = ascend(counted, bounds, settled, z)
+        ascents.append((calls, lower, upper, settled(lower, upper)))
+        return lower, upper, z, state
+
+    monkeypatch.setattr(ldp, "_ascend", counting)
+    return ascents
+
+
+class TestRoundingFloor:
+    """Newton ascents settle at the rounding of the dual value, FLOOR."""
+
+    def test_brackets_hold_up_to_the_floor(self):
+        # near a settled optimum the dual value may round above the pair's
+        # divergence (by up to 1e-16 at these three alphas), never by more
+        # than FLOOR
+        px, py, c = THETA_INSTANCES[2]
+        queries = [RateQuery(px, py, c, alpha)
+                   for alpha in (0.24, 0.25, 0.255)]
+        queries += _random_rate_f_queries(1919, 40)
+        queries += [binary_query(*triple) for triple in RATE_TRIPLES]
+        for query in queries:
+            lower, upper = ldp._rate_f_bracket(query)
+            assert lower <= upper + ldp.FLOOR, query
+
+    @pytest.mark.parametrize("query, most", [
+        pytest.param(binary_query(0.1, 0.5, 0.2), 19, id="0.1-0.5-0.2"),
+        pytest.param(RateQuery(*THETA_INSTANCES[2], 0.255), 13,
+                     id="theta-0.255"),
+    ])
+    def test_oracle_calls_per_solve(self, query, most, monkeypatch):
+        # stopping at WIDTH alone took 25 and 58 oracle calls: each edge
+        # projection at rate 0 (lower -1e-16) ran 7, and on the 3x3 instance
+        # the inner ascents and the mu search ran into STALL
+        ascents = _counted_ascents(monkeypatch)
+        rate_f(query)
+        assert sum(calls for calls, *_ in ascents) <= most
+        assert all(done.all() for *_, done in ascents)
+        edges = [calls for calls, _, upper, _ in ascents if upper[0] == 0.0]
+        assert edges == [1, 1]
+
+
+def _old_covariance(b, q):
+    b = np.broadcast_to(b, (len(q),) + b.shape[-2:])
+    bq = np.einsum("nvi,ni->nv", b, q)
+    return (np.einsum("nvi,ni,nwi->nvw", b, q, b)
+            - bq[:, :, None] * bq[:, None, :])
+
+
+def _old_kl_rows(q, logp):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(q > 0.0, q * (np.log(q) - logp), 0.0)
+    return np.maximum(terms.sum(axis=-1), 0.0)
+
+
+def _old_free_norm(z, grad):
+    return np.linalg.norm(np.where((z > 0.0) | (grad > 0.0), grad, 0.0),
+                          axis=1)
+
+
+def _kernel_batches(count=300):
+    """Seeded (rows, multipliers, b, q, z, grad) batches: 1 to 201 rows, 1
+    to 6 multipliers, 1 to 4 letters, b shared by every row (2-D) or one
+    per row (3-D); q, z and grad carry exact zeros."""
+    rng = np.random.default_rng(2727)
+    for i in range(count):
+        n, v, k = (int(rng.integers(lo, hi))
+                   for lo, hi in ((1, 202), (1, 7), (1, 5)))
+        b = rng.normal(size=(v, k) if i % 2 else (n, v, k))
+        q = rng.dirichlet(np.ones(k), size=n)
+        q[rng.random((n, k)) < 0.2] = 0.0
+        z = rng.exponential(size=(n, v))
+        z[rng.random((n, v)) < 0.3] = 0.0
+        grad = rng.normal(size=(n, v))
+        grad[rng.random((n, v)) < 0.1] = 0.0
+        yield n, v, b, q, z, grad
+
+
+class TestStepKernels:
+    """The step kernels against the forms they replaced, bit for bit.
+
+    Each kernel must also raise no floating-point error: the old forms
+    silenced theirs under np.errstate, the new ones guard with np.where."""
+
+    def test_covariance(self):
+        for n, v, b, q, _, _ in _kernel_batches():
+            got = ldp._covariance(b, q)
+            assert got.shape == (n, v, v)
+            assert np.array_equal(got, _old_covariance(b, q))
+
+    def test_kl_rows(self):
+        rng = np.random.default_rng(2728)
+        for _, _, _, q, _, _ in _kernel_batches():
+            logp = np.log(rng.dirichlet(np.ones(q.shape[1])))
+            with np.errstate(divide="raise", invalid="raise"):
+                got = ldp._kl_rows(q, logp)
+            assert np.array_equal(got, _old_kl_rows(q, logp))
+
+    def test_free_norm(self):
+        for _, _, _, _, z, grad in _kernel_batches():
+            assert np.array_equal(ldp._free_norm(z, grad),
+                                  _old_free_norm(z, grad))
+
+    def test_step_cut_and_damping_forms(self):
+        # _ascend's inline forms: the step's reach to zero, and the damping
+        # clamp, against the errstate division and np.clip they replaced
+        rng = np.random.default_rng(2729)
+        for _, _, _, _, z, step in _kernel_batches():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                old = np.where(step < 0.0, z / -step, np.inf)
+            down = step < 0.0
+            with np.errstate(divide="raise", invalid="raise"):
+                new = np.where(down, z / np.where(down, -step, 1.0), np.inf)
+            assert np.array_equal(new, old)
+            damp = 10.0 ** rng.uniform(-10.0, 10.0, len(z))
+            damp[::7] = 10.0 ** rng.integers(-9, 10, len(damp[::7]))
+            assert np.array_equal(np.minimum(np.maximum(damp, 1e-8), 1e8),
+                                  np.clip(damp, 1e-8, 1e8))
+
+
 def _random_rate_g_queries(seed, count):
     """Random 2x2, 2x3 and 3x3 instances, alpha above the base cost."""
     rng = np.random.default_rng(seed)
