@@ -13,9 +13,9 @@ used to realize the optimum.
 The outer solve runs on Python ints.  A ``Dist`` is read as the law
 m_i / sum(m) of its float masses' numerators over one power-of-two
 denominator, and each type t weighs multinomial(t) prod m_i^t_i, made by
-ratio recurrences (``_type_masses``).  Each side is scaled by the other
-side's total, so both total the same integer T, and for the max-flow F
-between them G = (T - F) / T and 1 - G = F / T, each rounded once.
+ratio recurrences (``_type_masses``).  Both sides are scaled to one
+total T, the lcm of their totals, and for the max-flow F between them
+G = (T - F) / T and 1 - G = F / T, each rounded once.
 
 When one alphabet has 2 letters, its types lie on a line and the inner
 cost is convex along it, so every type of the other side admits an
@@ -24,8 +24,10 @@ The ends come in closed form from the 2-source dual, with no inner table,
 and Glover's greedy sweep along the line is the max-flow
 (``flow.convex_max_flow``).  Lattices where both sides have 3 or more
 letters go to the exact max-flow over the admissible cells of the inner
-table.  ``TypeMeasure`` keeps each lattice's log masses, for the outer
-plans and couplings.
+table.  ``TypeMeasure`` keeps a lattice with these integer masses and
+their total, the one stored format of type masses: the outer plans run
+on them, and every float mass, probability and log mass is read off
+them, each rounded once.
 """
 from __future__ import annotations
 
@@ -82,46 +84,6 @@ def enum_types(n: int, k: int) -> tuple[TypeVector, ...]:
     return tuple(TypeVector(row, n) for row in _counts_matrix(n, k).tolist())
 
 
-# cephes lgam, the routine behind scipy.special.gammaln: log(sqrt(2 pi)) and
-# the Stirling-series coefficients it uses below x = 1000, highest first.
-LS2PI = 0.91893853320467274178
-STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
-            7.93650340457716943945e-4, -2.77777777730099687205e-3,
-            8.33333333333331927722e-2)
-
-
-@lru_cache(maxsize=32)
-def _log_factorials(n: int) -> np.ndarray:
-    """log(k!) for k = 0..n, computed as cephes lgam(k + 1).
-
-    A port of lgam's integer path with libm's log (``math.log``), so every
-    entry equals scipy.special.gammaln(k + 1) bit for bit: log(k!) of the
-    exact product below k = 12, Stirling's series from there on.
-    """
-    out = [0.0] * (n + 1)
-    z = 1.0
-    for k in range(2, min(n, 11) + 1):
-        z *= k
-        out[k] = math.log(z)
-    for k in range(12, n + 1):
-        x = float(k + 1)
-        q = (x - 0.5) * math.log(x) - x + LS2PI
-        p = 1.0 / (x * x)
-        if x >= 1000.0:
-            q += ((7.9365079365079365079365e-4 * p
-                   - 2.7777777777777777777778e-3) * p
-                  + 0.0833333333333333333333) / x
-        else:
-            poly = STIRLING[0]
-            for coef in STIRLING[1:]:
-                poly = poly * p + coef
-            q += poly / x
-        out[k] = q
-    arr = np.array(out)
-    arr.setflags(write=False)
-    return arr
-
-
 @lru_cache(maxsize=32)
 def _counts_matrix(n: int, k: int) -> np.ndarray:
     """Every type of n over k letters, one read-only int64 row each, in
@@ -142,101 +104,100 @@ def _counts_matrix(n: int, k: int) -> np.ndarray:
     return arr
 
 
-def _log_type_masses(counts: np.ndarray, p: Dist, n: int) -> np.ndarray:
-    """log of the product-law probability of each type class, one per row."""
-    mass = p.as_array()
-    logp = np.where(mass > 0.0, np.log(np.where(mass > 0.0, mass, 1.0)),
-                    -math.inf)
-    with np.errstate(invalid="ignore"):
-        # 0 * (-inf) appears on zero-count coordinates and is discarded
-        contrib = np.where(counts > 0, counts * logp[None, :], 0.0)
-    log_fact = _log_factorials(n)
-    return log_fact[n] - log_fact[counts].sum(axis=1) + contrib.sum(axis=1)
+# log 2 split as fdlibm's log splits it: LN2_HI has 32 significant bits, so
+# e * LN2_HI is exact for |e| < 2**21
+LN2_HI, LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
-def _lse(logs: np.ndarray) -> float:
-    """log(sum(exp(logs))) in scipy.special.logsumexp's log1p form.
+def _log_ratio(v: int, total: int) -> float:
+    """log(v / total) for ints 0 <= v <= total, within 1 ulp.
 
-    The m entries equal to the max are left out of the shifted sum s, and
-    the result is log1p(s / m) + log(m) + max, the same operations in the
-    same order as scipy (1.17), so the two agree bit for bit.  Empty input
-    gives -inf; a non-finite max (all -inf, or +inf) is returned as is.
+    v / total = 2^e (1 + d) with 1 + d in [2/3, 4/3), and d is one division
+    of exact ints, rounded once.  So log(v / total) = e log 2 + log1p(d)
+    loses nothing to underflow, however small the quotient, nor to
+    cancellation near 1.
     """
-    if logs.size == 0:
+    if not v:
         return -math.inf
-    top = logs.max()
-    if not np.isfinite(top):
-        return float(top)
-    at_top = logs == top
-    m = np.float64(np.count_nonzero(at_top))
-    s = np.exp(np.where(at_top, -np.inf, logs) - top).sum()
-    return float(np.log1p(s / m) + np.log(m) + top)
+    e = v.bit_length() - total.bit_length()
+    # num / den = v / total / 2^e, in (1/2, 2), then moved into [2/3, 4/3)
+    num, den = (v << -e, total) if e < 0 else (v, total << e)
+    if 3 * num < 2 * den:
+        num, e = num << 1, e - 1
+    elif 3 * num >= 4 * den:
+        den, e = den << 1, e + 1
+    return e * LN2_HI + (e * LN2_LO + math.log1p((num - den) / den))
+
+
+def _lifted(p: Dist) -> list:
+    """p's masses as ints over one power-of-two denominator (``flow._lift``):
+    p is the law m_i / sum(m)."""
+    return flow._lift(p.mass, ())[0]
 
 
 def type_log_prob(t: TypeVector, p: Dist) -> float:
-    """log of the product-law probability of the type class of t under p.
-
-    Computed as ``TypeMeasure.of`` computes its masses, so the two agree
-    bit for bit.
-    """
+    """log of the product-law probability of the type class of t under p:
+    the exact int multinomial(t) prod m_i^t_i over (sum m)^n, for p's
+    lifted masses m, as ``TypeMeasure.logmass`` reads it, within 1 ulp."""
     if len(t.counts) != len(p):
         raise ValidationError(
             f"type has {len(t.counts)} symbols, distribution has {len(p)}"
         )
-    return float(_log_type_masses(np.array([t.counts]), p, t.n)[0])
+    m = _lifted(p)
+    v = _multinomial(t.n, t.counts) * math.prod(
+        mi ** ti for mi, ti in zip(m, t.counts))
+    return _log_ratio(v, sum(m) ** t.n)
 
 
 @dataclass(frozen=True, eq=False)
 class TypeMeasure:
-    """A type lattice, one type per row of ``counts``, with the log masses
-    its base law induces.  ``lattice`` builds the rows' ``TypeVector``s on
-    first read; the solvers read only the two arrays."""
+    """A type lattice, one type per row of ``counts``, with the exact law
+    its base law induces: row i weighs ``masses[i] / total``, Python ints
+    from ``_type_masses``.  Every float is read off them, rounded once:
+    ``mass()``, ``prob`` and ``logmass``.  ``lattice`` builds the rows'
+    ``TypeVector``s on first read."""
 
     counts: np.ndarray
-    logmass: np.ndarray
+    masses: tuple
+    total: int
 
     def __post_init__(self) -> None:
-        lm = np.asarray(self.logmass, dtype=float)
-        lm.setflags(write=False)
-        object.__setattr__(self, "logmass", lm)
-        if len(self.counts) != len(lm):
-            raise ValidationError("lattice and logmass must align")
-        total = _lse(lm)
-        if abs(total) > 1e-9:
-            raise ValidationError(
-                f"type masses sum to exp({total!r}), not 1"
-            )
+        if len(self.counts) != len(self.masses):
+            raise ValidationError("lattice and masses must align")
+        if sum(self.masses) != self.total:
+            raise ValidationError("type masses do not sum to their total")
 
     @classmethod
     def of(cls, p: Dist, n: int) -> "TypeMeasure":
-        counts = _counts_matrix(n, len(p))
-        return cls(counts=counts, logmass=_log_type_masses(counts, p, n))
+        m = _lifted(p)
+        return cls(counts=_counts_matrix(n, len(p)),
+                   masses=tuple(_type_masses(m, n)), total=sum(m) ** n)
 
     @cached_property
     def lattice(self) -> tuple[TypeVector, ...]:
         n = int(self.counts[0].sum())
         return tuple(TypeVector(row, n) for row in self.counts.tolist())
 
+    @cached_property
+    def logmass(self) -> np.ndarray:
+        """log of each type's mass, within 1 ulp (``_log_ratio``)."""
+        arr = np.array([_log_ratio(v, self.total) for v in self.masses])
+        arr.setflags(write=False)
+        return arr
+
     def __len__(self) -> int:
-        return len(self.logmass)
+        return len(self.masses)
 
     def mass(self) -> np.ndarray:
-        return np.exp(self.logmass)
+        # an int over an int rounds once
+        return np.array([v / self.total for v in self.masses])
 
     def prob(self, index_set) -> float:
-        idx = np.fromiter((int(i) for i in index_set), dtype=np.int64)
-        if idx.size == 0:
-            return 0.0
-        return float(np.exp(_lse(self.logmass[idx])))
-
-    def normalized_mass(self) -> list[float]:
-        """The type masses renormalized from log space to sum to 1."""
-        m = self.mass()
-        return (m / math.fsum(m)).tolist()
+        return sum(self.masses[int(i)] for i in index_set) / self.total
 
     def as_dist(self) -> Dist:
-        """The lattice as a plain Dist (masses renormalized from log space)."""
-        return Dist.from_mass(self.normalized_mass(),
+        """The lattice as a plain Dist, labelled by the types' counts."""
+        return Dist.from_mass(self.mass().tolist(),
                               labels=tuple(map(tuple, self.counts.tolist())))
 
 
@@ -357,11 +318,10 @@ def _type_masses(m, n: int, scale: int = 1):
 def _outer_masses(p_x: Dist, p_y: Dist, n: int):
     """Both sides' type masses as ints, each side scaled by the other's
     total so that both total the same integer T: ``(rows, cols, T)``, the
-    rows and columns generated in lattice order.  A ``Dist`` is the law
-    m_i / sum(m) of its float masses' numerators over one power-of-two
-    denominator.  T is the lcm of the two totals, so two totals that are
-    powers of two add no bits to the larger one."""
-    mx, my = (flow._lift(p.mass, ())[0] for p in (p_x, p_y))
+    rows and columns generated in lattice order.  T is the lcm of the two
+    totals, so two totals that are powers of two add no bits to the larger
+    one."""
+    mx, my = _lifted(p_x), _lifted(p_y)
     sx, sy = sum(mx) ** n, sum(my) ** n
     g = math.gcd(sx, sy)
     return (_type_masses(mx, n, sy // g), _type_masses(my, n, sx // g),
@@ -387,7 +347,8 @@ def gn_tails(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
     ``_outer_masses``, which both total T, is exact, so G = (T - F) / T and
     1 - G = F / T.  A 2-letter side goes on the rows and runs the greedy
     over its line of types (``flow.convex_max_flow``); otherwise the
-    max-flow runs over the admissible cells of the inner table.
+    max-flow runs over the admissible cells of the inner table, with no
+    ``TypeMeasure`` built.
     """
     _check_sizes(p_x, p_y, c)
     if 2 in c.shape:
@@ -399,7 +360,7 @@ def gn_tails(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
         routed = flow.convex_max_flow(rows, cols, lo, hi)
         # an int over an int rounds once
         return (total - routed) / total, routed / total
-    adm = nested_instance(p_x, p_y, c, n).inner_cost <= alpha + ADMISS_EPS
+    adm = _inner_cost_table(c, n) <= alpha + ADMISS_EPS
     if adm.size > DENSE_GUARD:
         raise SizeGuardError(f"dense outer flow needs {adm.size} cells")
     value, unrouted, _, _ = flow.bipartite_max_flow(
@@ -415,8 +376,9 @@ def exact_gn(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float, n: int) -> float
 def direct_gn_oracle(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
                      n: int) -> float:
     """The same probability solved on the raw product space (tests only):
-    the supply the exact max-flow leaves unrouted, capped at 1, as ``ecp``
-    reads it."""
+    the supply the exact max-flow leaves unrouted, rounded once.  Each
+    sequence weighs the exact int product of its letters' lifted masses,
+    the law the type masses of ``gn_tails`` sum."""
     kx, ky = c.shape
     if kx ** n * ky ** n > 1_000_000:
         raise SizeGuardError(
@@ -424,20 +386,24 @@ def direct_gn_oracle(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
         )
     xs = list(itertools.product(range(kx), repeat=n))
     ys = list(itertools.product(range(ky), repeat=n))
-    px = np.array([math.prod(p_x.mass[s] for s in seq) for seq in xs])
-    py = np.array([math.prod(p_y.mass[s] for s in seq) for seq in ys])
+    mx, my = _lifted(p_x), _lifted(p_y)
+    tx, ty = sum(mx) ** n, sum(my) ** n
+    px = [Fraction(math.prod(mx[s] for s in seq), tx) for seq in xs]
+    py = [Fraction(math.prod(my[s] for s in seq), ty) for seq in ys]
     carr = c.as_array()
     cost = np.array([[sum(carr[a, b] for a, b in zip(sx, sy)) / n
                       for sy in ys] for sx in xs])
     adm = cost <= alpha + ADMISS_EPS
     _, unrouted, _, _ = flow.bipartite_max_flow(px, py, adm)
-    return float(min(1, unrouted))
+    return float(unrouted)
 
 
 def optimal_outer_plan(instance: NestedInstance, alpha: float) -> JointDist:
     """An optimal coupling of the two type laws for the outer problem: the
-    exact max-flow over the admissible type pairs, completed off them."""
-    mu, nu = instance.mu.normalized_mass(), instance.nu.normalized_mass()
+    exact max-flow over the admissible type pairs, completed off them, on
+    the exact laws, so the mass it leaves off them is G."""
+    mu, nu = ([Fraction(v, tm.total) for v in tm.masses]
+              for tm in (instance.mu, instance.nu))
     adm = instance.inner_cost <= alpha + ADMISS_EPS
     _, _, plan, _ = flow.bipartite_max_flow(mu, nu, adm)
     return JointDist.from_array(plan)

@@ -3,10 +3,13 @@ side in log space, and the dense route's witness evaluation on the float
 type masses: the oracle of the exact outer solve of ``lattice.gn_tails``.
 
 Moved verbatim from ``strassen_lab.lattice``, where the exact integer
-greedy replaced it, with two exceptions: the rank compression of the
+greedy replaced it, with three exceptions: the rank compression of the
 active rows, which ``lattice._line_view`` no longer does, is here
-``_chain_view`` over the ends that ``_line_view`` returns, and the 2 x k
-route of ``gn_tails`` is here ``chain_gn_tails``.
+``_chain_view`` over the ends that ``_line_view`` returns; the 2 x k
+route of ``gn_tails`` is here ``chain_gn_tails``; and the float log type
+masses, which ``TypeMeasure`` no longer keeps, are here
+``log_type_masses``, with scipy's ``gammaln`` and ``logsumexp`` in place
+of the ports that matched them bit for bit.
 """
 from __future__ import annotations
 
@@ -14,11 +17,32 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
 from strassen_lab import flow
 from strassen_lab.errors import SizeGuardError
-from strassen_lab.lattice import (DENSE_GUARD, TypeMeasure, _check_sizes,
-                                  _line_view, _lse)
+from strassen_lab.lattice import (DENSE_GUARD, _check_sizes, _counts_matrix,
+                                  _line_view)
+
+
+def log_type_masses(p, n: int) -> np.ndarray:
+    """log of the product-law probability of each type class of n letters
+    under p, one per row of ``_counts_matrix``, in floats: log n! minus the
+    log-factorials of the counts plus sum t_i log p_i."""
+    counts = _counts_matrix(n, len(p))
+    mass = p.as_array()
+    logp = np.where(mass > 0.0, np.log(np.where(mass > 0.0, mass, 1.0)),
+                    -math.inf)
+    with np.errstate(invalid="ignore"):
+        # 0 * (-inf) appears on zero-count coordinates and is discarded
+        contrib = np.where(counts > 0, counts * logp[None, :], 0.0)
+    log_fact = gammaln(np.arange(n + 1) + 1)
+    return log_fact[n] - log_fact[counts].sum(axis=1) + contrib.sum(axis=1)
+
+
+def _lse(logs: np.ndarray) -> float:
+    """log(sum(exp(logs))), -inf for no terms."""
+    return float(logsumexp(logs))
 
 
 class _IntervalView(NamedTuple):
@@ -106,7 +130,7 @@ def _scores(log_e, log_g, log_skip, log_gap, loss_g, loss_skip, lpos, lneg):
 
     gain        mu(E) - nu(Gamma(E)), for chains with mu(E) <= 1/2.  Summed
                 directly, the bulk masses of a chain with mu(E) > 1/2 carry
-                the lattices' normalization error (TypeMeasure admits 1e-9)
+                the lattices' normalization error (in the float log masses)
                 and would outrank every deep-tail witness; the complement
                 scores those chains.
     complement  nu(F(D)) - mu(D) of the skipped rows D = E^c, mu(D) <= 1/2.
@@ -292,5 +316,5 @@ def chain_gn_tails(p_x, p_y, c, alpha: float, n: int) -> tuple[float, float]:
     view = _chain_view(*_line_view(carr, alpha, n), n)
     if view is None:
         return 1.0, 0.0
-    return _bounds(_side_candidates(TypeMeasure.of(p_x, n).logmass,
-                                    TypeMeasure.of(p_y, n).logmass, view))
+    return _bounds(_side_candidates(log_type_masses(p_x, n),
+                                    log_type_masses(p_y, n), view))

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
-from scipy.special import gammaln, logsumexp
 
 from strassen_lab import flow, lattice, transport
 from strassen_lab.curves import RateCurve
@@ -24,8 +23,6 @@ from strassen_lab.lattice import (
     _counts_matrix,
     _inner_cost_table,
     _line_view,
-    _log_factorials,
-    _lse,
     _type_masses,
     direct_gn_oracle,
     enum_types,
@@ -43,9 +40,9 @@ from strassen_lab.transport import ADMISS_EPS, CostMatrix, ecp, ot_value
 
 import chain_dp
 from chain_dp import (_bounds, _chain_masks, _chain_members, _dp_chains,
-                      _IntervalView, _lattice_ecp_dense, _scores,
+                      _IntervalView, _lattice_ecp_dense, _lse, _scores,
                       _side_candidates, _signed_argmax, _witness_values,
-                      chain_gn_tails)
+                      chain_gn_tails, log_type_masses)
 from conftest import random_cost, random_dist
 
 HAMMING = CostMatrix.hamming(2)
@@ -80,8 +77,8 @@ class TestTypes:
 
     @pytest.mark.parametrize("mass", [(0.9, 0.1), (0.5, 0.3, 0.2)])
     def test_type_log_prob_is_the_lattice_mass(self, mass):
-        # the same log-factorials, summed in the same order, as the masses
-        # of the type lattice
+        # the same exact int over the same total, rounded the same way, as
+        # the masses of the type lattice
         p = Dist.from_mass(list(mass))
         for n in ((5, 30, 200, 1600) if len(mass) == 2 else (5, 30, 200)):
             tm = TypeMeasure.of(p, n)
@@ -98,6 +95,69 @@ class TestTypes:
         tm = TypeMeasure.of(B05, 3)
         # P(at most one head in 3 tosses) = 4/8 under Bern(0.5)
         assert tm.prob([0, 1]) == pytest.approx(0.5, abs=1e-12)
+
+    # both laws of the 3 x 3 THETA instance at n = 12 and 45, Bern(0.1) at
+    # n = 1000 and (0.2, 0.3, 0.5) at n = 60; the float log-factorial
+    # pipeline that TypeMeasure replaced was off by up to 9.6, 63, 4,275
+    # and 79 ulps on them
+    @pytest.mark.parametrize("laws,n", [
+        (((0.5, 0.3, 0.2), (0.3, 0.4, 0.3)), 12),
+        (((0.5, 0.3, 0.2), (0.3, 0.4, 0.3)), 45),
+        (((0.1, 0.9),), 1000),
+        (((0.2, 0.3, 0.5),), 60)], ids=["3x3-12", "3x3-45", "bern-1000",
+                                        "three-60"])
+    def test_masses_against_the_exact_law(self, laws, n):
+        # log masses within 1 ulp of a 60-digit decimal oracle, and masses
+        # and probabilities each the exact rational rounded once
+        rng = np.random.default_rng(n)
+        for mass in laws:
+            p = Dist.from_mass(list(mass))
+            tm = TypeMeasure.of(p, n)
+            nums, total = _exact_type_masses(p, n)
+            assert tm.mass().tolist() == [v / total for v in nums]
+            for got, t, v in zip(tm.logmass, tm.lattice, nums):
+                assert _ulps(got, v, total) <= 1
+                assert type_log_prob(t, p) == got
+            for _ in range(5):
+                idx = np.flatnonzero(rng.random(len(tm)) < rng.random())
+                want = Fraction(sum(nums[i] for i in idx), total)
+                assert tm.prob(idx) == float(want)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-200])
+    def test_log_mass_near_one_keeps_its_digits(self, eps):
+        # masses of 0.999 or 1 - 1e-200 are read off their distance from 1,
+        # so their logs keep every digit (400 of them see 1e-200); the
+        # float pipeline was 3.9 ulps off at 0.998001 and read log 1 = 0
+        # for 1 - 2e-200
+        p = Dist.from_mass([eps, 1.0 - eps])
+        nums, total = _exact_type_masses(p, 2)
+        for got, v in zip(TypeMeasure.of(p, 2).logmass, nums):
+            assert _ulps(got, v, total, digits=400) <= 1
+
+
+def _exact_type_masses(p: Dist, n: int):
+    """Each type's mass under p, in lattice order, as ints over one total:
+    n! / prod t_i! * prod m_i^t_i over (sum m)^n, for p's floats' exact
+    ratios m_i / sum(m) over their least common denominator."""
+    ratios = [Fraction(v) for v in p.mass]
+    den = math.lcm(*(v.denominator for v in ratios))
+    m = [int(v * den) for v in ratios]
+    nums = [math.factorial(n) // math.prod(map(math.factorial, t.counts))
+            * math.prod(mi ** ti for mi, ti in zip(m, t.counts))
+            for t in enum_types(n, len(p))]
+    return nums, sum(m) ** n
+
+
+def _ulps(got: float, num: int, den: int, digits: int = 60) -> Decimal:
+    """|got - log(num / den)| in ulps of the float nearest the log, by a
+    decimal oracle carried to this many digits.  Each int is cut to its
+    leading 4 * digits bits first, and the powers of 2 cut added back."""
+    cut = [max(0, v.bit_length() - 4 * digits) for v in (num, den)]
+    with localcontext() as ctx:
+        ctx.prec = digits
+        want = ((Decimal(num >> cut[0]) / Decimal(den >> cut[1])).ln()
+                + (cut[0] - cut[1]) * Decimal(2).ln())
+        return abs(Decimal(got) - want) / Decimal(math.ulp(float(want)))
 
 
 # The recursive enumeration that _counts_matrix replaced, kept verbatim
@@ -208,33 +268,6 @@ class TestEnumeration:
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
-
-
-class TestScipyFreeKernels:
-    """The numpy log-sum-exp and the lgam port against the scipy originals."""
-
-    def test_log_factorials_match_gammaln_bit_for_bit(self):
-        k = np.arange(200_001)
-        assert _bits(_log_factorials(200_000)) == _bits(gammaln(k + 1))
-
-    def test_lse_matches_logsumexp_bit_for_bit(self):
-        rng = np.random.default_rng(20)
-        cases = [np.full(5, -np.inf), np.array([-3.25]), np.array([700.0]),
-                 np.array([-np.inf, 2.0, -np.inf])]
-        for _ in range(3000):
-            size = int(rng.integers(1, 80))
-            spread = float(rng.choice([1.0, 30.0, 700.0]))
-            a = rng.uniform(-spread, spread, size)
-            if rng.random() < 0.5:
-                a[rng.integers(0, size, int(rng.integers(1, size + 1)))] = a.max()
-            if rng.random() < 0.5:
-                a[rng.integers(0, size, int(rng.integers(1, size + 1)))] = -np.inf
-            cases.append(a)
-        for a in cases:
-            assert _bits(_lse(a)) == _bits(logsumexp(a)), a
-
-    def test_lse_of_nothing_is_minus_inf(self):
-        assert _lse(np.empty(0)) == -math.inf
 
 
 class TestNestedInstance:
@@ -491,7 +524,7 @@ def _table_gn_tails(p_x, p_y, c, alpha, n):
     adm = inst.inner_cost <= alpha + ADMISS_EPS
     if not adm.any():
         return 1.0, 0.0
-    logmu, lognu = inst.mu.logmass, inst.nu.logmass
+    logmu, lognu = log_type_masses(p_x, n), log_type_masses(p_y, n)
     kx, ky = c.shape
     if kx == 2 or ky == 2:
         interval = (_lattice_ecp_interval(logmu, lognu, adm) if kx == 2
@@ -623,7 +656,7 @@ def banded_dense_instances(rng):
         alpha = float(rng.random() * inst.inner_cost.max())
         adm = inst.inner_cost <= alpha + 1e-12
         if adm.any():
-            yield inst.mu.logmass, inst.nu.logmass, adm
+            yield log_type_masses(px, n), log_type_masses(py, n), adm
     for _ in range(12):
         yield random_banded(rng, int(rng.integers(2, 10)),
                             int(rng.integers(2, 10)))
@@ -650,7 +683,7 @@ def binary_tail_instances():
     cases += [(100, 0.4 + d / 10) for d in (-1.5, -0.5, 0.0, 0.5, 1.5)]
     for n, alpha in cases:
         inst = nested_instance(B01, B05, HAMMING, n)
-        yield (inst.mu.logmass, inst.nu.logmass,
+        yield (log_type_masses(B01, n), log_type_masses(B05, n),
                inst.inner_cost <= alpha + 1e-12)
 
 
@@ -676,9 +709,10 @@ def two_letter_instances(gen, count, kmax=4):
 def two_letter_lattices(gen, count):
     """The lattices of ``two_letter_instances`` as (shape, logmu, lognu,
     adm)."""
-    return [(inst.cost.shape, inst.mu.logmass, inst.nu.logmass,
+    return [(inst.cost.shape, log_type_masses(px, inst.n),
+             log_type_masses(py, inst.n),
              inst.inner_cost <= alpha + ADMISS_EPS)
-            for _, _, inst, alpha in two_letter_instances(gen, count)]
+            for px, py, inst, alpha in two_letter_instances(gen, count)]
 
 
 def random_intervals(gen, m, k, shift=0.0):
@@ -1213,7 +1247,7 @@ def _gain(log_e, log_g, log_skip, log_gap):
     """Score mu(E) - nu(Gamma(E)) of a chain with mu(E) <= 1/2.
 
     Summed directly, the bulk masses of a chain with mu(E) > 1/2 carry the
-    lattices' normalization error (TypeMeasure admits 1e-9) and would
+    lattices' normalization error (in the float log masses) and would
     outrank every deep-tail witness; ``_complement`` scores those chains.
     """
     bulk = log_e > _LOG_HALF

@@ -24,14 +24,13 @@ import numpy as np
 import pytest
 
 from strassen_lab import flow, lattice
-from strassen_lab.lattice import (TypeMeasure, _counts_matrix,
-                                  _inner_cost_table, _lse, gn_tails)
+from strassen_lab.lattice import _counts_matrix, _inner_cost_table, gn_tails
 from strassen_lab.measures import Dist
 from strassen_lab.transport import ADMISS_EPS, CostMatrix, ot_value
 
 import chain_dp
 from chain_dp import (_LOG_HALF, _bounds, _chain_masks, _chain_members,
-                      _signed_argmax, _witness_values)
+                      _lse, _signed_argmax, _witness_values, log_type_masses)
 from conftest import random_dist
 from test_lattice import B01, B05, DEEP_COST, DEEP_PX, DEEP_PY, HAMMING, _hex
 from test_second_paths import (_masses, check_completed_flow,
@@ -220,7 +219,7 @@ def _scores(log_e, log_g, log_skip, log_gap):
 
     gain        mu(E) - nu(Gamma(E)), for chains with mu(E) <= 1/2.  Summed
                 directly, the bulk masses of a chain with mu(E) > 1/2 carry
-                the lattices' normalization error (TypeMeasure admits 1e-9)
+                the lattices' normalization error (in the float log masses)
                 and would outrank every deep-tail witness; the complement
                 scores those chains.
     complement  nu(F(D)) - mu(D) of the skipped rows D = E^c, mu(D) <= 1/2.
@@ -366,7 +365,7 @@ def _dense_gn_tails(px, py, c, alpha, n):
     adm = _inner_cost_table(c, n) <= alpha + ADMISS_EPS
     if not adm.any():
         return 1.0, 0.0
-    logmu, lognu = TypeMeasure.of(px, n).logmass, TypeMeasure.of(py, n).logmass
+    logmu, lognu = log_type_masses(px, n), log_type_masses(py, n)
     _, _, witness = bipartite_max_flow(np.exp(logmu), np.exp(lognu), adm)
     in_e = np.zeros(len(logmu), dtype=bool)
     in_e[list(witness)] = True
@@ -508,8 +507,8 @@ class TestChainDp:
                 rows, cols, carr = py, px, carr.T
             view = chain_dp._chain_view(*lattice._line_view(carr, alpha, n), n)
             assert view is not None
-            logmu = TypeMeasure.of(rows, n).logmass
-            lognu = TypeMeasure.of(cols, n).logmass
+            logmu = log_type_masses(rows, n)
+            lognu = log_type_masses(cols, n)
             got = chain_dp._dp_chains(logmu, lognu, view)
             want = _dp_chains(logmu, lognu, view)
             assert _same_floats(got[0], want[0])
@@ -654,6 +653,29 @@ def test_dense_route_keeps_the_tail_below_the_float_masses(px, want):
         px, DEEP_TAIL_PY, DEEP_TAIL_COST, 0.66625, 4) == (want, 1.0)
 
 
+@pytest.mark.parametrize("px,py,c,alpha,n", [
+    ([0.5, 0.5, 2.0 ** -263], DEEP_TAIL_PY, DEEP_TAIL_COST, 0.66625, 4),
+    ([0.5, 0.5 - 2.0 ** -20, 2.0 ** -20], DEEP_TAIL_PY, DEEP_TAIL_COST,
+     0.66625, 4),
+    (B01.mass, B05.mass, [[0, 1], [1, 0]], 0.45, 40),
+    (B01.mass, B05.mass, [[0, 1], [1, 0]], 0.45, 200),
+    (B01.mass, B05.mass, [[0, 1], [1, 0]], 0.2, 200)],
+    ids=["subnormal-tail", "letter-2^-20", "binary-40", "binary-200",
+         "binary-200-lower"])
+def test_outer_plan_realizes_gn(px, py, c, alpha, n):
+    # sample's outer plan runs on the exact type laws, so the mass it
+    # leaves off the admissible cells is G and the mass on them 1 - G, to
+    # the bit; on the float log masses the two binary upper tails were
+    # 3.4e-14 and 4.4e-13 relative off
+    px, py = Dist.from_mass(list(px)), Dist.from_mass(list(py))
+    c = CostMatrix.from_rows(c)
+    inst = lattice.nested_instance(px, py, c, n)
+    mat = lattice.optimal_outer_plan(inst, alpha).as_array()
+    adm = inst.inner_cost <= alpha + ADMISS_EPS
+    assert (math.fsum(mat[~adm]), math.fsum(mat[adm])) == gn_tails(
+        px, py, c, alpha, n)
+
+
 def _two_letter_case(rng, px):
     """A 2 x 2 or 2 x 3 instance with these letter masses on the 2-letter
     side: dyadic columns, costs in hundredths, n = 1-4, alpha halfway
@@ -758,3 +780,36 @@ def test_product_space_oracle_keeps_a_tail_below_float_resolution():
         [1.0 - 2.0 ** -26, 2.0 ** -27, 2.0 ** -27],
         [[0.49, 0.77, 0.54], [0.17, 0.84, 0.0]], 0.51, 2)
     assert g == 2.0 ** -54
+
+
+def _small_instances():
+    """150 random instances with 2 or 3 letters a side and n = 1..3: masses
+    from integer weights 0..9, costs and alpha in hundredths."""
+    rng = np.random.default_rng(5)
+
+    def dist(k):
+        w = rng.integers(0, 10, k).astype(float)
+        w[rng.integers(k)] += 1.0
+        return Dist.from_mass((w / w.sum()).tolist())
+
+    for _ in range(150):
+        kx, ky = (int(v) for v in rng.integers(2, 4, 2))
+        px, py = dist(kx), dist(ky)
+        cost = rng.integers(0, 100, (kx, ky)) / 100.0
+        yield (px, py, CostMatrix.from_rows(cost.tolist()),
+               float(rng.integers(0, 100) / 100.0), int(rng.integers(1, 4)))
+
+
+def test_product_space_oracle_is_gn_tails():
+    # the oracle weighs each sequence by the exact product of its letters'
+    # lifted masses, the law whose type masses gn_tails sums, so the two
+    # agree to the bit.  On the rounded float products 65 of these 150
+    # differed, 30 of them where G = 0; in the last case every pair is
+    # admissible and the oracle read 2.38e-16
+    cases = [*_small_instances(),
+             (Dist.from_mass([0.8, 0.2]), Dist.from_mass([0.5, 0.5]),
+              CostMatrix.from_rows([[0.11, 0.73], [0.41, 0.06]]), 0.8, 3)]
+    for px, py, c, alpha, n in cases:
+        assert lattice.direct_gn_oracle(px, py, c, alpha, n) == gn_tails(
+            px, py, c, alpha, n)[0]
+    assert lattice.direct_gn_oracle(*cases[-1]) == 0.0

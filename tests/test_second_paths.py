@@ -35,14 +35,13 @@ from strassen_lab import cli, clt, flow, lattice, mdp, measures, transport
 from strassen_lab.clt import (BinaryCltInstance, _dual_objective, _step_cdf,
                               _tail, crossing_points, normal_cdf)
 from strassen_lab.errors import SizeGuardError, ValidationError
-from strassen_lab.lattice import (DENSE_GUARD, PAIR_GUARD, TypeMeasure,
-                                  _counts_matrix)
+from strassen_lab.lattice import DENSE_GUARD, PAIR_GUARD, _counts_matrix
 from strassen_lab.mdp import _optimal_face, _spread_rows, support_of
 from strassen_lab.measures import Dist
 from strassen_lab.transport import (ADMISS_EPS, CostMatrix, SupportSet,
                                     dual_vertices, ot_value, tight_cells)
 
-from chain_dp import _witness_values
+from chain_dp import _witness_values, log_type_masses
 from conftest import random_cost, random_dist
 from test_transport import find_support_cycle
 
@@ -342,8 +341,8 @@ def _dense_gn_tails(p_x, p_y, c, alpha, n):
     adm = _inner_cost_table(c, n) <= alpha + ADMISS_EPS
     if not adm.any():
         return 1.0, 0.0
-    return _lattice_ecp_dense(TypeMeasure.of(p_x, n).logmass,
-                              TypeMeasure.of(p_y, n).logmass, adm)
+    return _lattice_ecp_dense(log_type_masses(p_x, n),
+                              log_type_masses(p_y, n), adm)
 
 
 # ---------------------------------------------------------------------------
