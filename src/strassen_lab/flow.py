@@ -14,7 +14,10 @@ of the package needs two things generic solvers do not expose:
   coupling samplers' joint types (on their counts).
 
 The Strassen witness is the source side of a minimum cut, read off the
-level graph of Dinic's last search.
+level graph of Dinic's last search.  ``bipartite_max_flow`` returns the
+solved graph with its exact flow value (``BipartiteFlow``); the coupling
+and the witness are built from it only when a caller reads them, so a
+value-only caller on ints of any size meets no float.
 
 Graphs here are bipartite networks over alphabets or type lattices, up to
 a few hundred nodes a side, each built in bulk by one builder
@@ -28,7 +31,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -149,46 +154,84 @@ def _network(supply, demand, cells: np.ndarray) -> MaxFlowGraph:
         [*supply, *demand] + [sum(supply)] * len(rows))
 
 
+@dataclass(frozen=True, eq=False)
+class BipartiteFlow:
+    """A maximum flow of ``bipartite_max_flow``, in the lifted ints.
+
+    ``routed`` is the flow and ``supply`` the total supply, both over the
+    common denominator ``den`` (1 when the masses are ints); ``value`` and
+    ``unrouted`` are the two as exact ``Fraction``s.  The completed
+    ``plan`` and the min-cut ``witness`` are read off the solved graph on
+    their first read.
+    """
+
+    graph: MaxFlowGraph
+    admissible: np.ndarray
+    routed: int
+    supply: int
+    den: int
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.routed, self.den)
+
+    @property
+    def unrouted(self) -> Fraction:
+        return Fraction(self.supply - self.routed, self.den)
+
+    @cached_property
+    def plan(self) -> np.ndarray:
+        """The flow plus the leftover supply and demand, routed in ints by
+        the northwest-corner rule and each cell divided back once: floats,
+        so ints beyond the float range overflow here.
+
+        No cell with leftover on both sides is admissible (it would close
+        an augmenting path), so the leftovers land off the admissible cells
+        and the coupling is optimal for the excess-cost problem.
+        """
+        g, den = self.graph, self.den
+        m, k = self.admissible.shape
+        plan = np.zeros((m, k))
+        cells = g.cap[2 * (m + k) + 1::2]
+        plan[np.nonzero(self.admissible)] = [v / den for v in cells]
+        left_x, left_y = g.cap[0:2 * m:2], g.cap[2 * m:2 * (m + k):2]
+        i = j = 0
+        while i < m and j < k:
+            moved = min(left_x[i], left_y[j])
+            if moved:  # an inadmissible cell, so it carries no flow yet
+                plan[i, j] = moved / den
+                left_x[i] -= moved
+                left_y[j] -= moved
+            if left_x[i]:
+                j += 1
+            else:
+                i += 1
+        return plan
+
+    @cached_property
+    def witness(self) -> set:
+        """The x indices on the source side of a minimum cut, a maximizing
+        witness set for the Strassen dual: the nodes that the last, failed
+        search of ``max_flow`` levelled, for its walk never stops early."""
+        level = self.graph.level
+        return {i for i in range(len(self.admissible)) if level[i] >= 0}
+
+
 def bipartite_max_flow(supply: Sequence[float], demand: Sequence[float],
-                       admissible: np.ndarray):
-    """Max-flow from supplies to demands along admissible cells, exactly,
-    and the coupling it completes to.
+                       admissible: np.ndarray) -> BipartiteFlow:
+    """Max-flow from supplies to demands along admissible cells, exactly.
 
-    Returns ``(flow_fraction, unrouted_fraction, plan, witness)``: the flow
-    value and the supply it leaves unrouted as exact
-    :class:`fractions.Fraction` values, the coupling as floats, and the x
-    indices on the source side of a minimum cut, a maximizing witness set
-    for the Strassen dual: the nodes that the last, failed search of
-    ``max_flow`` levelled, for its walk never stops early.  The masses run
-    lifted to integers (``_lift``), unrounded.
-
-    The coupling is the flow plus the leftover supply and demand, routed in
-    ints by the northwest-corner rule.  No cell with leftover on both sides
-    is admissible (it would close an augmenting path), so the leftovers land
-    off the admissible cells and the coupling is optimal for the
-    excess-cost problem.  Each cell is divided back once.
+    The masses run lifted to integers (``_lift``), unrounded, and Dinic's
+    algorithm runs at once; the returned ``BipartiteFlow`` builds the
+    coupling it completes to and the min-cut witness only when they are
+    read.  So ints of any size give their exact ``routed`` flow with no
+    float in sight.
     """
     sup, dem, den = _lift(supply, demand)
     m, k = admissible.shape
     g = _network(sup, dem, admissible)
-    value = g.max_flow(m + k, m + k + 1)
-    plan = np.zeros((m, k))
-    cells = g.cap[2 * (m + k) + 1::2]
-    plan[np.nonzero(admissible)] = [v / den for v in cells]
-    left_x, left_y = g.cap[0:2 * m:2], g.cap[2 * m:2 * (m + k):2]
-    i = j = 0
-    while i < m and j < k:
-        moved = min(left_x[i], left_y[j])
-        if moved:  # an inadmissible cell, so it carries no flow yet
-            plan[i, j] = moved / den
-            left_x[i] -= moved
-            left_y[j] -= moved
-        if left_x[i]:
-            j += 1
-        else:
-            i += 1
-    witness = {i for i in range(m) if g.level[i] >= 0}
-    return Fraction(value, den), Fraction(sum(sup) - value, den), plan, witness
+    return BipartiteFlow(g, admissible, g.max_flow(m + k, m + k + 1),
+                         sum(sup), den)
 
 
 def convex_max_flow(supply, demand, lo, hi) -> int:

@@ -15,7 +15,9 @@ m_i / sum(m) of its float masses' numerators over one power-of-two
 denominator, and each type t weighs multinomial(t) prod m_i^t_i, made by
 ratio recurrences (``_type_masses``).  Both sides are scaled to one
 total T, the lcm of their totals, and for the max-flow F between them
-G = (T - F) / T and 1 - G = F / T, each rounded once.
+G = (T - F) / T and 1 - G = F / T, each rounded once.  These masses
+depend on (P_X, P_Y, n) alone, so ``_outer_masses`` keeps them in one
+small cache that every alpha and every cost on the instance reads.
 
 When one alphabet has 2 letters, its types lie on a line and the inner
 cost is convex along it, so every type of the other side admits an
@@ -23,11 +25,11 @@ interval of them, with ends in any order (a convex bipartite graph).
 The ends come in closed form from the 2-source dual, with no inner table,
 and Glover's greedy sweep along the line is the max-flow
 (``flow.convex_max_flow``).  Lattices where both sides have 3 or more
-letters go to the exact max-flow over the admissible cells of the inner
-table.  ``TypeMeasure`` keeps a lattice with these integer masses and
-their total, the one stored format of type masses: the outer plans run
-on them, and every float mass, probability and log mass is read off
-them, each rounded once.
+letters go to Dinic's exact max-flow over the admissible cells of the
+inner table, whose flow value alone is read.  ``TypeMeasure`` keeps a
+lattice with these integer masses and their total, the one stored
+format of type masses: the outer plans run on them, and every float
+mass, probability and log mass is read off them, each rounded once.
 """
 from __future__ import annotations
 
@@ -315,27 +317,28 @@ def _type_masses(m, n: int, scale: int = 1):
             scale = scale * (n - c) * m[0] // (c + 1)
 
 
-def _outer_masses(p_x: Dist, p_y: Dist, n: int):
-    """Both sides' type masses as ints, each side scaled by the other's
-    total so that both total the same integer T: ``(rows, cols, T)``, the
-    rows and columns generated in lattice order.  T is the lcm of the two
-    totals, so two totals that are powers of two add no bits to the larger
-    one."""
-    mx, my = _lifted(p_x), _lifted(p_y)
+def _scales(mx, my, n: int) -> tuple[int, int, int]:
+    """``(row scale, column scale, T)``: the factors that bring the n-letter
+    totals (sum mx)^n and (sum my)^n of two lifted laws to their lcm T, so
+    two totals that are powers of two add no bits to the larger one."""
     sx, sy = sum(mx) ** n, sum(my) ** n
     g = math.gcd(sx, sy)
-    return (_type_masses(mx, n, sy // g), _type_masses(my, n, sx // g),
-            sx // g * sy)
+    return sy // g, sx // g, sx // g * sy
 
 
 @lru_cache(maxsize=16)
-def _dense_masses(p_x: Dist, p_y: Dist, n: int) -> tuple[tuple, tuple]:
-    """The masses of ``_outer_masses`` over T, as ``Fraction``s, so that
-    the max-flow's plan cells divide back to floats; an alpha sweep on one
-    instance builds them once."""
-    rows, cols, total = _outer_masses(p_x, p_y, n)
-    return (tuple(Fraction(v, total) for v in rows),
-            tuple(Fraction(v, total) for v in cols))
+def _outer_masses(p_x: Dist, p_y: Dist, n: int) -> tuple[tuple, tuple, int]:
+    """Both sides' type masses as ints, each side scaled (``_scales``) so
+    that both total the same integer T: ``(rows, cols, T)``, the rows and
+    columns in lattice order.
+
+    The table depends on (p_x, p_y, n) alone, not on alpha or the cost, so
+    an alpha sweep builds it once, and a k x 2 call shares the entry of
+    its 2 x k transpose."""
+    mx, my = _lifted(p_x), _lifted(p_y)
+    row_scale, col_scale, total = _scales(mx, my, n)
+    return (tuple(_type_masses(mx, n, row_scale)),
+            tuple(_type_masses(my, n, col_scale)), total)
 
 
 def gn_tails(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
@@ -343,12 +346,13 @@ def gn_tails(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
     """(G, 1 - G) for the n-fold product problem, each the exact rational
     rounded once.
 
-    The outer max-flow F between the integer type masses of
-    ``_outer_masses``, which both total T, is exact, so G = (T - F) / T and
-    1 - G = F / T.  A 2-letter side goes on the rows and runs the greedy
-    over its line of types (``flow.convex_max_flow``); otherwise the
-    max-flow runs over the admissible cells of the inner table, with no
-    ``TypeMeasure`` built.
+    Both routes read the cached integer type masses of ``_outer_masses``,
+    which both total T, and the exact max-flow F between them, so
+    G = (T - F) / T and 1 - G = F / T.  A 2-letter side goes on the rows
+    and runs the greedy over its line of types (``flow.convex_max_flow``);
+    otherwise Dinic runs over the admissible cells of the inner table, and
+    only its flow value is read: no plan, no witness and no
+    ``TypeMeasure`` is built.
     """
     _check_sizes(p_x, p_y, c)
     if 2 in c.shape:
@@ -358,14 +362,14 @@ def gn_tails(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
         lo, hi = _line_view(carr, alpha, n)
         rows, cols, total = _outer_masses(p_x, p_y, n)
         routed = flow.convex_max_flow(rows, cols, lo, hi)
-        # an int over an int rounds once
-        return (total - routed) / total, routed / total
-    adm = _inner_cost_table(c, n) <= alpha + ADMISS_EPS
-    if adm.size > DENSE_GUARD:
-        raise SizeGuardError(f"dense outer flow needs {adm.size} cells")
-    value, unrouted, _, _ = flow.bipartite_max_flow(
-        *_dense_masses(p_x, p_y, n), adm)
-    return float(unrouted), float(value)
+    else:
+        adm = _inner_cost_table(c, n) <= alpha + ADMISS_EPS
+        if adm.size > DENSE_GUARD:
+            raise SizeGuardError(f"dense outer flow needs {adm.size} cells")
+        rows, cols, total = _outer_masses(p_x, p_y, n)
+        routed = flow.bipartite_max_flow(rows, cols, adm).routed
+    # an int over an int rounds once
+    return (total - routed) / total, routed / total
 
 
 def exact_gn(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float, n: int) -> float:
@@ -375,10 +379,11 @@ def exact_gn(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float, n: int) -> float
 
 def direct_gn_oracle(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
                      n: int) -> float:
-    """The same probability solved on the raw product space (tests only):
-    the supply the exact max-flow leaves unrouted, rounded once.  Each
-    sequence weighs the exact int product of its letters' lifted masses,
-    the law the type masses of ``gn_tails`` sum."""
+    """The same probability solved on the raw product space (tests only),
+    in the form of ``gn_tails``: each sequence weighs the exact int product
+    of its letters' lifted masses, the law the type masses sum, scaled as
+    ``_outer_masses`` scales them to one total T, and G = (T - F) / T for
+    the exact max-flow F, rounded once."""
     kx, ky = c.shape
     if kx ** n * ky ** n > 1_000_000:
         raise SizeGuardError(
@@ -387,15 +392,14 @@ def direct_gn_oracle(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
     xs = list(itertools.product(range(kx), repeat=n))
     ys = list(itertools.product(range(ky), repeat=n))
     mx, my = _lifted(p_x), _lifted(p_y)
-    tx, ty = sum(mx) ** n, sum(my) ** n
-    px = [Fraction(math.prod(mx[s] for s in seq), tx) for seq in xs]
-    py = [Fraction(math.prod(my[s] for s in seq), ty) for seq in ys]
+    row_scale, col_scale, total = _scales(mx, my, n)
+    px = [math.prod(mx[s] for s in seq) * row_scale for seq in xs]
+    py = [math.prod(my[s] for s in seq) * col_scale for seq in ys]
     carr = c.as_array()
     cost = np.array([[sum(carr[a, b] for a, b in zip(sx, sy)) / n
                       for sy in ys] for sx in xs])
     adm = cost <= alpha + ADMISS_EPS
-    _, unrouted, _, _ = flow.bipartite_max_flow(px, py, adm)
-    return float(unrouted)
+    return (total - flow.bipartite_max_flow(px, py, adm).routed) / total
 
 
 def optimal_outer_plan(instance: NestedInstance, alpha: float) -> JointDist:
@@ -405,8 +409,7 @@ def optimal_outer_plan(instance: NestedInstance, alpha: float) -> JointDist:
     mu, nu = ([Fraction(v, tm.total) for v in tm.masses]
               for tm in (instance.mu, instance.nu))
     adm = instance.inner_cost <= alpha + ADMISS_EPS
-    _, _, plan, _ = flow.bipartite_max_flow(mu, nu, adm)
-    return JointDist.from_array(plan)
+    return JointDist.from_array(flow.bipartite_max_flow(mu, nu, adm).plan)
 
 
 # ---------------------------------------------------------------------------

@@ -291,13 +291,13 @@ def ecp(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float) -> EcpResult:
     in the same integers (``flow.bipartite_max_flow``).
     """
     _check_dims(p_x, p_y, c)
-    routed, unrouted, plan, witness = flow.bipartite_max_flow(
-        p_x.mass, p_y.mass, admissible_mask(c, alpha))
-    value = float(min(Fraction(1), unrouted))
-    complement = float(min(Fraction(1), routed))
+    solved = flow.bipartite_max_flow(p_x.mass, p_y.mass,
+                                     admissible_mask(c, alpha))
+    value = float(min(Fraction(1), solved.unrouted))
+    complement = float(min(Fraction(1), solved.value))
     return EcpResult(value=value, complement=complement,
-                     plan=JointDist.from_array(plan),
-                     witness=frozenset(witness))
+                     plan=JointDist.from_array(solved.plan),
+                     witness=frozenset(solved.witness))
 
 
 def ecp_dual_bruteforce(p_x: Dist, p_y: Dist, c: CostMatrix,

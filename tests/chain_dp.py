@@ -297,7 +297,8 @@ def _bounds(candidates) -> tuple[float, float]:
 def _lattice_ecp_dense(logmu, lognu, adm):
     if adm.size > DENSE_GUARD:
         raise SizeGuardError(f"dense outer flow needs {adm.size} cells")
-    *_, witness = flow.bipartite_max_flow(np.exp(logmu), np.exp(lognu), adm)
+    witness = flow.bipartite_max_flow(np.exp(logmu), np.exp(lognu),
+                                      adm).witness
     in_e = np.zeros(len(logmu), dtype=bool)
     in_e[list(witness)] = True
     in_g = adm[in_e].any(axis=0)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -452,6 +453,83 @@ class TestExactGn:
         assert g_lo >= g_hi - 1e-12
 
 
+def _clear_program_caches():
+    """Empty every lru_cache of the package's modules."""
+    for name, mod in list(sys.modules.items()):
+        if name == "strassen_lab" or name.startswith("strassen_lab."):
+            for val in list(vars(mod).values()):
+                if callable(getattr(val, "cache_clear", None)):
+                    val.cache_clear()
+
+
+_P23 = (Dist.from_mass([0.4, 0.6]), Dist.from_mass([0.2, 0.3, 0.5]))
+_C23 = [[0.0, 0.6, 1.0], [0.8, 0.2, 0.5]]
+#: (p_x, p_y, cost, n): 2 x 2, 2 x 3, its 3 x 2 transpose, and 3 x 3
+CACHE_INSTANCES = {
+    "2x2": (B01, B05, HAMMING, 60),
+    "2x3": (*_P23, CostMatrix.from_rows(_C23), 24),
+    "3x2": (*_P23[::-1], CostMatrix.from_rows(np.transpose(_C23).tolist()),
+            24),
+    "3x3": (Dist.from_mass([0.2, 0.3, 0.5]), Dist.from_mass([0.5, 0.1, 0.4]),
+            CostMatrix.from_rows([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), 8),
+}
+
+
+def _alpha_sweep(c: CostMatrix, seed: int) -> list:
+    """Thresholds over the cost's range and past both ends, shuffled."""
+    carr = c.as_array()
+    alphas = [-0.1, *np.linspace(carr.min(), carr.max(), 13).tolist(),
+              carr.max() + 0.1]
+    random.Random(seed).shuffle(alphas)
+    return alphas
+
+
+class TestOuterMassCache:
+    """``_outer_masses`` is one cache per (P_X, P_Y, n): warm and cold
+    calls give the same bits, and a sweep builds the masses once."""
+
+    @pytest.mark.parametrize("name", CACHE_INSTANCES)
+    def test_warm_sweep_is_the_cold_calls(self, name):
+        px, py, c, n = CACHE_INSTANCES[name]
+        alphas = _alpha_sweep(c, 29)
+        cold = []
+        for alpha in alphas:
+            _clear_program_caches()
+            cold.append(_hex(gn_tails(px, py, c, alpha, n)))
+        _clear_program_caches()
+        warm = [_hex(gn_tails(px, py, c, alpha, n)) for alpha in alphas]
+        assert warm == cold
+        # and both are the table flow on Fractions, rounded once
+        assert warm == [_hex(_table_flow_gn_tails(px, py, c, alpha, n))
+                        for alpha in alphas]
+        assert len(set(map(tuple, warm))) > 3
+
+    def test_one_build_per_instance_per_sweep(self, monkeypatch):
+        calls = []
+        real = lattice._type_masses
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(lattice, "_type_masses", counting)
+        builds = {}
+        for name, (px, py, c, n) in CACHE_INSTANCES.items():
+            _clear_program_caches()
+            gn_tails(px, py, c, 0.5, n)
+            builds[name] = len(calls)
+            calls.clear()
+        # the recursion of 3-letter masses counts too, so a build is more
+        # than two calls there
+        assert builds["2x2"] == 2 and builds["2x3"] == builds["3x2"] > 2
+        _clear_program_caches()
+        for name, (px, py, c, n) in CACHE_INSTANCES.items():
+            for alpha in _alpha_sweep(c, 31):
+                gn_tails(px, py, c, alpha, n)
+            want = 0 if name == "3x2" else builds[name]
+            assert len(calls) == want, name
+            calls.clear()
+
+
 # ---------------------------------------------------------------------------
 # The interval route as it ran before the interval ends came from the cost:
 # it read each column's interval off the admissible cells of the inner
@@ -512,10 +590,10 @@ def _table_flow_gn_tails(p_x, p_y, c, alpha, n):
     mx, my = (flow._lift(p.mass, ())[0] for p in (p_x, p_y))
     sx, sy = sum(mx) ** n, sum(my) ** n
     total = sx * sy
-    value, unrouted, _, _ = flow.bipartite_max_flow(
+    solved = flow.bipartite_max_flow(
         [Fraction(v, total) for v in _type_masses(mx, n, sy)],
         [Fraction(v, total) for v in _type_masses(my, n, sx)], adm)
-    return float(unrouted), float(value)
+    return float(solved.unrouted), float(solved.value)
 
 
 def _table_gn_tails(p_x, p_y, c, alpha, n):

@@ -391,9 +391,9 @@ class TestFlow:
         for sup, dem, adm in _flow_instances(2003, 300):
             got = flow.bipartite_max_flow(sup, dem, adm)
             want = bipartite_max_flow_exact(sup, dem, adm)
-            assert got[:2] == want[:2]
-            check_completed_flow(got[2], sup, dem, adm, want[2])
-            assert got[3] == want[3]
+            assert (got.value, got.unrouted) == want[:2]
+            check_completed_flow(got.plan, sup, dem, adm, want[2])
+            assert got.witness == want[3]
 
     def test_lex_min_coupling_bit_for_bit(self):
         # bit for bit wherever the max-flow routes all the supply; float
@@ -417,20 +417,21 @@ class TestFlow:
     def test_one_augmenting_path_through_600_rows(self):
         # the recursive search raised RecursionError from about 500 rows
         sup, dem, adm = _staircase(600)
-        value, unrouted, mat, _ = flow.bipartite_max_flow(sup, dem, adm)
-        assert (value, unrouted) == (601, 0)
+        solved = flow.bipartite_max_flow(sup, dem, adm)
+        assert (solved.value, solved.unrouted) == (601, 0)
+        mat = solved.plan
         assert (mat.sum(axis=0) == 1.0).all() and (mat.sum(axis=1) == 1.0).all()
 
     def test_subnormal_mass_lifts_without_overflow(self):
         # 5e-324 lifts to 1 over 2**1074, so 1.0 lifts to 2**1074: pushed
         # through a cell of capacity math.inf, it raised OverflowError
-        value, unrouted, mat, witness = flow.bipartite_max_flow(
+        solved = flow.bipartite_max_flow(
             [5e-324, 1.0], [1.0, 5e-324, 0.5],
             np.array([[False, True, False], [True, False, False]]))
-        assert value == Fraction(2 ** 1074 + 1, 2 ** 1074)
-        assert unrouted == 0
-        assert mat.tolist() == [[0.0, 5e-324, 0.0], [1.0, 0.0, 0.0]]
-        assert witness == set()
+        assert solved.value == Fraction(2 ** 1074 + 1, 2 ** 1074)
+        assert solved.unrouted == 0
+        assert solved.plan.tolist() == [[0.0, 5e-324, 0.0], [1.0, 0.0, 0.0]]
+        assert solved.witness == set()
 
     def test_lift_takes_ints_and_fractions_as_they_are(self):
         # over the lcm of the denominators, not the largest of them; a
@@ -456,7 +457,7 @@ class TestFlow:
             adm = (rows >= lo) & (rows <= hi)
             got = flow.convex_max_flow(iter(sup), dem, lo, hi)
             assert type(got) is int
-            assert got == flow.bipartite_max_flow(sup, dem, adm)[0]
+            assert got == flow.bipartite_max_flow(sup, dem, adm).value
             seen["empty row"] += not adm.any(axis=1).all()
             seen["empty column"] += not adm.any(axis=0).all()
             seen["zero mass"] += 0 in sup + dem
@@ -640,6 +641,28 @@ def test_dense_route_keeps_a_subnormal_tail():
     assert _check_against_brute_force(
         [0.5, 0.5, 2.0 ** -263], DEEP_TAIL_PY, DEEP_TAIL_COST, 0.66625,
         4) == (2.0 ** -1052, 1.0)
+
+
+def test_dense_flow_runs_on_ints_beyond_float_range():
+    # the same instance through the dense route's own call: its integer
+    # type masses over T of 1,089 bits go to the max-flow as they are, and
+    # only the routed int is read.  Building the plan on ints
+    # first raised OverflowError; the min-cut witness certifies the value
+    px, py = Dist.from_mass([0.5, 0.5, 2.0 ** -263]), Dist.from_mass(
+        DEEP_TAIL_PY)
+    c = CostMatrix.from_rows(DEEP_TAIL_COST)
+    rows, cols, total = lattice._outer_masses(px, py, 4)
+    assert total.bit_length() == 1089 and max(rows) > 2 ** 1024
+    adm = _inner_cost_table(c, 4) <= 0.66625 + ADMISS_EPS
+    solved = flow.bipartite_max_flow(rows, cols, adm)
+    assert (solved.den, solved.supply) == (1, total)
+    assert solved.unrouted == total - solved.routed
+    assert (total - solved.routed) / total == 2.0 ** -1052
+    assert gn_tails(px, py, c, 0.66625, 4) == (2.0 ** -1052, 1.0)
+    witness = sorted(solved.witness)
+    reached = np.flatnonzero(adm[witness].any(axis=0))
+    assert (sum(rows[i] for i in witness) - sum(cols[j] for j in reached)
+            == total - solved.routed)
 
 
 @pytest.mark.parametrize("px,want", [

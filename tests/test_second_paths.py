@@ -498,9 +498,9 @@ class TestFlow:
         for sup, dem, adm in _flow_instances(1902, 3000):
             got = flow.bipartite_max_flow(sup, dem, adm)
             want = bipartite_max_flow_exact(sup, dem, adm)
-            assert got[:2] == want[:2]
-            check_completed_flow(got[2], sup, dem, adm, want[2])
-            assert got[3] == want[3]
+            assert (got.value, got.unrouted) == want[:2]
+            check_completed_flow(got.plan, sup, dem, adm, want[2])
+            assert got.witness == want[3]
 
     def test_witness_is_the_residual_reach(self):
         # the level graph of the last search is the BFS it replaced
