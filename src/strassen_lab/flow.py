@@ -14,18 +14,21 @@ of the package needs two things generic solvers do not expose:
   coupling samplers' joint types (on their counts).
 
 The Strassen witness is the source side of a minimum cut, read off the
-level graph of Dinic's last search.  ``bipartite_max_flow`` returns the
-solved graph with its exact flow value (``BipartiteFlow``); the coupling
+levels of Dinic's last, failed search.  ``bipartite_max_flow`` returns the
+solved network with its exact flow value (``BipartiteFlow``); the coupling
 and the witness are built from it only when a caller reads them, so a
 value-only caller on ints of any size meets no float.
 
-Graphs here are bipartite networks over alphabets or type lattices, up to
-a few hundred nodes a side, each built in bulk by one builder
-(``_network``): Dinic for max-flow, successive shortest paths with Dijkstra
-for min-cost flow, and a lexicographic max-flow for vertex couplings.  A
-convex bipartite graph, whose columns each admit an interval of the rows,
-needs no network: Glover's greedy sweep gives its max-flow value
-(``convex_max_flow``).
+Networks here are bipartite, over alphabets or type lattices, up to a few
+hundred nodes a side.  Max-flow has one kernel, ``BipartiteNetwork``:
+Dinic's algorithm on source -> rows -> columns -> sink, whose cell edges
+are unbounded, so it keeps no residual graph, only the supply and demand
+left and the flow into each column; the lexicographic max-flow for vertex
+couplings runs on it too.  The min-cost flow, successive shortest paths
+with Dijkstra, runs on an explicit residual graph (``MaxFlowGraph``, built
+by ``_network``).  A convex bipartite graph, whose columns each admit an
+interval of the rows, needs no network: Glover's greedy sweep gives its
+max-flow value (``convex_max_flow``).
 """
 from __future__ import annotations
 
@@ -40,13 +43,11 @@ import numpy as np
 
 
 class MaxFlowGraph:
-    """An explicit residual graph, with Dinic's algorithm for max-flow.
-
-    Every capacity is an int, so every flow is exact; reverse residuals
-    start at 0.  Edges are stored as parallel arrays with the reverse edge
-    at ``index ^ 1``, the flow through a forward edge in its reverse
-    residual; the min-cost solver keeps its edge costs in one more list
-    beside them.
+    """An explicit residual graph on int capacities, the min-cost flow's:
+    edges as parallel arrays with the reverse edge at ``index ^ 1``,
+    reverse residuals starting at 0, so the flow through a forward edge is
+    its reverse residual; the min-cost solver keeps its edge costs in one
+    more list beside them.
     """
 
     @classmethod
@@ -66,59 +67,149 @@ class MaxFlowGraph:
         g.cap[::2] = caps
         return g
 
-    def _bfs(self, s: int, t: int) -> bool:
-        # stops at t, for no other node at or past its level is on a
-        # shortest path; a failed search levels all that s reaches
-        adj, to, cap = self.adj, self.to, self.cap
-        level = self.level = [-1] * self.n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            up = level[u] + 1
-            for e in adj[u]:
-                v = to[e]
-                if cap[e] > 0 and level[v] < 0:
-                    level[v] = up
-                    if v == t:
-                        return True
-                    queue.append(v)
-        return False
 
-    def max_flow(self, s: int, t: int):
-        """Dinic's algorithm, each search a depth-first walk on an explicit
-        stack, so a path of any length fits (a staircase of m rows needs one
-        through every row).  A node resumes at its current arc, a dead end
-        advances its parent's, and a path pushes its least residual, an int
-        like every capacity, so the flow is exact."""
-        adj, to, cap = self.adj, self.to, self.cap
-        total = 0
-        while self._bfs(s, t):
-            level, it = self.level, [0] * self.n
-            path, u = [], s
-            while True:
-                if u == t:
-                    got = min([cap[e] for e in path])
-                    for e in path:
-                        cap[e] -= got
-                        cap[e ^ 1] += got
-                    total += got
-                    path, u = [], s
-                edges, up = adj[u], level[u] + 1
-                for a in range(it[u], len(edges)):
-                    e = edges[a]
-                    if cap[e] > 0 and level[to[e]] == up:
-                        break
-                else:
-                    it[u] = len(edges)
-                    if not path:
-                        break
-                    u = to[path.pop() ^ 1]
-                    it[u] += 1
+class BipartiteNetwork:
+    """The network source -> rows -> columns -> sink on int supplies and
+    demands, one edge of unbounded capacity per admissible cell, with
+    Dinic's algorithm for its max-flow.
+
+    A cell edge never carries more than the total supply, so none
+    saturates and none needs a residual.  The network keeps only the
+    supply and demand left unrouted (``sup``, ``dem``), each row's
+    admissible columns in column order (``cols``, read only), and the
+    positive flows into each column as ``{row: flow}`` (``into``): a
+    column's backward arcs are the rows that carry flow into it.
+    """
+
+    def __init__(self, supply, demand, cols: list[list[int]]):
+        self.sup, self.dem, self.cols = list(supply), list(demand), cols
+        self.into = [{} for _ in self.dem]
+
+    @classmethod
+    def on(cls, supply, demand, cells: np.ndarray) -> "BipartiteNetwork":
+        """The network with an edge per True cell of the boolean table."""
+        cols = np.nonzero(cells)[1].tolist()
+        ends = np.cumsum(np.count_nonzero(cells, axis=1)).tolist()
+        return cls(supply, demand,
+                   [cols[a:b] for a, b in zip([0] + ends, ends)])
+
+    def max_flow(self) -> int:
+        """Dinic's algorithm: the flow it routes, exact.  ``level`` keeps
+        the row and column levels of its last, failed search, which
+        reaches the source side of a minimum cut."""
+        routed = 0
+        while True:
+            lx, ly, top = self._levels()
+            if top is None:
+                self.level = lx, ly
+                return routed
+            routed += self._block(lx, ly, top)
+
+    def _levels(self):
+        """Breadth-first levels ``(lx, ly, top)`` from the source (level
+        0), -1 where unreached: rows at odd levels, columns at even ones.
+        The search stops at ``top``, the first level of columns with demand
+        left, for no node past it is on a shortest path to the sink; when
+        none is reached ``top`` is None and every node the source reaches
+        is levelled."""
+        sup, dem, cols, into = self.sup, self.dem, self.cols, self.into
+        lx, ly = [-1] * len(sup), [-1] * len(dem)
+        rows = [i for i, v in enumerate(sup) if v]
+        for i in rows:
+            lx[i] = 1
+        up, seen = 2, 0
+        while rows:
+            found = []
+            for i in rows:
+                if seen + len(found) == len(dem):  # every column levelled
+                    break
+                for j in cols[i]:
+                    if ly[j] < 0:
+                        ly[j] = up
+                        found.append(j)
+            seen += len(found)
+            if any(dem[j] for j in found):
+                return lx, ly, up
+            rows = []
+            for j in found:
+                for i in into[j]:
+                    if lx[i] < 0:
+                        lx[i] = up + 1
+                        rows.append(i)
+            up += 2
+        return lx, ly, None
+
+    def _block(self, lx, ly, top) -> int:
+        """A blocking flow on the level graph, on an explicit stack, so a
+        path of any length fits (a staircase of m rows needs one through
+        every row).  The source tries its rows in order, a row its columns
+        in column order, a column at ``top`` the sink and any other the
+        rows that carry flow into it, in row order.  Each node lists its
+        arcs at its first visit (a backward arc that gains flow in this
+        phase runs down a level, so never fits) and resumes at its current
+        arc; a dead end leaves the level graph.  A path pushes its least
+        residual, and the walk resumes at the tail of its first saturated
+        arc, where a walk from the source would return to.  Returns the
+        flow pushed."""
+        sup, dem, cols, into = self.sup, self.dem, self.cols, self.into
+        for j, v in enumerate(ly):
+            if v == top and not dem[j]:
+                ly[j] = -1
+        # a node's arcs still to try, the current one last
+        ahead, behind = {}, {}
+        routed = 0
+        for s in range(len(sup)):
+            xs, ys = [s], []  # the path: xs[t] -> ys[t] -> xs[t + 1]
+            while sup[s] and lx[s] == 1:
+                if len(xs) == len(ys):  # at a column below the sink's level
+                    j = ys[-1]
+                    flows = into[j]
+                    arcs = behind.get(j)
+                    if arcs is None:
+                        up = ly[j] + 1
+                        arcs = behind[j] = [i for i in sorted(flows)[::-1]
+                                            if lx[i] == up]
+                    while arcs and (arcs[-1] not in flows or lx[arcs[-1]] < 0):
+                        arcs.pop()
+                    if arcs:
+                        xs.append(arcs[-1])
+                    else:
+                        ly[j] = -1
+                        ys.pop()
                     continue
-                it[u] = a
-                path.append(e)
-                u = to[e]
-        return total
+                i = xs[-1]  # at a row
+                arcs = ahead.get(i)
+                if arcs is None:
+                    up = lx[i] + 1
+                    arcs = ahead[i] = [j for j in cols[i][::-1] if ly[j] == up]
+                while arcs and ly[arcs[-1]] < 0:
+                    arcs.pop()
+                if not arcs:
+                    lx[i] = -1
+                    xs.pop()
+                    continue
+                j = arcs[-1]
+                if ly[j] < top:
+                    ys.append(j)
+                    continue
+                backs = list(zip(ys, xs[1:]))
+                got = min(sup[s], dem[j], *(into[y][x] for y, x in backs))
+                sup[s] -= got
+                dem[j] -= got
+                routed += got
+                if not dem[j]:
+                    ly[j] = -1
+                for x, y in zip(xs, ys + [j]):
+                    into[y][x] = into[y].get(x, 0) + got
+                cut = None
+                for t, (y, x) in enumerate(backs):
+                    into[y][x] -= got
+                    if not into[y][x]:
+                        del into[y][x]
+                        cut = cut or t + 1
+                if cut:  # back at the column whose arc saturated first
+                    del xs[cut:], ys[cut:]
+        return routed
 
 
 def _lift(supply, demand):
@@ -136,15 +227,14 @@ def _lift(supply, demand):
 
 
 def _network(supply, demand, cells: np.ndarray) -> MaxFlowGraph:
-    """The network source -> rows -> columns -> sink on int supplies and
-    demands, with one edge per True cell.
+    """The min-cost flow's residual graph: source -> rows -> columns ->
+    sink on int supplies and demands, with one edge per True cell.
 
     Rows are nodes ``0..m-1``, columns ``m..m+k-1``, the source ``m + k``
     and the sink ``m + k + 1``.  The edges are the source's, the sink's,
-    then the cells' in row-major order, so the residuals of the first
-    ``m + k`` edges are the supply and demand left unrouted, and a cell's
-    flow is its reverse residual.  A cell never carries more than the total
-    supply, so that is its capacity, an int like every other.
+    then the cells' in row-major order, so a cell's flow is its reverse
+    residual.  A cell never carries more than the total supply, so that is
+    its capacity, an int like every other.
     """
     m, k = cells.shape
     rows, cols = np.nonzero(cells)
@@ -161,11 +251,11 @@ class BipartiteFlow:
     ``routed`` is the flow and ``supply`` the total supply, both over the
     common denominator ``den`` (1 when the masses are ints); ``value`` and
     ``unrouted`` are the two as exact ``Fraction``s.  The completed
-    ``plan`` and the min-cut ``witness`` are read off the solved graph on
-    their first read.
+    ``plan`` and the min-cut ``witness`` are read off the solved network
+    on their first read.
     """
 
-    graph: MaxFlowGraph
+    network: BipartiteNetwork
     admissible: np.ndarray
     routed: int
     supply: int
@@ -181,20 +271,21 @@ class BipartiteFlow:
 
     @cached_property
     def plan(self) -> np.ndarray:
-        """The flow plus the leftover supply and demand, routed in ints by
-        the northwest-corner rule and each cell divided back once: floats,
-        so ints beyond the float range overflow here.
+        """The flow into each column plus the leftover supply and demand,
+        routed in ints by the northwest-corner rule and each cell divided
+        back once: floats, so ints beyond the float range overflow here.
 
         No cell with leftover on both sides is admissible (it would close
         an augmenting path), so the leftovers land off the admissible cells
         and the coupling is optimal for the excess-cost problem.
         """
-        g, den = self.graph, self.den
+        net, den = self.network, self.den
         m, k = self.admissible.shape
         plan = np.zeros((m, k))
-        cells = g.cap[2 * (m + k) + 1::2]
-        plan[np.nonzero(self.admissible)] = [v / den for v in cells]
-        left_x, left_y = g.cap[0:2 * m:2], g.cap[2 * m:2 * (m + k):2]
+        for j, flows in enumerate(net.into):
+            for i, v in flows.items():
+                plan[i, j] = v / den
+        left_x, left_y = list(net.sup), list(net.dem)
         i = j = 0
         while i < m and j < k:
             moved = min(left_x[i], left_y[j])
@@ -211,10 +302,9 @@ class BipartiteFlow:
     @cached_property
     def witness(self) -> set:
         """The x indices on the source side of a minimum cut, a maximizing
-        witness set for the Strassen dual: the nodes that the last, failed
-        search of ``max_flow`` levelled, for its walk never stops early."""
-        level = self.graph.level
-        return {i for i in range(len(self.admissible)) if level[i] >= 0}
+        witness set for the Strassen dual: the rows that the last, failed
+        search of ``max_flow`` levelled, for it never stops early."""
+        return {i for i, v in enumerate(self.network.level[0]) if v >= 0}
 
 
 def bipartite_max_flow(supply: Sequence[float], demand: Sequence[float],
@@ -222,16 +312,14 @@ def bipartite_max_flow(supply: Sequence[float], demand: Sequence[float],
     """Max-flow from supplies to demands along admissible cells, exactly.
 
     The masses run lifted to integers (``_lift``), unrounded, and Dinic's
-    algorithm runs at once; the returned ``BipartiteFlow`` builds the
-    coupling it completes to and the min-cut witness only when they are
-    read.  So ints of any size give their exact ``routed`` flow with no
-    float in sight.
+    algorithm runs at once on their ``BipartiteNetwork``; the returned
+    ``BipartiteFlow`` builds the coupling it completes to and the min-cut
+    witness only when they are read.  So ints of any size give their exact
+    ``routed`` flow with no float in sight.
     """
     sup, dem, den = _lift(supply, demand)
-    m, k = admissible.shape
-    g = _network(sup, dem, admissible)
-    return BipartiteFlow(g, admissible, g.max_flow(m + k, m + k + 1),
-                         sum(sup), den)
+    net = BipartiteNetwork.on(sup, dem, admissible)
+    return BipartiteFlow(net, admissible, net.max_flow(), sum(sup), den)
 
 
 def convex_max_flow(supply, demand, lo, hi) -> int:
@@ -275,23 +363,23 @@ def lex_min_coupling(supply, demand, allowed: np.ndarray) -> list[list]:
     One max-flow on every allowed cell gives the mass ``left`` to route.
     In row-major order each cell then carries the least it must, what the
     allowed cells after it cannot route of ``left``: one more max-flow per
-    cell, each on a bare network.  The result is a vertex (no support
-    cycle), also when the supplies and demands differ in total.
+    cell, each on a fresh ``BipartiteNetwork`` over the cells after it.
+    The result is a vertex (no support cycle), also when the supplies and
+    demands differ in total.
     """
     sup, dem = list(supply), list(demand)
-    m, k = allowed.shape
-    s, t = m + k, m + k + 1
-    plan = [[0] * k for _ in range(m)]
-    later = np.array(allowed, dtype=bool)
-    left = _network(sup, dem, later).max_flow(s, t)
-    for i, j in np.argwhere(allowed):
-        later[i, j] = False
-        need = left - _network(sup, dem, later).max_flow(s, t)
-        if need:
-            plan[i][j] = need
-            sup[i] -= need
-            dem[j] -= need
-            left -= need
+    plan = [[0] * len(dem) for _ in sup]
+    net = BipartiteNetwork.on(sup, dem, allowed)
+    later, left = net.cols, net.max_flow()
+    for i, row in enumerate(later):
+        for a, j in enumerate(row):
+            later[i] = row[a + 1:]
+            need = left - BipartiteNetwork(sup, dem, later).max_flow()
+            if need:
+                plan[i][j] = need
+                sup[i] -= need
+                dem[j] -= need
+                left -= need
     return plan
 
 

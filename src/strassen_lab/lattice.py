@@ -140,7 +140,11 @@ def _lifted(p: Dist) -> list:
 def type_log_prob(t: TypeVector, p: Dist) -> float:
     """log of the product-law probability of the type class of t under p:
     the exact int multinomial(t) prod m_i^t_i over (sum m)^n, for p's
-    lifted masses m, as ``TypeMeasure.logmass`` reads it, within 1 ulp."""
+    lifted masses m, as ``TypeMeasure.logmass`` reads it, within 1 ulp.
+
+    Each call rebuilds that int anew, a product of about 53·n bits
+    (some 2 ms at binary n = 1600), so a loop over a lattice should read
+    ``TypeMeasure.of(p, n).logmass`` instead, which shares the work."""
     if len(t.counts) != len(p):
         raise ValidationError(
             f"type has {len(t.counts)} symbols, distribution has {len(p)}"

@@ -12,7 +12,9 @@ lexicographic coupling has since moved onto ints only, and matches the old
 one bit for bit wherever the max-flow routes all the supply, as the old
 one assumed.  The max-flow has since returned its flow completed to a
 coupling in ints, and matches the old flow bit for bit on the admissible
-cells.
+cells.  The bulk-built residual graph and its Dinic have since given way
+to a kernel that keeps only the flow on the cells; they are kept verbatim
+in ``residual_dinic``, and the kernel must match them bit for bit.
 """
 import itertools
 import math
@@ -29,6 +31,7 @@ from strassen_lab.measures import Dist
 from strassen_lab.transport import ADMISS_EPS, CostMatrix, ot_value
 
 import chain_dp
+import residual_dinic
 from chain_dp import (_LOG_HALF, _bounds, _chain_masks, _chain_members,
                       _lse, _signed_argmax, _witness_values, log_type_masses)
 from conftest import random_dist
@@ -338,6 +341,26 @@ def _staircase(m):
     return [1.0] * (m + 1), [1.0] * (m + 1), adm
 
 
+def _kernel_instances(seed, count, size):
+    """Int masses on tables up to ``size - 1`` a side at every density, one
+    in ten full and one in ten empty.  The masses take one scale in three:
+    0 to 9, with many ties; random 1,104-bit ints; and up to 2^62 shifted
+    by up to 1,100 bits.  A fifth of them are 0."""
+    rng = np.random.default_rng(seed)
+    draw = (lambda: int(rng.integers(0, 10)),
+            lambda: int.from_bytes(rng.bytes(138), "little"),
+            lambda: int(rng.integers(1, 2 ** 62)) << int(rng.integers(0, 1100)))
+    for trial in range(count):
+        m, k = (int(v) for v in rng.integers(1, size, 2))
+        mass = draw[trial % 3]
+        sup, dem = ([0 if rng.random() < 0.2 else mass() for _ in range(n)]
+                    for n in (m, k))
+        adm = rng.random((m, k)) < rng.random()
+        if trial % 10 in (3, 7):
+            adm[:] = trial % 10 == 3
+        yield sup, dem, adm
+
+
 def lattice_dense_ops(seed):
     """The lattice-dense benchmark's calls at one seed, as (p_x, p_y, cost,
     alpha, n): 2 x 3 at n = 24 and 3 x 3 at n = 12, the seed moving each
@@ -421,6 +444,53 @@ class TestFlow:
         assert (solved.value, solved.unrouted) == (601, 0)
         mat = solved.plan
         assert (mat.sum(axis=0) == 1.0).all() and (mat.sum(axis=1) == 1.0).all()
+
+    def test_bipartite_kernel_is_the_residual_dinic(self, monkeypatch):
+        # the kernel that keeps no residual graph against the residual-graph
+        # Dinic it replaced, kept verbatim in residual_dinic: the same routed
+        # int, flow on every admissible cell, supply and demand left, levels
+        # of the last search, plan bytes and witness
+        tops, block = [], flow.BipartiteNetwork._block
+
+        def spy(net, lx, ly, top):
+            tops.append(top)
+            return block(net, lx, ly, top)
+
+        monkeypatch.setattr(flow.BipartiteNetwork, "_block", spy)
+        stair = _staircase(600)
+        seen = Counter()
+        for sup, dem, adm in itertools.chain(
+                _kernel_instances(2009, 3000, 13),
+                [([int(v) for v in stair[0]], [int(v) for v in stair[1]],
+                  stair[2])]):
+            scale = max(sup + dem + [1])
+            fsup, fdem = ([Fraction(v, scale) for v in side]
+                          for side in (sup, dem))
+            got = flow.bipartite_max_flow(fsup, fdem, adm)
+            want = residual_dinic.bipartite_max_flow(fsup, fdem, adm)
+            net, g = got.network, want.graph
+            m, k = adm.shape
+            assert (got.routed, got.supply, got.den) == (
+                want.routed, want.supply, want.den)
+            assert [net.into[j].get(i, 0) for i, j in np.argwhere(adm)] == (
+                g.cap[2 * (m + k) + 1::2])
+            assert net.sup + net.dem == g.cap[0:2 * (m + k):2]
+            assert net.level[0] + net.level[1] == g.level[:m + k]
+            assert got.plan.tobytes() == want.plan.tobytes()
+            assert got.witness == want.witness
+            seen["zero mass"] += 0 in sup + dem
+            seen["over 1,000 bits"] += max(sup + dem).bit_length() > 1000
+            seen["empty table"] += not adm.any()
+            seen["full table"] += bool(adm.all())
+            seen["supply left"] += got.routed < got.supply
+            seen["paths through backward arcs"] += max(tops + [0]) > 2
+            tops.clear()
+        assert min(seen.values()) >= 200 and len(seen) == 6, seen
+
+    def test_lex_min_coupling_is_the_residual_dinics(self):
+        for sup, dem, adm in _kernel_instances(2010, 300, 7):
+            assert repr(flow.lex_min_coupling(sup, dem, adm)) == repr(
+                residual_dinic.lex_min_coupling(sup, dem, adm))
 
     def test_subnormal_mass_lifts_without_overflow(self):
         # 5e-324 lifts to 1 over 2**1074, so 1.0 lifts to 2**1074: pushed

@@ -479,8 +479,7 @@ def check_lex_min_coupling(sup, dem, allowed, old) -> bool:
     all the supply routed."""
     got = flow.lex_min_coupling(sup, dem, allowed)
     assert all(type(v) is int for row in got for v in row)
-    m, k = allowed.shape
-    value = flow._network(sup, dem, allowed).max_flow(m + k, m + k + 1)
+    value = flow.BipartiteNetwork.on(sup, dem, allowed).max_flow()
     if value == sum(sup):
         assert repr(got) == repr(old(sup, dem, allowed))
         return True
@@ -503,14 +502,26 @@ class TestFlow:
             assert got.witness == want[3]
 
     def test_witness_is_the_residual_reach(self):
-        # the level graph of the last search is the BFS it replaced
+        # the levels of the last search are the BFS they replaced, run on
+        # the residual graph of the solved network: supply and demand
+        # left, the total supply less each cell's flow and, backward, the
+        # flow itself
         for sup, dem, adm in _flow_instances(1903, 500):
             m, k = adm.shape
             sup, dem, _ = flow._lift(sup, dem)
-            g = flow._network(sup, dem, adm)
-            g.max_flow(m + k, m + k + 1)
+            net = flow.BipartiteNetwork.on(sup, dem, adm)
+            net.max_flow()
+            g = MaxFlowGraph(m + k + 2)
+            for i, left in enumerate(net.sup):
+                g.cap[g.add_edge(m + k, i, left) ^ 1] = sup[i] - left
+            for j, left in enumerate(net.dem):
+                g.cap[g.add_edge(m + j, m + k + 1, left) ^ 1] = dem[j] - left
+            for i, j in np.argwhere(adm).tolist():
+                moved = net.into[j].get(i, 0)
+                g.cap[g.add_edge(i, m + j, sum(sup) - moved) ^ 1] = moved
             reach = MaxFlowGraph.source_side_cut(g, m + k)
-            assert reach == {v for v in range(g.n) if g.level[v] >= 0}
+            levels = net.level[0] + net.level[1] + [0]
+            assert reach == {v for v in range(m + k + 1) if levels[v] >= 0}
 
     def test_integer_lex_min_coupling_bit_for_bit(self):
         # bit for bit wherever the max-flow routes all the supply

@@ -326,16 +326,23 @@ class TestLexMinCoupling:
 
 
 def test_every_max_flow_runs_on_ints(rng, monkeypatch):
-    # every graph a flow builds, recorded where it is built: the max-flows,
-    # the lexicographic couplings' networks and the min-cost flows
+    # every network a flow builds, recorded where it is built: the
+    # max-flows' and the lexicographic couplings' supplies and demands,
+    # and the min-cost flows' capacities
     graphs = []
     from_edges = flow.MaxFlowGraph.from_edges
+    network = flow.BipartiteNetwork.__init__
 
     def record(cls, n_nodes, tails, heads, caps):
         graphs.append(list(caps))
         return from_edges(n_nodes, tails, heads, caps)
 
+    def record_network(net, supply, demand, cols):
+        graphs.append([*supply, *demand])
+        network(net, supply, demand, cols)
+
     monkeypatch.setattr(flow.MaxFlowGraph, "from_edges", classmethod(record))
+    monkeypatch.setattr(flow.BipartiteNetwork, "__init__", record_network)
     _optimal_joint_type.cache_clear()  # so lift_coupling solves its types
     px, py = random_dist(rng, 3), random_dist(rng, 3)
     c = random_cost(rng, 3, 3)
