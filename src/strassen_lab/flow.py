@@ -249,10 +249,12 @@ class BipartiteFlow:
     """A maximum flow of ``bipartite_max_flow``, in the lifted ints.
 
     ``routed`` is the flow and ``supply`` the total supply, both over the
-    common denominator ``den`` (1 when the masses are ints); ``value`` and
-    ``unrouted`` are the two as exact ``Fraction``s.  The completed
-    ``plan`` and the min-cut ``witness`` are read off the solved network
-    on their first read.
+    common denominator ``den`` (the caller's ``den`` when the masses are
+    ints, 1 by default); ``value`` and ``unrouted`` are the two as exact
+    ``Fraction``s.  The completed ``plan`` and the min-cut ``witness`` are
+    read off the solved network on their first read.  A solved flow can
+    start a solve on the same masses over more cells; that solve copies
+    the network, so this one never changes.
     """
 
     network: BipartiteNetwork
@@ -308,18 +310,39 @@ class BipartiteFlow:
 
 
 def bipartite_max_flow(supply: Sequence[float], demand: Sequence[float],
-                       admissible: np.ndarray) -> BipartiteFlow:
+                       admissible: np.ndarray,
+                       start: BipartiteFlow | None = None,
+                       den: int = 1) -> BipartiteFlow:
     """Max-flow from supplies to demands along admissible cells, exactly.
 
-    The masses run lifted to integers (``_lift``), unrounded, and Dinic's
-    algorithm runs at once on their ``BipartiteNetwork``; the returned
-    ``BipartiteFlow`` builds the coupling it completes to and the min-cut
-    witness only when they are read.  So ints of any size give their exact
-    ``routed`` flow with no float in sight.
+    The masses are ``supply[i] / den`` and ``demand[j] / den``; they run
+    lifted to integers (``_lift``), unrounded, and Dinic's algorithm runs
+    at once on their ``BipartiteNetwork``; the returned ``BipartiteFlow``
+    builds the coupling it completes to and the min-cut witness only when
+    they are read.  So ints of any size give their exact ``routed`` flow
+    with no float in sight.
+
+    ``start``, a solved flow on the same masses whose admissible cells are
+    a subset of these, is a feasible flow here too: Dinic then continues
+    from a copy of its leftovers and per-column flows (the warm start of
+    parametric max-flow), and ``routed`` counts its flow plus what Dinic
+    adds.  The maximum flow value is unique, so it is the cold solve's.
     """
-    sup, dem, den = _lift(supply, demand)
+    sup, dem, lifted = _lift(supply, demand)
     net = BipartiteNetwork.on(sup, dem, admissible)
-    return BipartiteFlow(net, admissible, net.max_flow(), sum(sup), den)
+    total, den = sum(sup), lifted * den
+    routed = 0
+    if start is not None:
+        if ((start.supply, start.den) != (total, den)
+                or start.admissible.shape != admissible.shape
+                or (start.admissible > admissible).any()):
+            raise ValueError("the start is not a flow on these masses "
+                             "within these admissible cells")
+        old = start.network
+        net.sup, net.dem = list(old.sup), list(old.dem)
+        net.into = [dict(flows) for flows in old.into]
+        routed = start.routed
+    return BipartiteFlow(net, admissible, routed + net.max_flow(), total, den)
 
 
 def convex_max_flow(supply, demand, lo, hi) -> int:

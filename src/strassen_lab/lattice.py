@@ -17,7 +17,8 @@ ratio recurrences (``_type_masses``).  Both sides are scaled to one
 total T, the lcm of their totals, and for the max-flow F between them
 G = (T - F) / T and 1 - G = F / T, each rounded once.  These masses
 depend on (P_X, P_Y, n) alone, so ``_outer_masses`` keeps them in one
-small cache that every alpha and every cost on the instance reads.
+cache, bounded by the bytes of its ints, that every alpha and every cost
+on the instance reads.
 
 When one alphabet has 2 letters, its types lie on a line and the inner
 cost is convex along it, so every type of the other side admits an
@@ -26,21 +27,26 @@ The ends come in closed form from the 2-source dual, with no inner table,
 and Glover's greedy sweep along the line is the max-flow
 (``flow.convex_max_flow``).  Lattices where both sides have 3 or more
 letters go to Dinic's exact max-flow over the admissible cells of the
-inner table, whose flow value alone is read.  ``TypeMeasure`` keeps a
-lattice with these integer masses and their total, the one stored
-format of type masses: the outer plans run on them, and every float
-mass, probability and log mass is read off them, each rounded once.
+inner table, whose flow value alone is read.  The LDP, MDP and CLT
+thresholds are alpha sweeps on one instance, and a higher alpha only adds
+admissible cells, so that max-flow continues the instance's last flow
+(``_last_flow``) whenever alpha has not dropped, the warm start of
+parametric max-flow (Gallo, Grigoriadis & Tarjan, 1989).
+``TypeMeasure`` keeps a lattice with these integer masses and their
+total, the one stored format of type masses: the outer plans run on them,
+scaled to T, and every float mass, probability and log mass is read off
+them, each rounded once.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
+import sys
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, update_wrapper
 
 import numpy as np
 
@@ -321,16 +327,49 @@ def _type_masses(m, n: int, scale: int = 1):
             scale = scale * (n - c) * m[0] // (c + 1)
 
 
-def _scales(mx, my, n: int) -> tuple[int, int, int]:
-    """``(row scale, column scale, T)``: the factors that bring the n-letter
-    totals (sum mx)^n and (sum my)^n of two lifted laws to their lcm T, so
-    two totals that are powers of two add no bits to the larger one."""
-    sx, sy = sum(mx) ** n, sum(my) ** n
+def _scales(sx: int, sy: int) -> tuple[int, int, int]:
+    """``(row scale, column scale, T)``: the factors that bring two totals,
+    such as the n-letter totals (sum mx)^n and (sum my)^n of two lifted
+    laws, to their lcm T, so two totals that are powers of two add no bits
+    to the larger one."""
     g = math.gcd(sx, sy)
     return sy // g, sx // g, sx // g * sy
 
 
-@lru_cache(maxsize=16)
+#: The bytes of ints ``_outer_masses`` keeps besides its newest entry.
+OUTER_CACHE_BYTES = 64 << 20
+
+
+def _cached_by_bytes(limit: int):
+    """A least-recently-used cache for ``_outer_masses``, bounded by the
+    bytes of the ints its entries hold rather than by their count: an
+    entry counts each of its masses at the size of its total T, which none
+    exceeds, and before each build the oldest entries go until the rest
+    count at most ``limit`` bytes.  So the newest entry is kept at any
+    size, and an alpha sweep on it builds it once.  ``cache_clear``
+    empties it, as it empties an ``lru_cache``."""
+    def decorate(fn):
+        kept = OrderedDict()  # args -> ((rows, cols, T), bytes)
+
+        def cached(*args):
+            hit = kept.get(args)
+            if hit is not None:
+                kept.move_to_end(args)
+                return hit[0]
+            held = sum(size for _, size in kept.values())
+            while held > limit:
+                held -= kept.popitem(last=False)[1][1]
+            rows, cols, total = result = fn(*args)
+            kept[args] = result, (len(rows) + len(cols)) * sys.getsizeof(
+                total)
+            return result
+
+        cached.cache_clear = kept.clear
+        return update_wrapper(cached, fn)
+    return decorate
+
+
+@_cached_by_bytes(OUTER_CACHE_BYTES)
 def _outer_masses(p_x: Dist, p_y: Dist, n: int) -> tuple[tuple, tuple, int]:
     """Both sides' type masses as ints, each side scaled (``_scales``) so
     that both total the same integer T: ``(rows, cols, T)``, the rows and
@@ -338,11 +377,32 @@ def _outer_masses(p_x: Dist, p_y: Dist, n: int) -> tuple[tuple, tuple, int]:
 
     The table depends on (p_x, p_y, n) alone, not on alpha or the cost, so
     an alpha sweep builds it once, and a k x 2 call shares the entry of
-    its 2 x k transpose."""
+    its 2 x k transpose.  The cache is bounded by the bytes of its ints
+    (``OUTER_CACHE_BYTES``), for an entry grows as n^(k - 1) ints of about
+    53 n bits each: a binary one at n = 3200 holds 144 MiB."""
     mx, my = _lifted(p_x), _lifted(p_y)
-    row_scale, col_scale, total = _scales(mx, my, n)
+    row_scale, col_scale, total = _scales(sum(mx) ** n, sum(my) ** n)
     return (tuple(_type_masses(mx, n, row_scale)),
             tuple(_type_masses(my, n, col_scale)), total)
+
+
+@lru_cache(maxsize=16)
+def _last_flow(p_x: Dist, p_y: Dist, c: CostMatrix, n: int) -> list:
+    """The dense route's last solved flow on this instance, empty before
+    the first: ``[alpha, supply left, demand left, flows into each column,
+    routed]``, the network's state without its column lists, so an entry
+    is sized by the types and the cells that carry flow."""
+    return []
+
+
+def _resume(last: list, table: np.ndarray, total: int) -> flow.BipartiteFlow:
+    """``_last_flow``'s entry as the solved flow it was, to start from:
+    its admissible cells are read off the table at its alpha again."""
+    alpha, sup, dem, into, routed = last
+    net = flow.BipartiteNetwork(sup, dem, [])
+    net.into = into
+    return flow.BipartiteFlow(net, table <= alpha + ADMISS_EPS, routed,
+                              total, 1)
 
 
 def gn_tails(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
@@ -356,7 +416,10 @@ def gn_tails(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
     and runs the greedy over its line of types (``flow.convex_max_flow``);
     otherwise Dinic runs over the admissible cells of the inner table, and
     only its flow value is read: no plan, no witness and no
-    ``TypeMeasure`` is built.
+    ``TypeMeasure`` is built.  Dinic starts from the instance's last solved
+    flow (``_last_flow``) when alpha is at least that flow's alpha, and
+    from zero flow otherwise; F is the maximum flow value either way, so
+    the bits do not depend on the order of the calls.
     """
     _check_sizes(p_x, p_y, c)
     if 2 in c.shape:
@@ -367,11 +430,20 @@ def gn_tails(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
         rows, cols, total = _outer_masses(p_x, p_y, n)
         routed = flow.convex_max_flow(rows, cols, lo, hi)
     else:
-        adm = _inner_cost_table(c, n) <= alpha + ADMISS_EPS
+        table = _inner_cost_table(c, n)
+        adm = table <= alpha + ADMISS_EPS
         if adm.size > DENSE_GUARD:
             raise SizeGuardError(f"dense outer flow needs {adm.size} cells")
         rows, cols, total = _outer_masses(p_x, p_y, n)
-        routed = flow.bipartite_max_flow(rows, cols, adm).routed
+        last = _last_flow(p_x, p_y, c, n)
+        start = None
+        # alpha' >= alpha admits every cell alpha admits, for the float add
+        # and compare are monotone: the last flow is feasible here too
+        if last and alpha >= last[0]:
+            start = _resume(last, table, total)
+        solved = flow.bipartite_max_flow(rows, cols, adm, start)
+        net, routed = solved.network, solved.routed
+        last[:] = alpha, net.sup, net.dem, net.into, routed
     # an int over an int rounds once
     return (total - routed) / total, routed / total
 
@@ -396,7 +468,7 @@ def direct_gn_oracle(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
     xs = list(itertools.product(range(kx), repeat=n))
     ys = list(itertools.product(range(ky), repeat=n))
     mx, my = _lifted(p_x), _lifted(p_y)
-    row_scale, col_scale, total = _scales(mx, my, n)
+    row_scale, col_scale, total = _scales(sum(mx) ** n, sum(my) ** n)
     px = [math.prod(mx[s] for s in seq) * row_scale for seq in xs]
     py = [math.prod(my[s] for s in seq) * col_scale for seq in ys]
     carr = c.as_array()
@@ -409,11 +481,17 @@ def direct_gn_oracle(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
 def optimal_outer_plan(instance: NestedInstance, alpha: float) -> JointDist:
     """An optimal coupling of the two type laws for the outer problem: the
     exact max-flow over the admissible type pairs, completed off them, on
-    the exact laws, so the mass it leaves off them is G."""
-    mu, nu = ([Fraction(v, tm.total) for v in tm.masses]
-              for tm in (instance.mu, instance.nu))
+    the exact laws, so the mass it leaves off them is G.
+
+    Both lattices' int masses are scaled to their common total T
+    (``_scales``) and the flow runs on them over T, so each plan cell is an
+    int over T, rounded once."""
+    mu, nu = instance.mu, instance.nu
+    row_scale, col_scale, total = _scales(mu.total, nu.total)
     adm = instance.inner_cost <= alpha + ADMISS_EPS
-    return JointDist.from_array(flow.bipartite_max_flow(mu, nu, adm).plan)
+    return JointDist.from_array(flow.bipartite_max_flow(
+        [v * row_scale for v in mu.masses], [v * col_scale for v in nu.masses],
+        adm, den=total).plan)
 
 
 # ---------------------------------------------------------------------------

@@ -529,6 +529,27 @@ class TestOuterMassCache:
             assert len(calls) == want, name
             calls.clear()
 
+    def test_cache_is_bounded_by_bytes(self):
+        # entry k holds k ints of about 1.1 kB each, none above its total;
+        # before a build the least recently used entries go until the rest
+        # hold at most 3,000 bytes, so the newest entry stays at any size
+        big = 1 << 8500
+        builds = []
+
+        def build(k):
+            builds.append(k)
+            return (big,) * k, (), big
+        cached = lattice._cached_by_bytes(3000)(build)
+        for k in (1, 2, 1, 3, 1, 2, 5, 5, 1):
+            assert cached(k) == build(k)
+            builds.pop()
+        assert builds == [1, 2, 3, 2, 5, 1]
+        cached(1)
+        cached.cache_clear()
+        cached(1)
+        assert builds == [1, 2, 3, 2, 5, 1, 1]
+        assert callable(lattice._outer_masses.cache_clear)
+
 
 # ---------------------------------------------------------------------------
 # The interval route as it ran before the interval ends came from the cost:

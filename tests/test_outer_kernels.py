@@ -14,7 +14,11 @@ one assumed.  The max-flow has since returned its flow completed to a
 coupling in ints, and matches the old flow bit for bit on the admissible
 cells.  The bulk-built residual graph and its Dinic have since given way
 to a kernel that keeps only the flow on the cells; they are kept verbatim
-in ``residual_dinic``, and the kernel must match them bit for bit.
+in ``residual_dinic``, and the kernel must match them bit for bit.  The
+dense route's alpha sweeps have since continued the instance's last flow,
+and must give the cold calls' bits, which are the residual Dinic's; the
+outer plan has since run on the lattices' ints over their total, and must
+give the plan on ``Fraction`` masses byte for byte.
 """
 import itertools
 import math
@@ -906,3 +910,187 @@ def test_product_space_oracle_is_gn_tails():
         assert lattice.direct_gn_oracle(px, py, c, alpha, n) == gn_tails(
             px, py, c, alpha, n)[0]
     assert lattice.direct_gn_oracle(*cases[-1]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The dense route's warm start: an alpha sweep on one instance continues
+# the last maximum flow while alpha does not drop.
+
+def _clear_last_flows():
+    lattice._last_flow.cache_clear()
+
+
+def _warm_instances():
+    """Random 3 x 3, 3 x 4 and 4 x 3 instances at n = 4-10, each with six
+    thresholds, one of them twice: the transport value plus t (cmax - cmin)
+    / sqrt(n) for t drawn in [-1.5, 1.5], where G moves the most."""
+    rng = np.random.default_rng(3101)
+    for kx, ky in [(3, 3), (3, 4), (4, 3)] * 3:
+        px, py = random_dist(rng, kx), random_dist(rng, ky)
+        carr = rng.integers(0, 100, (kx, ky)) / 100.0
+        n = int(rng.integers(4, 11 if kx * ky == 9 else 8))
+        base = ot_value(px.as_array(), py.as_array(), carr)
+        scale = (carr.max() - carr.min()) / math.sqrt(n)
+        alphas = [float(base + t * scale) for t in rng.uniform(-1.5, 1.5, 5)]
+        yield px, py, CostMatrix.from_rows(carr.tolist()), n, [
+            *alphas, alphas[2]]
+
+
+def _alpha_orders(alphas, seed):
+    """The thresholds ascending, descending, shuffled and with a repeat."""
+    up = sorted(alphas)
+    shuffled = list(alphas)
+    np.random.default_rng(seed).shuffle(shuffled)
+    return [up, up[::-1], shuffled, [up[1], up[1], up[0], up[0], up[3]]]
+
+
+def _outer_network(px, py, c, alpha, n):
+    rows, cols, total = lattice._outer_masses(px, py, n)
+    return rows, cols, total, _inner_cost_table(c, n) <= alpha + ADMISS_EPS
+
+
+def _int_marginals_and_cut(solved, rows, cols, total):
+    """A solved network's flows and leftovers add up to the masses exactly,
+    the flow runs on admissible cells only, and the min cut at the witness
+    has capacity F: its rows' mass less their admissible columns' mass is
+    T - F, in ints."""
+    net, adm = solved.network, solved.admissible
+    out = [0] * len(rows)
+    for j, flows in enumerate(net.into):
+        assert sum(flows.values()) + net.dem[j] == cols[j]
+        for i, v in flows.items():
+            assert v > 0 and adm[i, j]
+            out[i] += v
+    assert [a + b for a, b in zip(out, net.sup)] == list(rows)
+    assert sum(out) == solved.routed
+    witness = sorted(solved.witness)
+    reached = np.flatnonzero(adm[witness].any(axis=0))
+    assert (sum(rows[i] for i in witness) - sum(cols[j] for j in reached)
+            == total - solved.routed)
+
+
+class TestWarmStart:
+    def test_warm_sweeps_are_the_cold_calls(self):
+        # every order of every sweep gives the cold call's bits, and those
+        # are the residual-graph Dinic's on the same ints, rounded once
+        inside = 0
+        for k, (px, py, c, n, alphas) in enumerate(_warm_instances()):
+            want = {}
+            for alpha in alphas:
+                _clear_last_flows()
+                want[alpha] = _hex(gn_tails(px, py, c, alpha, n))
+                rows, cols, total, adm = _outer_network(px, py, c, alpha, n)
+                routed = residual_dinic.bipartite_max_flow(
+                    rows, cols, adm).routed
+                assert want[alpha] == _hex(
+                    ((total - routed) / total, routed / total))
+                inside += 0 < routed < total
+            for order in _alpha_orders(alphas, k):
+                _clear_last_flows()
+                assert [_hex(gn_tails(px, py, c, alpha, n))
+                        for alpha in order] == [want[a] for a in order]
+        assert inside >= 15  # of 54 calls, G strictly between 0 and 1
+
+    def test_warm_started_flow_is_certified(self):
+        # a start on a subset of the cells gives the cold flow value, its
+        # coupling keeps the exact marginals, its witness certifies T - F
+        # and is the cold flow's, and the start is left as it was
+        for px, py, c, n, alphas in _warm_instances():
+            lo, hi = min(alphas), max(alphas)
+            rows, cols, total, adm_lo = _outer_network(px, py, c, lo, n)
+            adm_hi = _outer_network(px, py, c, hi, n)[3]
+            start = flow.bipartite_max_flow(rows, cols, adm_lo)
+            before = (list(start.network.sup), list(start.network.dem),
+                      [dict(f) for f in start.network.into], start.routed)
+            warm = flow.bipartite_max_flow(rows, cols, adm_hi, start)
+            cold = flow.bipartite_max_flow(rows, cols, adm_hi)
+            assert (list(start.network.sup), list(start.network.dem),
+                    [dict(f) for f in start.network.into],
+                    start.routed) == before
+            assert (warm.routed, warm.supply, warm.den) == (
+                cold.routed, total, 1)
+            _int_marginals_and_cut(warm, rows, cols, total)
+            assert warm.witness == cold.witness
+            over_t = flow.bipartite_max_flow(rows, cols, adm_lo, den=total)
+            plan = flow.bipartite_max_flow(rows, cols, adm_hi, over_t,
+                                           den=total).plan
+            for j, flows in enumerate(warm.network.into):
+                for i, v in flows.items():
+                    assert plan[i, j] == v / total
+
+    def test_ascending_sweep_runs_fewer_phases(self, monkeypatch):
+        # THETA_INSTANCES[2] at n = 12 over the benchmark's nine thresholds:
+        # the warm sweep runs fewer Dinic phases than nine cold calls, and
+        # a threshold below the last one starts from zero flow
+        from test_acceptance import THETA_INSTANCES
+        px, py, c = THETA_INSTANCES[2]
+        n, carr = 12, c.as_array()
+        base = ot_value(px.as_array(), py.as_array(), carr)
+        scale = (carr.max() - carr.min()) / math.sqrt(n)
+        alphas = [float(base + t * scale)
+                  for t in (-1.2, -0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9, 1.2)]
+        phases, starts = [], []
+        levels = flow.BipartiteNetwork._levels
+        solve = flow.bipartite_max_flow
+
+        def counting(net):
+            phases.append(1)
+            return levels(net)
+
+        def recording(*args, **kwargs):
+            starts.append(args[3] if len(args) > 3 else kwargs.get("start"))
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(flow.BipartiteNetwork, "_levels", counting)
+        monkeypatch.setattr(flow, "bipartite_max_flow", recording)
+        cold = []
+        for alpha in alphas:
+            _clear_last_flows()
+            cold.append(gn_tails(px, py, c, alpha, n))
+        cold_phases = len(phases)
+        assert starts == [None] * 9
+        phases.clear()
+        starts.clear()
+        _clear_last_flows()
+        assert [gn_tails(px, py, c, alpha, n) for alpha in alphas] == cold
+        assert len(phases) < cold_phases
+        assert starts[0] is None and all(s is not None for s in starts[1:])
+        gn_tails(px, py, c, alphas[3], n)
+        assert starts[-1] is None
+        gn_tails(px, py, c, alphas[3], n)
+        assert starts[-1] is not None
+
+    def test_start_off_the_cells_raises(self):
+        px, py, c, n, alphas = next(_warm_instances())
+        lo, hi = min(alphas), max(alphas)
+        rows, cols, total, adm_lo = _outer_network(px, py, c, lo, n)
+        adm_hi = _outer_network(px, py, c, hi, n)[3]
+        assert (adm_hi & ~adm_lo).any()
+        start = flow.bipartite_max_flow(rows, cols, adm_hi)
+        with pytest.raises(ValueError):
+            flow.bipartite_max_flow(rows, cols, adm_lo, start)
+        with pytest.raises(ValueError):  # other masses
+            flow.bipartite_max_flow([2 * v for v in rows],
+                                    [2 * v for v in cols], adm_hi, start)
+
+
+@pytest.mark.parametrize("px,py,c,alpha,n", [
+    (B01.mass, B05.mass, [[0, 1], [1, 0]], 0.45, 40),
+    ((0.3, 0.7), (0.6, 0.4), [[0, 1], [1, 0]], 0.3, 120),
+    ((0.4, 0.6), (0.2, 0.3, 0.5), [[0.0, 0.6, 1.0], [0.8, 0.2, 0.5]], 0.39, 8),
+    ((0.2, 0.3, 0.5), (0.5, 0.1, 0.4), [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+     0.5, 6),
+    ([0.5, 0.5, 2.0 ** -263], DEEP_TAIL_PY, DEEP_TAIL_COST, 0.66625, 4)],
+    ids=["binary-40", "binary-120", "2x3", "3x3", "subnormal-tail"])
+def test_outer_plan_is_the_fraction_plan(px, py, c, alpha, n):
+    # the plan on the lattices' ints over T against the plan on each mass
+    # reduced to a Fraction and lifted to the lcm of their denominators:
+    # Dinic routes the uniformly scaled ints the same flow, so each cell is
+    # the same rational, rounded once
+    px, py = Dist.from_mass(list(px)), Dist.from_mass(list(py))
+    inst = lattice.nested_instance(px, py, CostMatrix.from_rows(c), n)
+    mu, nu = ([Fraction(v, tm.total) for v in tm.masses]
+              for tm in (inst.mu, inst.nu))
+    adm = inst.inner_cost <= alpha + ADMISS_EPS
+    want = flow.bipartite_max_flow(mu, nu, adm).plan
+    got = lattice.optimal_outer_plan(inst, alpha).as_array()
+    assert got.tobytes() == want.tobytes()
