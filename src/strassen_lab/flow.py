@@ -1,34 +1,34 @@
-"""Network-flow kernels: max-flow and a transportation solver with duals.
+"""Network-flow kernels on one exact max-flow kernel, ``BipartiteNetwork``.
 
-These are written directly rather than taken from a library because the rest
-of the package needs two things generic solvers do not expose:
-
-* terminating node potentials that are dual-feasible on *every* cell,
-  including cells incident to zero-supply nodes (the Kantorovich certificate
-  depends on this), and
-* exact flows.  Every flow runs on Python ints, masses lifted to integers
-  over one common denominator (``_lift``) and each plan cell divided back
-  once: every Strassen value, witness and coupling (``transport.ecp``, the
-  type lattices' outer solves, the product-space oracle and ``sample``'s
-  outer plan), the min-cost flow, ``ot_cost``'s vertex plan and the
-  coupling samplers' joint types (on their counts).
-
-The Strassen witness is the source side of a minimum cut, read off the
-levels of Dinic's last, failed search.  ``bipartite_max_flow`` returns the
-solved network with its exact flow value (``BipartiteFlow``); the coupling
-and the witness are built from it only when a caller reads them, so a
-value-only caller on ints of any size meets no float.
+They are written here rather than taken from a library because the rest of
+the package needs two things generic solvers do not expose: dual
+potentials feasible on *every* cell, including cells at zero-mass symbols
+(the Kantorovich certificate depends on this), and exact flows.  Every
+flow runs on Python ints, masses lifted to integers over one common
+denominator (``_lift``), each plan cell divided back once.
 
 Networks here are bipartite, over alphabets or type lattices, up to a few
-hundred nodes a side.  Max-flow has one kernel, ``BipartiteNetwork``:
-Dinic's algorithm on source -> rows -> columns -> sink, whose cell edges
-are unbounded, so it keeps no residual graph, only the supply and demand
-left and the flow into each column; the lexicographic max-flow for vertex
-couplings runs on it too.  The min-cost flow, successive shortest paths
-with Dijkstra, runs on an explicit residual graph (``MaxFlowGraph``, built
-by ``_network``).  A convex bipartite graph, whose columns each admit an
-interval of the rows, needs no network: Glover's greedy sweep gives its
-max-flow value (``convex_max_flow``).
+hundred nodes a side.  ``BipartiteNetwork`` runs Dinic's algorithm on
+source -> rows -> columns -> sink; its cell edges are unbounded, so it
+keeps no residual graph, only the supply and demand left and the flow into
+each column.  It serves max-flow, lexicographic couplings and min-cost
+flow:
+
+* ``bipartite_max_flow`` gives every Strassen value, witness and coupling
+  (``transport.ecp``, the type lattices' outer solves, the product-space
+  oracle and ``sample``'s outer plan).  It returns the solved network with
+  its exact flow value (``BipartiteFlow``); the coupling and the min-cut
+  witness, read off the levels of Dinic's last, failed search, are built
+  only when read, so a value-only caller on ints of any size meets no
+  float.
+* ``lex_min_coupling`` runs one max-flow per cell for the vertex couplings
+  of ``ot_cost`` and the coupling samplers' joint types.
+* ``transport_min_cost`` is the primal-dual method: one max-flow per phase
+  on the cells tight against int potentials.
+
+A convex bipartite graph, whose columns each admit an interval of the rows,
+needs no network: Glover's greedy sweep gives its max-flow value
+(``convex_max_flow``).
 """
 from __future__ import annotations
 
@@ -40,32 +40,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-
-
-class MaxFlowGraph:
-    """An explicit residual graph on int capacities, the min-cost flow's:
-    edges as parallel arrays with the reverse edge at ``index ^ 1``,
-    reverse residuals starting at 0, so the flow through a forward edge is
-    its reverse residual; the min-cost solver keeps its edge costs in one
-    more list beside them.
-    """
-
-    @classmethod
-    def from_edges(cls, n_nodes: int, tails, heads, caps) -> "MaxFlowGraph":
-        """The graph of these edges, in bulk: the i-th edge's residual at
-        ``2 * i``, its reverse at ``2 * i + 1``.  Edge ``e`` belongs to node
-        ``to[e ^ 1]``, and a stable sort by owner lists each node's edges in
-        the given order.  ``caps``: a list."""
-        g = cls()
-        g.n = n_nodes
-        owner = np.column_stack([tails, heads]).ravel()
-        order = np.argsort(owner, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(owner, minlength=n_nodes)).tolist()
-        g.adj = [order[a:b] for a, b in zip([0] + ends, ends)]
-        g.to = owner.reshape(-1, 2)[:, ::-1].ravel().tolist()
-        g.cap = [0] * len(g.to)
-        g.cap[::2] = caps
-        return g
 
 
 class BipartiteNetwork:
@@ -226,22 +200,11 @@ def _lift(supply, demand):
     return lifted[:len(supply)], lifted[len(supply):], den
 
 
-def _network(supply, demand, cells: np.ndarray) -> MaxFlowGraph:
-    """The min-cost flow's residual graph: source -> rows -> columns ->
-    sink on int supplies and demands, with one edge per True cell.
-
-    Rows are nodes ``0..m-1``, columns ``m..m+k-1``, the source ``m + k``
-    and the sink ``m + k + 1``.  The edges are the source's, the sink's,
-    then the cells' in row-major order, so a cell's flow is its reverse
-    residual.  A cell never carries more than the total supply, so that is
-    its capacity, an int like every other.
-    """
-    m, k = cells.shape
-    rows, cols = np.nonzero(cells)
-    return MaxFlowGraph.from_edges(
-        m + k + 2, np.concatenate([np.full(m, m + k), m + np.arange(k), rows]),
-        np.concatenate([np.arange(m), np.full(k, m + k + 1), m + cols]),
-        [*supply, *demand] + [sum(supply)] * len(rows))
+def _scales(sx: int, sy: int) -> tuple[int, int, int]:
+    """``(row scale, column scale, T)``: the factors that bring two int
+    totals to their lcm T, so two powers of two add no bits to the larger."""
+    g = math.gcd(sx, sy)
+    return sy // g, sx // g, sx // g * sy
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,72 +369,69 @@ def lex_min_coupling(supply, demand, allowed: np.ndarray) -> list[list]:
     return plan
 
 
+def _primal_dual(sup: list, dem: list, c: list) -> tuple:
+    """The primal-dual method on int masses of one total and int costs
+    (``c``, a list of rows): ``(net, f, g)``, the solved network and int
+    potentials with f_i + g_j <= c_ij on every cell, equal where flow runs.
+
+    Each phase runs the max-flow on the tight cells, continuing the flow so
+    far.  While supply is left, the rows and columns its last, failed
+    search reached are labelled, and the least reduced cost from a labelled
+    row to an unlabelled column is added to f on the labelled rows and
+    taken from g on the labelled columns; a column's flow comes from
+    labelled rows, so every cell with flow stays tight.
+    """
+    m, k = len(sup), len(dem)
+    f = [min(row) for row in c]
+    g = [min(c[i][j] - f[i] for i in range(m)) for j in range(k)]
+    net = BipartiteNetwork(sup, dem, [])
+    left = sum(sup)
+    while True:
+        net.cols = [[j for j in range(k) if c[i][j] == f[i] + g[j]]
+                    for i in range(m)]
+        left -= net.max_flow()
+        if not left:
+            return net, f, g
+        lx, ly = net.level
+        step = min(c[i][j] - f[i] - g[j] for i in range(m) if lx[i] >= 0
+                   for j in range(k) if ly[j] < 0)
+        f = [v + step if lx[i] >= 0 else v for i, v in enumerate(f)]
+        g = [v - step if ly[j] >= 0 else v for j, v in enumerate(g)]
+
+
 def transport_min_cost(supply: Sequence[float], demand: Sequence[float],
                        cost: np.ndarray):
-    """Balanced transportation problem by successive shortest paths.
+    """The transportation problem by the primal-dual method (Ford &
+    Fulkerson, 1956; Kuhn's Hungarian method, 1955), exactly: masses and
+    costs lifted to ints (``_lift``), each over its own denominator, so a
+    cell is tight by an int equality (``_primal_dual``).
 
-    Returns ``(plan, f, g, objective)`` where ``f`` and ``g`` are dual
-    potentials satisfying f(x) + g(y) <= c(x, y) on every cell (not just the
-    support), derived from the terminating node potentials.
-
-    The flow runs on the masses lifted to integers (``_lift``) and the plan
-    is divided back once per cell; the costs, distances and potentials are
-    floats.  Potential updates are capped at the sink distance, which keeps
-    the duals feasible at nodes the last Dijkstra never reached — in
-    particular at zero-supply symbols, which are deliberately retained.
+    Returns ``(plan, f, g, objective, tight)``, each float divided back
+    once: potentials with f(x) + g(y) <= c(x, y) on every cell, also at
+    zero-mass symbols, ``tight`` the cells where equality holds, and a
+    least-cost plan routing min(sum supply, sum demand) on tight cells.
+    When the sums differ, a cost-0 letter on the smaller side takes the
+    excess.
     """
     m, k = cost.shape
     if len(supply) != m or len(demand) != k:
         raise ValueError("supply/demand lengths do not match the cost shape")
-    n = m + k + 2
-    s, t = m + k, m + k + 1
     sup, dem, den = _lift(supply, demand)
-    graph = _network(sup, dem, np.ones((m, k), dtype=bool))
-    # per edge, parallel to graph.to and graph.cap: w forward, -w backward
-    cell_w = np.asarray(cost, float).ravel().tolist()
-    ecost = [x for w in [0.0] * (m + k) + cell_w for x in (w, -w)]
-    adj, eto, ecap = graph.adj, graph.to, graph.cap
-
-    pot = [0.0] * n
-    while True:
-        dist = [math.inf] * n
-        dist[s] = 0.0
-        par_edge = [-1] * n
-        heap = [(0.0, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u] + 1e-15:
-                continue
-            for e in adj[u]:
-                if ecap[e] <= 0:
-                    continue
-                v = eto[e]
-                nd = d + ecost[e] + pot[u] - pot[v]
-                if nd < dist[v] - 1e-15:
-                    dist[v] = nd
-                    par_edge[v] = e
-                    heapq.heappush(heap, (nd, v))
-        if not math.isfinite(dist[t]):
-            break
-        for v in range(n):
-            pot[v] += min(dist[v], dist[t])
-        # Bottleneck along the shortest path; Dijkstra crossed only edges
-        # with a residual left, so it is a positive int.
-        push = math.inf
-        v = t
-        while v != s:
-            e = par_edge[v]
-            push = min(push, ecap[e])
-            v = eto[e ^ 1]
-        v = t
-        while v != s:
-            e = par_edge[v]
-            ecap[e] -= push
-            ecap[e ^ 1] += push
-            v = eto[e ^ 1]
-
-    plan = np.array([v / den for v in ecap[2 * (m + k) + 1::2]]).reshape(m, k)
-    f = np.array([-pot[i] for i in range(m)])
-    g = np.array([pot[m + j] for j in range(k)])
-    objective = float(np.sum(plan * cost))
-    return plan, f, g, objective
+    flat, _, cden = _lift(np.ravel(cost).tolist(), ())
+    c = [flat[i * k:(i + 1) * k] for i in range(m)]
+    excess = sum(sup) - sum(dem)
+    if excess > 0:
+        dem, c = dem + [excess], [row + [0] for row in c]
+    elif excess < 0:
+        sup, c = sup + [-excess], c + [[0] * k]
+    net, f, g = _primal_dual(sup, dem, c)
+    plan, spent = np.zeros((m, k)), 0
+    for j in range(k):
+        for i, v in net.into[j].items():
+            if i < m:
+                plan[i, j] = v / den
+                spent += v * c[i][j]
+    tight = np.array([[c[i][j] == f[i] + g[j] for j in range(k)]
+                      for i in range(m)])
+    return (plan, np.array([v / cden for v in f[:m]]),
+            np.array([v / cden for v in g[:k]]), spent / (den * cden), tight)

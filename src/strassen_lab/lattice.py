@@ -54,8 +54,7 @@ from . import flow
 from .curves import RateCurve
 from .errors import SizeGuardError, ValidationError
 from .measures import Dist, JointDist
-from .transport import (ADMISS_EPS, CostMatrix, dual_vertices, ot_value,
-                        tight_cells)
+from .transport import ADMISS_EPS, CostMatrix, dual_vertices, ot_value
 
 ENUM_GUARD = 10_000_000
 DENSE_GUARD = 300_000
@@ -327,15 +326,6 @@ def _type_masses(m, n: int, scale: int = 1):
             scale = scale * (n - c) * m[0] // (c + 1)
 
 
-def _scales(sx: int, sy: int) -> tuple[int, int, int]:
-    """``(row scale, column scale, T)``: the factors that bring two totals,
-    such as the n-letter totals (sum mx)^n and (sum my)^n of two lifted
-    laws, to their lcm T, so two totals that are powers of two add no bits
-    to the larger one."""
-    g = math.gcd(sx, sy)
-    return sy // g, sx // g, sx // g * sy
-
-
 #: The bytes of ints ``_outer_masses`` keeps besides its newest entry.
 OUTER_CACHE_BYTES = 64 << 20
 
@@ -371,9 +361,9 @@ def _cached_by_bytes(limit: int):
 
 @_cached_by_bytes(OUTER_CACHE_BYTES)
 def _outer_masses(p_x: Dist, p_y: Dist, n: int) -> tuple[tuple, tuple, int]:
-    """Both sides' type masses as ints, each side scaled (``_scales``) so
-    that both total the same integer T: ``(rows, cols, T)``, the rows and
-    columns in lattice order.
+    """Both sides' type masses as ints, each side scaled
+    (``flow._scales``) so that both total the same integer T:
+    ``(rows, cols, T)``, the rows and columns in lattice order.
 
     The table depends on (p_x, p_y, n) alone, not on alpha or the cost, so
     an alpha sweep builds it once, and a k x 2 call shares the entry of
@@ -381,7 +371,7 @@ def _outer_masses(p_x: Dist, p_y: Dist, n: int) -> tuple[tuple, tuple, int]:
     (``OUTER_CACHE_BYTES``), for an entry grows as n^(k - 1) ints of about
     53 n bits each: a binary one at n = 3200 holds 144 MiB."""
     mx, my = _lifted(p_x), _lifted(p_y)
-    row_scale, col_scale, total = _scales(sum(mx) ** n, sum(my) ** n)
+    row_scale, col_scale, total = flow._scales(sum(mx) ** n, sum(my) ** n)
     return (tuple(_type_masses(mx, n, row_scale)),
             tuple(_type_masses(my, n, col_scale)), total)
 
@@ -468,7 +458,7 @@ def direct_gn_oracle(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float,
     xs = list(itertools.product(range(kx), repeat=n))
     ys = list(itertools.product(range(ky), repeat=n))
     mx, my = _lifted(p_x), _lifted(p_y)
-    row_scale, col_scale, total = _scales(sum(mx) ** n, sum(my) ** n)
+    row_scale, col_scale, total = flow._scales(sum(mx) ** n, sum(my) ** n)
     px = [math.prod(mx[s] for s in seq) * row_scale for seq in xs]
     py = [math.prod(my[s] for s in seq) * col_scale for seq in ys]
     carr = c.as_array()
@@ -484,10 +474,10 @@ def optimal_outer_plan(instance: NestedInstance, alpha: float) -> JointDist:
     the exact laws, so the mass it leaves off them is G.
 
     Both lattices' int masses are scaled to their common total T
-    (``_scales``) and the flow runs on them over T, so each plan cell is an
-    int over T, rounded once."""
+    (``flow._scales``) and the flow runs on them over T, so each plan cell
+    is an int over T, rounded once."""
     mu, nu = instance.mu, instance.nu
-    row_scale, col_scale, total = _scales(mu.total, nu.total)
+    row_scale, col_scale, total = flow._scales(mu.total, nu.total)
     adm = instance.inner_cost <= alpha + ADMISS_EPS
     return JointDist.from_array(flow.bipartite_max_flow(
         [v * row_scale for v in mu.masses], [v * col_scale for v in nu.masses],
@@ -507,9 +497,8 @@ def _optimal_joint_type(tx: tuple, ty: tuple, c: CostMatrix) -> tuple:
     result is re-verified.
     """
     carr = c.as_array()
-    _, f, g, vstar = flow.transport_min_cost(tx, ty, carr)
-    mat = tuple(map(tuple, flow.lex_min_coupling(tx, ty,
-                                                 tight_cells(carr, f, g))))
+    _, _, _, vstar, tight = flow.transport_min_cost(tx, ty, carr)
+    mat = tuple(map(tuple, flow.lex_min_coupling(tx, ty, tight)))
     if (any(v < 0 for row in mat for v in row)
             or [sum(row) for row in mat] != list(tx)
             or [sum(col) for col in zip(*mat)] != list(ty)):

@@ -2,15 +2,17 @@
 
 The two primal problems live on the same bipartite geometry:
 
-* ``ot_cost`` minimizes expected cost over couplings (min-cost flow, then a
-  lexicographic max-flow for a vertex plan, exact on the lifted masses);
+* ``ot_cost`` minimizes expected cost over couplings (the exact
+  primal-dual min-cost flow, then a lexicographic max-flow on its tight
+  cells for a vertex plan, exact on the lifted masses);
 * ``ecp`` minimizes the probability of exceeding a cost level ``alpha``
   (max-flow over the admissible cells, by Strassen duality), in exact
-  big-integer arithmetic on the marginals' binary rationals, and its
-  coupling completed off those cells in the same integers.
+  big-integer arithmetic on the law m_i / sum(m) of the marginals' binary
+  rationals, and its coupling completed off those cells in the same
+  integers.
 
-Duals come along for free: Kantorovich potentials from the terminating flow
-potentials, and a maximizing witness set E from the min cut.
+Duals come along for free: Kantorovich potentials from the min-cost flow's
+int potentials, and a maximizing witness set E from the min cut.
 
 A third route serves values alone.  For alphabets up to ``VERTEX_MAX``
 symbols a side, ``dual_vertices`` lists the vertices of the dual polyhedron
@@ -18,14 +20,14 @@ symbols a side, ``dual_vertices`` lists the vertices of the dual polyhedron
 K_{m,k} that stay dual-feasible (Dantzig; Klee & Witzgall 1968).  They
 depend only on c and are cached, and by LP duality OT(p, q) is the largest
 F_v . p + G_v . q over them, so ``ot_value`` is a few dot products.  Plans
-come from the lexicographic max-flow, certificates from the min-cost flow.
+come from the lexicographic max-flow on the cells tight, in ints, against
+the min-cost flow's potentials, and certificates from those potentials.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -48,13 +50,10 @@ ADMISS_EPS = 1e-12
 #: at 4 x 4 it tries 11,440 candidate trees, a count that explodes beyond.
 VERTEX_MAX = 4
 
-#: Dual feasibility, vertex identity and tightness are decided up to this
-#: multiple of the cost scale max(1, max |c|); tree potentials are sums of a
-#: few costs, so their rounding error is orders of magnitude below it.
+#: Dual feasibility and vertex identity are decided up to this multiple of
+#: the cost scale max(1, max |c|); tree potentials are sums of a few costs,
+#: so their rounding error is orders of magnitude below it.
 VERTEX_TOL = 1e-12
-
-#: Reduced costs up to this multiple of the cost scale count as tight.
-TIGHT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -124,15 +123,16 @@ class TransportPlan:
 class EcpResult:
     """Outcome of a Strassen excess-cost problem.
 
-    ``value`` is G_alpha and ``complement`` the max-flow value, each
-    capped at 1 (``Dist`` lets masses sum to 1 + 1e-12); each is one exact
+    The marginals are read as the laws m_i / sum(m) their float masses
+    define (``Dist`` lets the masses sum to 1 within 1e-12).  ``value`` is
+    G_alpha and ``complement`` the max-flow value; each is one exact
     rational rounded once, never one minus the other, so tiny tails keep
-    full precision.  ``plan`` is an optimal coupling, each cell an exact
-    rational rounded once: before rounding, when the float masses of the
-    two sides sum to the same total, its rows and columns sum to them and
-    its mass off the admissible cells is G.  ``witness`` is a maximizing
-    dual set E of x indices: below the cap, value = P_X(E) - P_Y(Gamma(E)),
-    exactly for the float masses given.
+    full precision, and before rounding they sum to 1.  ``plan`` is an
+    optimal coupling of those laws, each cell an exact rational rounded
+    once: before rounding its rows and columns sum to the laws and its
+    mass off the admissible cells is G.  ``witness`` is a maximizing dual
+    set E of x indices: value = P_X(E) - P_Y(Gamma(E)), exactly for those
+    laws.
     """
 
     value: float
@@ -183,12 +183,6 @@ def gamma_enlarge(a_set, c: CostMatrix, alpha: float) -> frozenset:
     for i in a_set:
         out.update(int(j) for j in np.nonzero(adm[int(i)])[0])
     return frozenset(out)
-
-
-def tight_cells(cost: np.ndarray, f, g) -> np.ndarray:
-    """Cells tight against (f, g), up to ``TIGHT_TOL`` times the cost scale."""
-    scale = max(1.0, float(np.abs(cost).max()))
-    return cost - f[:, None] - g[None, :] <= TIGHT_TOL * scale
 
 
 def vertex_tol(cost: np.ndarray) -> float:
@@ -254,22 +248,22 @@ def ot_value(px: np.ndarray, py: np.ndarray, cost: np.ndarray) -> float:
     if verts is not None:
         f, g = verts
         return float(np.max(f @ px + g @ py))
-    _, _, _, objective = flow.transport_min_cost(px, py, cost)
-    return objective
+    return flow.transport_min_cost(px, py, cost)[3]
 
 
 def ot_cost(p_x: Dist, p_y: Dist, c: CostMatrix) -> TransportPlan:
     """The minimum expected cost over couplings, with an optimal vertex plan.
 
-    The plan is the lexicographically least maximum flow on the tight
-    cells, run on the masses lifted to integers and divided back once per
-    cell: a vertex, also when the marginals' float sums differ.
+    The plan is the lexicographically least maximum flow on the cells
+    tight against the min-cost flow's potentials, run on the masses lifted
+    to integers and divided back once per cell: a vertex, also when the
+    marginals' float sums differ.
     """
     _check_dims(p_x, p_y, c)
     cost = c.as_array()
-    _, f, g, _ = flow.transport_min_cost(p_x.mass, p_y.mass, cost)
+    _, f, g, _, tight = flow.transport_min_cost(p_x.mass, p_y.mass, cost)
     sup, dem, den = flow._lift(p_x.mass, p_y.mass)
-    rows = flow.lex_min_coupling(sup, dem, tight_cells(cost, f, g))
+    rows = flow.lex_min_coupling(sup, dem, tight)
     plan = np.array([[v / den for v in row] for row in rows])
     objective = float(np.sum(plan * cost))
     f.setflags(write=False)
@@ -282,20 +276,24 @@ def ecp(p_x: Dist, p_y: Dist, c: CostMatrix, alpha: float) -> EcpResult:
     """Strassen's optimal excess-cost probability G_alpha, exactly rounded.
 
     The marginals are lifted to integers over a common denominator (their
-    float values read as exact binary rationals), and a big-integer
-    max-flow runs on the bipartite graph whose cell edges are exactly the
-    admissible cells.  G is the total supply less that flow,
-    one exact rational rounded once and capped at 1: below the cap it
-    equals P_X(E) - P_Y(Gamma(E)) for the min-cut witness E, with no
-    rounding from the marginals' own sum.  The plan is the flow completed
-    in the same integers (``flow.bipartite_max_flow``).
+    float values read as exact binary rationals), and each side is scaled
+    by the other's int total (``flow._scales``), so both total the same
+    int T and a ``Dist`` is read as the law m_i / sum(m) it defines, as the
+    type lattices read it.  A big-integer max-flow F runs on the bipartite
+    graph whose cell edges are exactly the admissible cells, and
+    G = (T - F) / T and 1 - G = F / T, each one exact rational rounded
+    once, with no rounding from the marginals' own sum: G equals
+    P_X(E) - P_Y(Gamma(E)) for the min-cut witness E.  The plan is the
+    flow completed in the same integers (``flow.bipartite_max_flow``).
     """
     _check_dims(p_x, p_y, c)
-    solved = flow.bipartite_max_flow(p_x.mass, p_y.mass,
-                                     admissible_mask(c, alpha))
-    value = float(min(Fraction(1), solved.unrouted))
-    complement = float(min(Fraction(1), solved.value))
-    return EcpResult(value=value, complement=complement,
+    sup, dem, _ = flow._lift(p_x.mass, p_y.mass)
+    row_scale, col_scale, total = flow._scales(sum(sup), sum(dem))
+    solved = flow.bipartite_max_flow(
+        [v * row_scale for v in sup], [v * col_scale for v in dem],
+        admissible_mask(c, alpha), den=total)
+    return EcpResult(value=float(solved.unrouted),
+                     complement=float(solved.value),
                      plan=JointDist.from_array(solved.plan),
                      witness=frozenset(solved.witness))
 
@@ -363,7 +361,7 @@ def kantorovich_certificate(p_x: Dist, p_y: Dist, c: CostMatrix,
         raise InfeasibleError("plan marginals do not match the problem marginals")
     cost = c.as_array()
     if plan.potentials is None:
-        _, f, g, _ = flow.transport_min_cost(p_x.mass, p_y.mass, cost)
+        _, f, g, _, _ = flow.transport_min_cost(p_x.mass, p_y.mass, cost)
     else:
         f, g = plan.potentials
     violation = float((f[:, None] + g[None, :] - cost).max())
@@ -386,17 +384,15 @@ def optimal_support(p_x: Dist, p_y: Dist, c: CostMatrix) -> SupportSet:
     an alternating cycle (gain on tight cells, give back on cells the base
     plan uses).  Membership is thus decided by graph reachability rather
     than by thresholding a per-cell LP, which would also admit slack cells
-    whose reduced cost is smaller than the mass budget lets on.  TIGHT_TOL
-    only separates tight from slack reduced costs (relative to the cost
-    scale); the base plan runs on the lifted masses, so a cell counts as
-    used when it carries any mass at all.
+    whose reduced cost is smaller than the mass budget lets on.  A cell is
+    tight when its reduced cost is zero in the min-cost flow's ints, so no
+    cost is too small to count as slack; the base plan runs on the lifted
+    masses, so a cell counts as used when it carries any mass at all.
     """
     _check_dims(p_x, p_y, c)
     m, k = c.shape
     cost = c.as_array()
-    plan, f, g, _ = flow.transport_min_cost(p_x.as_array(), p_y.as_array(),
-                                            cost)
-    tight = tight_cells(cost, f, g)
+    plan, _, _, _, tight = flow.transport_min_cost(p_x.mass, p_y.mass, cost)
     used = plan > 0
     # Symbol digraph: x -> y along any tight cell (mass may be added there),
     # y -> x along any used cell (the base plan can give mass back).  A cell

@@ -290,7 +290,7 @@ class TestNestedInstance:
 
 def _ssp_inner_cost_table(c: CostMatrix, n: int) -> np.ndarray:
     """The inner cost table as it was built before the dual-vertex kernel:
-    one SSP min-cost flow per pair of types, then clipped at 0."""
+    one min-cost flow per pair of types, then clipped at 0."""
     kx, ky = c.shape
     fx = _counts_matrix(n, kx) / n
     fy = _counts_matrix(n, ky) / n
@@ -298,7 +298,7 @@ def _ssp_inner_cost_table(c: CostMatrix, n: int) -> np.ndarray:
     table = np.empty((len(fx), len(fy)))
     for i in range(len(fx)):
         for j in range(len(fy)):
-            _, _, _, table[i, j] = flow.transport_min_cost(fx[i], fy[j], carr)
+            table[i, j] = flow.transport_min_cost(fx[i], fy[j], carr)[3]
     return np.maximum(table, 0.0)
 
 
@@ -324,8 +324,7 @@ class TestInnerCostTable:
         want = _ssp_inner_cost_table(c, n)
         assert np.abs(got - want).max() <= 1e-14
         carr = c.as_array()
-        _, _, _, base = flow.transport_min_cost(np.array(mx), np.array(my),
-                                                carr)
+        base = flow.transport_min_cost(np.array(mx), np.array(my), carr)[3]
         scale = (carr.max() - carr.min()) / math.sqrt(n)
         sweep = [base + t * scale for t in np.linspace(-1.2, 1.2, 8)]
         for alpha in [base, *sweep, *np.unique(want)]:

@@ -426,7 +426,7 @@ class _BallTransport:
         (qx, qy), and the linearization's exact minimum over the balls is
         one tilt per side.  Valid at any anchor point, feasible or not.
         """
-        _, f, g, val = transport_min_cost(qx, qy, self.carr)
+        _, f, g, val, _ = transport_min_cost(qx, qy, self.carr)
         gap = 0.0
         if self.move_x:
             sx = _kl_ball_linmin(self.logpx, np.asarray(f), rx)
@@ -445,7 +445,7 @@ class _BallTransport:
         qy = self._project(qy, self.logpy, ry) if self.move_y else self.py
         plan = None
         for _ in range(max_iter):
-            plan, f, g, val = transport_min_cost(qx, qy, self.carr)
+            plan, f, g, val, _ = transport_min_cost(qx, qy, self.carr)
             if val <= budget:
                 self.warm = (qx, qy)
                 return True

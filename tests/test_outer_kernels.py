@@ -401,19 +401,6 @@ def _dense_gn_tails(px, py, c, alpha, n):
 
 
 class TestFlow:
-    def test_bulk_graph_is_the_add_edge_graph(self):
-        rng = np.random.default_rng(2001)
-        for _ in range(300):
-            n = int(rng.integers(1, 12))
-            tails, heads = rng.integers(0, n, (2, int(rng.integers(0, 40))))
-            caps = rng.random(len(tails)).tolist()
-            want = MaxFlowGraph(n)
-            for u, v, cap in zip(tails.tolist(), heads.tolist(), caps):
-                want.add_edge(u, v, cap)
-            got = flow.MaxFlowGraph.from_edges(n, tails, heads, caps)
-            assert got.adj == want.adj and got.to == want.to
-            assert repr(got.cap) == repr(want.cap)
-
     def test_exact_max_flow_bit_for_bit(self):
         for sup, dem, adm in _flow_instances(2003, 300):
             got = flow.bipartite_max_flow(sup, dem, adm)

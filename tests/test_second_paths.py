@@ -39,7 +39,7 @@ from strassen_lab.lattice import DENSE_GUARD, PAIR_GUARD, _counts_matrix
 from strassen_lab.mdp import _optimal_face, _spread_rows, support_of
 from strassen_lab.measures import Dist
 from strassen_lab.transport import (ADMISS_EPS, CostMatrix, SupportSet,
-                                    dual_vertices, ot_value, tight_cells)
+                                    dual_vertices, ot_value)
 
 from chain_dp import _witness_values, log_type_masses
 from conftest import random_cost, random_dist
@@ -546,8 +546,7 @@ class TestFlow:
             m, k = (int(v) for v in rng.integers(1, 6, 2))
             px, py = random_dist(rng, m), random_dist(rng, k)
             cost = _tie_heavy_cost(rng, m, k).as_array()
-            _, f, g, _ = flow.transport_min_cost(px.mass, py.mass, cost)
-            tight = tight_cells(cost, f, g)
+            tight = flow.transport_min_cost(px.mass, py.mass, cost)[4]
             sup, dem, den = flow._lift(px.mass, py.mass)
             got = np.array([[v / den for v in row] for row in
                             flow.lex_min_coupling(sup, dem, tight)])

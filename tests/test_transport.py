@@ -15,6 +15,7 @@ from strassen_lab.errors import (DimensionMismatchError, InfeasibleError,
 from strassen_lab.lattice import (_optimal_joint_type, gn_tails,
                                   lift_coupling, nested_instance,
                                   optimal_outer_plan)
+from strassen_lab.mdp import mdp_rate_upper, support_of
 from strassen_lab.measures import Dist, JointDist, tv
 from strassen_lab.transport import (
     CostMatrix,
@@ -159,7 +160,7 @@ class TestDualVertices:
             for _ in range(40):
                 px = random_dist(rng, m).as_array()
                 py = random_dist(rng, k).as_array()
-                _, _, _, want = flow.transport_min_cost(px, py, cost)
+                want = flow.transport_min_cost(px, py, cost)[3]
                 assert abs(ot_value(px, py, cost) - want) <= 1e-14
 
     @pytest.mark.parametrize("m,k", itertools.product(range(1, 5), repeat=2))
@@ -327,21 +328,15 @@ class TestLexMinCoupling:
 
 def test_every_max_flow_runs_on_ints(rng, monkeypatch):
     # every network a flow builds, recorded where it is built: the
-    # max-flows' and the lexicographic couplings' supplies and demands,
-    # and the min-cost flows' capacities
+    # max-flows', the lexicographic couplings' and the min-cost flows'
+    # supplies and demands
     graphs = []
-    from_edges = flow.MaxFlowGraph.from_edges
     network = flow.BipartiteNetwork.__init__
-
-    def record(cls, n_nodes, tails, heads, caps):
-        graphs.append(list(caps))
-        return from_edges(n_nodes, tails, heads, caps)
 
     def record_network(net, supply, demand, cols):
         graphs.append([*supply, *demand])
         network(net, supply, demand, cols)
 
-    monkeypatch.setattr(flow.MaxFlowGraph, "from_edges", classmethod(record))
     monkeypatch.setattr(flow.BipartiteNetwork, "__init__", record_network)
     _optimal_joint_type.cache_clear()  # so lift_coupling solves its types
     px, py = random_dist(rng, 3), random_dist(rng, 3)
@@ -359,7 +354,7 @@ def test_every_max_flow_runs_on_ints(rng, monkeypatch):
                 lambda: gn_tails(px, py, c, alpha, 3),  # the dense route
                 lambda: optimal_outer_plan(inst, alpha),
                 lambda: lift_coupling(outer, inst),  # the joint types
-                lambda: ot_value(p5, q5, c5)):  # the SSP past VERTEX_MAX
+                lambda: ot_value(p5, q5, c5)):  # min-cost past VERTEX_MAX
         seen = len(graphs)
         run()
         assert len(graphs) > seen
@@ -370,13 +365,11 @@ def test_every_max_flow_runs_on_ints(rng, monkeypatch):
 FLOW_EPS = 1e-15
 
 
-# The solver as it stood before it moved onto flow.MaxFlowGraph, verbatim
-# but for its name and ``num``, the type its capacities run in (``float``
-# as it stood; ``_exact`` for the exact rational flow): the oracle whose
-# potentials the rebuilt one must match bit for bit.
+# The successive-shortest-paths solver in its first form, edge arrays built
+# per call, verbatim but for its name: the oracle whose objective the
+# primal-dual must match.
 def edge_array_transport_min_cost(supply: Sequence[float],
-                                  demand: Sequence[float], cost: np.ndarray,
-                                  num=float):
+                                  demand: Sequence[float], cost: np.ndarray):
     """Balanced transportation problem by successive shortest paths.
 
     Returns ``(plan, f, g, objective)`` where ``f`` and ``g`` are dual
@@ -400,9 +393,9 @@ def edge_array_transport_min_cost(supply: Sequence[float],
 
     def add(u, v, cap, w):
         idx = len(eto)
-        eto.append(v); ecap.append(num(cap)); ecost.append(float(w))
+        eto.append(v); ecap.append(float(cap)); ecost.append(float(w))
         adj[u].append(idx)
-        eto.append(u); ecap.append(num(0)); ecost.append(-float(w))
+        eto.append(u); ecap.append(0.0); ecost.append(-float(w))
         adj[v].append(idx + 1)
         return idx
 
@@ -464,44 +457,103 @@ def edge_array_transport_min_cost(supply: Sequence[float],
     return plan, f, g, objective
 
 
-def _exact(cap):
-    # the cells' math.inf stays a float; every mass is an exact rational
-    return cap if cap == math.inf else Fraction(cap)
-
-
 class TestTransportMinCost:
-    def test_bit_for_bit_as_its_own_edge_arrays(self):
-        # the potentials bit for bit as the float code's; the plan is the
-        # exact rational flow's, each cell rounded once, and moves off the
-        # float plan by its rounding dust
-        rng = np.random.default_rng(1617)
-        moved, worst = 0, 0.0
+    def test_matches_the_old_ssp_with_an_exact_zero_gap(self, monkeypatch):
+        # the objective against the old float SSP, and the int potentials
+        # of the primal-dual it ran: feasible on every cell, flow on tight
+        # cells only, every mass routed and primal equal to dual in ints.
+        # The old SSP's potentials are not compared: where the optimal
+        # dual is not unique, the two pick different ones.
+        runs = []
+        primal_dual = flow._primal_dual
+
+        def record(sup, dem, c):
+            runs.append((list(sup), list(dem), c, primal_dual(sup, dem, c)))
+            return runs[-1][3]
+
+        monkeypatch.setattr(flow, "_primal_dual", record)
+        rng = np.random.default_rng(3201)
         for trial in range(3000):
-            m, k = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-            px, py = random_dist(rng, m), random_dist(rng, k)
-            if trial % 2:  # tied integer costs
+            m, k = (int(v) for v in rng.integers(1, 21, 2))
+            sides = []
+            for size in (m, k):
+                w = rng.random(size)
+                if size > 1 and rng.random() < 0.2:  # zero-mass letters
+                    w[rng.integers(size, size=int(rng.integers(1, size)))] = 0
+                w = (w / w.sum()).tolist()
+                if rng.random() < 0.3:  # a float sum off 1, as Dist lets
+                    w[-1] += float(rng.uniform(-1e-12, 1e-12)) * w[-1]
+                sides.append(w)
+            px, py = sides
+            kind = trial % 4
+            if kind == 0:  # ties on the grid of quarters
+                cost = rng.integers(0, 5, (m, k)) / 4.0
+            elif kind == 1:  # few tied integer costs
                 cost = rng.integers(0, 3, (m, k)).astype(float)
+            elif kind == 2:
+                cost = np.round(rng.random((m, k)) * 4.0, 3)
             else:
-                cost = random_cost(rng, m, k).as_array()
-            got = flow.transport_min_cost(px.mass, py.mass, cost)
-            want = edge_array_transport_min_cost(px.mass, py.mass, cost)
-            exact = edge_array_transport_min_cost(px.mass, py.mass, cost,
-                                                  _exact)
-            for a, b in zip(got[1:3], want[1:3]):
-                assert a.tobytes() == b.tobytes()
-            assert got[0].tobytes() == exact[0].tobytes()
-            assert got[3].hex() == exact[3].hex()
-            moved += got[0].tobytes() != want[0].tobytes()
-            worst = max(worst, float(np.abs(got[0] - want[0]).max()))
-        assert moved == 1137 and worst == 2 ** -53
+                cost = rng.random((m, k)) * 4.0
+            plan, f, g, objective, tight = flow.transport_min_cost(px, py,
+                                                                   cost)
+            # the float SSP's plan cells and its sum of m * k products
+            # each round
+            want = edge_array_transport_min_cost(px, py, cost)[3]
+            assert abs(objective - want) <= 1e-13 * want
+            sup, dem, c, (net, fi, gi) = runs.pop()
+            _, _, den = flow._lift(px, py)
+            _, _, cden = flow._lift(cost.ravel().tolist(), ())
+            assert f.tolist() == [v / cden for v in fi[:m]]
+            assert g.tolist() == [v / cden for v in gi[:k]]
+            red = [[cij - a - b for cij, b in zip(row, gi)]
+                   for row, a in zip(c, fi)]
+            assert min(min(row) for row in red) >= 0
+            assert tight.tolist() == [[r == 0 for r in row[:k]]
+                                      for row in red[:m]]
+            flows = {(i, j): v for j, into in enumerate(net.into)
+                     for i, v in into.items()}
+            assert all(red[i][j] == 0 for i, j in flows)
+            assert plan.tolist() == [[flows.get((i, j), 0) / den
+                                      for j in range(k)] for i in range(m)]
+            assert not any(net.sup) and not any(net.dem)
+            primal = sum(v * c[i][j] for (i, j), v in flows.items())
+            assert primal == (sum(a * b for a, b in zip(fi, sup))
+                              + sum(a * b for a, b in zip(gi, dem)))
+            assert objective == primal / (den * cden)
+            if kind == 3:  # a power of two scales every int but cden
+                scale = 2.0 ** int(rng.integers(-60, 40))
+                got = flow.transport_min_cost(px, py, cost * scale)
+                runs.pop()
+                assert got[0].tolist() == plan.tolist()
+                assert got[4].tolist() == tight.tolist()
+                for a, b in zip(got[1:4], (f, g, objective)):
+                    assert np.array_equal(a, b * scale)
+
+    def test_costs_near_100_end(self):
+        # the old SSP's Dijkstra compared reduced distances to 1e-15, below
+        # their rounding at costs near 100, and never returned here
+        px = Dist.from_mass([5 / 21, 8 / 21, 8 / 21])
+        py = Dist.from_mass([3 / 11, 8 / 11])
+        c = CostMatrix.from_rows([[61.93, 45.49], [42.84, 85.2],
+                                  [13.78, 61.69]])
+        made = ot_cost(px, py, c)
+        want = lp_transport_value(px.as_array(), py.as_array(), c.as_array())
+        assert made.objective == pytest.approx(want, rel=1e-9)
+        assert abs(kantorovich_certificate(px, py, c, made)[2]) <= 1e-12
 
     def test_routes_a_letter_below_the_old_dust(self):
         # a residual up to 1e-15 once counted as none: row 0 went unrouted
         px = [2.0 ** -52, 0.5 - 2.0 ** -52, 0.5]
         cost = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
-        plan, _, _, _ = flow.transport_min_cost(px, [0.25, 0.75], cost)
+        plan = flow.transport_min_cost(px, [0.25, 0.75], cost)[0]
         assert plan[0].tolist() == [2.0 ** -52, 0.0]
         assert plan.sum(axis=1).tolist() == px
+
+
+def exact_law(p: Dist) -> list:
+    """The law m_i / sum(m) that p's float masses define, exactly."""
+    mass = [Fraction(v) for v in p.mass]
+    return [v / sum(mass) for v in mass]
 
 
 def exact_strassen_dual(px, py, adm: np.ndarray) -> Fraction:
@@ -562,7 +614,7 @@ class TestEcp:
 
     def test_value_is_the_rounded_exact_optimum(self):
         # G = max_E P_X(E) - P_Y(Gamma(E)) as an exact rational over the
-        # float masses as given, and max-flow = sum P_X - G by duality
+        # laws the float masses define, and max-flow = 1 - G by duality
         rng = np.random.default_rng(1616)
         for _ in range(1000):
             m, k = int(rng.integers(2, 6)), int(rng.integers(2, 6))
@@ -571,21 +623,44 @@ class TestEcp:
                 np.round(rng.random((m, k)) * 4.0, 1).tolist())
             alpha = float(np.round(rng.random() * 4.0, 1))
             res = ecp(px, py, c, alpha)
-            want = exact_strassen_dual(px.mass, py.mass,
-                                       admissible_mask(c, alpha))
-            assert res.value == float(min(Fraction(1), want))
-            total = sum(map(Fraction, px.mass))
-            assert res.complement == float(min(Fraction(1), total - want))
+            lx, ly = exact_law(px), exact_law(py)
+            want = exact_strassen_dual(lx, ly, admissible_mask(c, alpha))
+            assert res.value == float(want)
+            assert res.complement == float(1 - want)
             gamma = gamma_enlarge(res.witness, c, alpha)
-            assert (sum(Fraction(px.mass[i]) for i in res.witness)
-                    - sum(Fraction(py.mass[j]) for j in gamma)) == want
+            assert (sum(lx[i] for i in res.witness)
+                    - sum(ly[j] for j in gamma)) == want
+
+    def test_reads_the_law_the_masses_define(self):
+        # the x masses sum to 1 + 5e-13: read as given, G was twice as
+        # large and the plan no coupling of them
+        px = Dist.from_mass([0.5, 0.5 + 5e-13])
+        res = ecp(px, Dist.from_mass([0.5, 0.5]), HAMMING, 0.0)
+        lx = exact_law(px)
+        assert res.value == float(Fraction(1, 2) - lx[0])
+        assert res.value == 2.5002222514546025e-13
+        assert res.complement == float(Fraction(1, 2) + lx[0])
+        want = [[lx[0], 0], [lx[1] - Fraction(1, 2), Fraction(1, 2)]]
+        assert res.plan.as_array().tolist() == [[float(v) for v in row]
+                                                for row in want]
+
+    def test_no_excess_above_every_cost(self):
+        # the masses' float sums differ from 1; read as given, the excess
+        # of one side over the other read as G = 5.6e-17
+        res = ecp(Dist.from_mass([0.5, 0.1, 0.4]),
+                  Dist.from_mass([0.1, 0.2, 0.7]),
+                  CostMatrix.from_rows([[abs(i - j) for j in range(3)]
+                                        for i in range(3)]), 2.0)
+        assert (res.value, res.complement) == (0.0, 1.0)
 
     def test_tail_below_the_rounding_of_the_masses(self):
         # the masses sum to 1 - 5.6e-17, so one minus the flow would be
-        # 6e-4 relative too high
+        # 6e-4 relative too high; G is P_X(0) - P_Y(0) on their laws
         px = Dist.from_mass([0.3, 0.7])
         py = Dist.from_mass([0.3 - 1e-13, 0.7 + 1e-13])
-        assert ecp(px, py, HAMMING, 0.0).value == 9.997558336749535e-14
+        value = ecp(px, py, HAMMING, 0.0).value
+        assert value == float(exact_law(px)[0] - exact_law(py)[0])
+        assert value == 9.999223671286472e-14
 
     def test_tail_below_the_other_mass(self):
         px, py = Dist.from_mass([1e-20, 1.0]), Dist.from_mass([0.5, 0.5])
@@ -596,7 +671,7 @@ class TestEcp:
 
     def test_value_capped_at_one(self):
         # the masses sum to 1 + 5e-13, inside Dist's tolerance, and with
-        # nothing admissible the unrouted supply is all of it
+        # nothing admissible the unrouted supply is all of their law
         px = Dist.from_mass([0.5, 0.5 + 5e-13])
         res = ecp(px, Dist.from_mass([0.5, 0.5]), HAMMING, -1.0)
         assert res.value == 1.0 and res.complement == 0.0
@@ -751,3 +826,17 @@ class TestOptimalSupport:
         py = Dist.from_mass([0.0, 1.0])
         s = optimal_support(px, py, HAMMING)
         assert s.cells == frozenset({(0, 1)})
+
+    def test_small_costs_are_not_ties(self):
+        # reduced costs of 2e-10 once fell under a tightness threshold, so
+        # every cell counted as optimal, and the MDP kernels then found the
+        # optimal dual face empty or unbounded
+        half = Dist.from_mass([0.5, 0.5])
+        small = CostMatrix.from_rows([[0.0, 1e-10], [1e-10, 0.0]])
+        s = optimal_support(half, half, small)
+        assert s.cells == frozenset({(0, 0), (1, 1)})
+        assert s == optimal_support(half, half, HAMMING)
+        q = Dist.from_mass([0.4, 0.6])
+        support_of.cache_clear()
+        assert mdp_rate_upper(q, q, small, 1e-10) == 0.5208333333333333
+        assert mdp_rate_upper(q, q, HAMMING, 1.0) == 0.5208333333333333
